@@ -12,7 +12,7 @@
 ///
 /// All benches evaluate through one process-wide Evaluator: workloads run
 /// concurrently on the fused threaded-dispatch engine, and both compiled
-/// modules and their decoded/fused programs are cached, so sweeps that
+/// modules and their fused programs are cached, so sweeps that
 /// revisit a heuristic set (Tables 5/6, the ablations) stop recompiling
 /// and re-decoding identical inputs.
 ///

@@ -2,19 +2,19 @@
 //
 // Runs the sweeps behind the table benches (heuristic sets I-III, the
 // Table 5 predictor, and the Table 6 predictor sweep) across the engine
-// matrix — fused (threaded dispatch + superinstructions), decoded (PR-1
-// flat dispatch), and adaptive (online tiering, docs/RUNTIME.md), each
-// under the serial and the threaded harness — and emits two JSON
-// documents:
+// matrix — fused (threaded dispatch + superinstructions), tier0 (the
+// adaptive engine held on the unfused stream it starts from), and
+// adaptive (online tiering, docs/RUNTIME.md), each under the serial and
+// the threaded harness — and emits two JSON documents:
 //
 //  * BENCH_tables.json (--out): per-workload dynamic counts and timings
 //    from the fused/threaded configuration, regenerated locally, not
 //    committed;
 //  * BENCH_engine.json (--engine-out): the engine perf trajectory —
 //    warmup + median-of-N wall times per configuration, dynamic
-//    instruction rates, fused-over-decoded speedups, adaptive tiering
+//    instruction rates, fused-over-tier0 speedups, adaptive tiering
 //    counters and overhead-vs-oracle ratio, a dedicated phase-shift
-//    benchmark (adaptive vs never-tiering decoded), and fuse and cache
+//    benchmark (adaptive vs never-tiering tier 0), and fuse and cache
 //    statistics.  This file IS committed so speedups persist across PRs.
 //
 // A lowering matrix (heuristic sets I-IV crossed with the hot-first and
@@ -34,7 +34,7 @@
 // silicon.  Both land in BENCH_engine.json's "native" section.
 //
 // The tier-2 configuration then replays the sweeps through the full
-// online ladder (tree -> decoded -> fused -> native): warmup passes run
+// online ladder (unfused -> fused -> native): warmup passes run
 // until the promotion front stops moving, timed repetitions measure the
 // all-native steady state against both the adaptive interpreter and the
 // offline AOT ceiling, and a dedicated phase-shift bench alternates
@@ -71,6 +71,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 
 using namespace bropt;
@@ -157,6 +158,7 @@ struct EngineConfig {
   const char *Name;
   Interpreter::Mode Mode;
   bool Threaded; ///< harness parallelism (0 = one thread per core)
+  RuntimeOptions Runtime; ///< controller knobs (adaptive mode only)
   TimingStats Timing;
   SuiteResult Final; ///< records from the last timed repetition
   EvaluatorStats Cache;
@@ -553,24 +555,6 @@ LoweringNativeGate runLoweringNativeGate(unsigned Warmup, unsigned Reps) {
   return Result;
 }
 
-const char *modeName(Interpreter::Mode Mode) {
-  switch (Mode) {
-  case Interpreter::Mode::Fused:
-    return "fused";
-  case Interpreter::Mode::Decoded:
-    return "decoded";
-  case Interpreter::Mode::Adaptive:
-    return "adaptive";
-  case Interpreter::Mode::AdaptiveNative:
-    return "adaptive-native";
-  case Interpreter::Mode::Tree:
-    return "tree";
-  case Interpreter::Mode::Native:
-    return "native";
-  }
-  return "unknown";
-}
-
 /// Controller knobs for the adaptive sweep configurations.  The library
 /// defaults target long-running processes; the bench workloads are small,
 /// so the threshold is lowered until they reliably tier up during warmup
@@ -579,6 +563,17 @@ RuntimeOptions benchRuntimeOptions() {
   RuntimeOptions Runtime;
   Runtime.HotThreshold = 2048;
   Runtime.SampleInterval = 64;
+  return Runtime;
+}
+
+/// The tier0 baseline: the adaptive engine with a hot threshold no run can
+/// reach, so every activation stays on the unfused stream adaptive starts
+/// from, sampling hooks included.  Both sides of every *_over_tier0 ratio
+/// run the one threaded dispatch loop, so a slowdown of that loop cancels
+/// out of the ratios; perfbench `pgo-interp` `run_s` times it absolutely.
+RuntimeOptions tier0RuntimeOptions() {
+  RuntimeOptions Runtime = benchRuntimeOptions();
+  Runtime.HotThreshold = std::numeric_limits<uint64_t>::max();
   return Runtime;
 }
 
@@ -629,13 +624,14 @@ ProfileQuality collectProfileQuality() {
 /// mix flips abruptly halfway through, so the arm ordering that wins the
 /// first half loses the second.  The offline two-pass flow bakes in one
 /// ordering for good; the adaptive controller detects the drift and
-/// re-optimizes mid-run.  Measured against the never-tiering decoded
-/// engine on the same pre-decoded program.
+/// re-optimizes mid-run.  Measured against the never-tiering tier0
+/// baseline on the same unfused stream.
 struct PhaseShiftResult {
   size_t InputBytes = 0;
-  TimingStats Decoded;
+  TimingStats Tier0;
   TimingStats Adaptive;
   RuntimeStats Tiering;
+  RuntimeStats Tier0Tiering;
 };
 
 /// Shared by the adaptive and the tier-ladder phase-shift benches: a
@@ -678,43 +674,40 @@ PhaseShiftResult runPhaseShiftBench(unsigned Warmup, unsigned Reps,
     Input += static_cast<char>('a' + Index % 26);
   Result.InputBytes = Input.size();
 
-  const DecodedModule Plain = DecodedModule::decode(*Compiled.M);
+  AdaptiveController Tier0(*Compiled.M, tier0RuntimeOptions());
   AdaptiveController Controller(*Compiled.M, benchRuntimeOptions());
-  RunResult DecodedResult, AdaptiveResult;
-  auto RunDecoded = [&] {
-    Interpreter Interp(*Compiled.M, Interpreter::Mode::Decoded);
-    Interp.setPreparedProgram(&Plain);
-    Interp.setInput(Input);
-    DecodedResult = Interp.run();
-  };
-  auto RunAdaptive = [&] {
+  RunResult Tier0Result, AdaptiveResult;
+  auto Run = [&](AdaptiveController &Ctl, RunResult &Out) {
     Interpreter Interp(*Compiled.M, Interpreter::Mode::Adaptive);
-    Controller.attach(Interp);
+    Ctl.attach(Interp);
     Interp.setInput(Input);
-    AdaptiveResult = Interp.run();
+    Out = Interp.run();
   };
+  auto RunTier0 = [&] { Run(Tier0, Tier0Result); };
+  auto RunAdaptive = [&] { Run(Controller, AdaptiveResult); };
   // Warmup tiers the controller up; timed reps then interleave the two
   // engines so machine-load drift lands on both evenly (same methodology
   // as the sweep matrix).
   for (unsigned Iter = 0; Iter < std::max(1u, Warmup); ++Iter) {
-    RunDecoded();
+    RunTier0();
     RunAdaptive();
   }
-  if (DecodedResult.Output != AdaptiveResult.Output ||
-      DecodedResult.ExitValue != AdaptiveResult.ExitValue ||
-      DecodedResult.Counts.TotalInsts != AdaptiveResult.Counts.TotalInsts) {
-    std::fprintf(stderr, "bench error: adaptive and decoded engines "
+  if (Tier0Result.Output != AdaptiveResult.Output ||
+      Tier0Result.ExitValue != AdaptiveResult.ExitValue ||
+      Tier0Result.Counts.TotalInsts != AdaptiveResult.Counts.TotalInsts) {
+    std::fprintf(stderr, "bench error: adaptive and tier0 engines "
                          "disagree on the phase-shift workload\n");
     std::exit(1);
   }
-  std::vector<double> DecodedSamples, AdaptiveSamples;
+  std::vector<double> Tier0Samples, AdaptiveSamples;
   for (unsigned Rep = 0; Rep < std::max(1u, Reps); ++Rep) {
-    DecodedSamples.push_back(timeOnce(RunDecoded));
+    Tier0Samples.push_back(timeOnce(RunTier0));
     AdaptiveSamples.push_back(timeOnce(RunAdaptive));
   }
-  Result.Decoded = summarizeTimings(std::move(DecodedSamples));
+  Result.Tier0 = summarizeTimings(std::move(Tier0Samples));
   Result.Adaptive = summarizeTimings(std::move(AdaptiveSamples));
   Result.Tiering = Controller.stats();
+  Result.Tier0Tiering = Tier0.stats();
   return Result;
 }
 
@@ -782,10 +775,11 @@ NativeBenchResult runNativeBench(unsigned Warmup, unsigned Reps,
   return Result;
 }
 
-/// Knobs for the tier-2 (adaptive-native) configurations.  On top of the
-/// adaptive sweep knobs, every function hot enough to reach the fused
-/// tier is also eligible for the native tier (NativeThreshold ==
-/// HotThreshold), so steady state runs the whole suite as machine code.
+/// Knobs for the tier-2 (tier-ladder) configurations: the adaptive engine
+/// with its NativeTier on.  On top of the adaptive sweep knobs, every
+/// function hot enough to reach the fused tier is also eligible for the
+/// native tier (NativeThreshold == HotThreshold), so steady state runs the
+/// whole suite as machine code.
 /// The drift recheck cadence is pushed past the measurement window: every
 /// cached controller sees exactly one activation per suite pass, so with
 /// the default NativeRecheckMin the rechecks of all ~200 controllers
@@ -803,12 +797,12 @@ RuntimeOptions tierLadderRuntimeOptions() {
 }
 
 /// The tier-2 configuration: the same sweeps as the engine matrix, but
-/// every run climbs the full tree -> decoded -> fused -> native ladder
-/// online.  Like the AOT configuration it runs outside the interleaved
-/// matrix (warmup pays the host-compiler invocations) and is held to the
+/// every run climbs the full unfused -> fused -> native ladder online.
+/// Like the AOT configuration it runs outside the interleaved matrix
+/// (warmup pays the host-compiler invocations) and is held to the
 /// observables bar against the fused configuration — native activations
 /// carry no dynamic counters, so the totalInsts invariant cannot apply.
-struct AdaptiveNativeBenchResult {
+struct TierLadderBenchResult {
   bool Available = false;
   std::string Reason; ///< set when unavailable
   TimingStats Timing;
@@ -818,11 +812,11 @@ struct AdaptiveNativeBenchResult {
   unsigned WarmupPasses = 0;
 };
 
-AdaptiveNativeBenchResult
-runAdaptiveNativeBench(unsigned Warmup, unsigned Reps,
-                       const std::vector<SweepSpec> &Sweeps,
-                       const SuiteResult &FusedReference) {
-  AdaptiveNativeBenchResult Result;
+TierLadderBenchResult
+runTierLadderBench(unsigned Warmup, unsigned Reps,
+                   const std::vector<SweepSpec> &Sweeps,
+                   const SuiteResult &FusedReference) {
+  TierLadderBenchResult Result;
   if (!NativeRunner::shared().available()) {
     Result.Reason = NativeRunner::shared().unavailableReason();
     return Result;
@@ -831,7 +825,7 @@ runAdaptiveNativeBench(unsigned Warmup, unsigned Reps,
 
   EvaluatorOptions Options;
   Options.Threads = 1; // serial: comparable to the *-serial configs
-  Options.Mode = Interpreter::Mode::AdaptiveNative;
+  Options.Mode = Interpreter::Mode::Adaptive;
   Options.CacheCompiles = true;
   Options.Runtime = tierLadderRuntimeOptions();
   Evaluator Eval(Options);
@@ -883,7 +877,7 @@ runAdaptiveNativeBench(unsigned Warmup, unsigned Reps,
           Ladder.Reordered.Output != Fused.Reordered.Output ||
           Ladder.Reordered.ExitValue != Fused.Reordered.ExitValue) {
         std::fprintf(stderr,
-                     "bench error: adaptive-native and fused observables "
+                     "bench error: tier-ladder and fused observables "
                      "disagree on %s (sweep %zu)\n",
                      Ladder.Name.c_str(), Sweep);
         std::exit(1);
@@ -907,8 +901,8 @@ struct TierLadderPhaseResult {
   size_t InputBytes = 0; ///< per activation
   unsigned Blocks = 0;
   unsigned ActivationsPerBlock = 0;
-  TimingStats Fused;  ///< Mode::Adaptive on the same schedule
-  TimingStats Ladder; ///< Mode::AdaptiveNative
+  TimingStats Fused;  ///< the fused-only controller on the same schedule
+  TimingStats Ladder; ///< the controller with NativeTier on
   RuntimeStats Tiering;
   uint32_t MaxNativeCompiles = 0; ///< the budget the run was held to
   bool PerfAvailable = false;
@@ -960,41 +954,39 @@ TierLadderPhaseResult runTierLadderPhaseBench(unsigned Reps, bool Smoke) {
   AdaptiveController Ladder(*Compiled.M, LadderRO);
   AdaptiveController FusedOnly(*Compiled.M, benchRuntimeOptions());
 
-  auto RunOne = [&](AdaptiveController &Controller, Interpreter::Mode Mode,
+  // Both controllers run Mode::Adaptive; only Ladder's NativeTier lets an
+  // activation run natively.
+  auto RunOne = [&](AdaptiveController &Controller,
                     const std::string &Input) {
     ExecRequest Req;
     Req.Input = Input;
     Req.Adaptive = &Controller;
-    return executeModule(*Compiled.M, Mode, Req);
+    return executeModule(*Compiled.M, Interpreter::Mode::Adaptive, Req);
   };
-  auto RunSchedule = [&](AdaptiveController &Controller,
-                         Interpreter::Mode Mode) {
+  auto RunSchedule = [&](AdaptiveController &Controller) {
     for (unsigned Block = 0; Block < Result.Blocks; ++Block) {
       const std::string &Input = Block % 2 ? Letters : Digits;
       for (unsigned Act = 0; Act < Result.ActivationsPerBlock; ++Act)
-        RunOne(Controller, Mode, Input);
+        RunOne(Controller, Input);
     }
   };
 
   // Observables first, then one unmeasured schedule each: the ladder's
   // pays both phases' native compiles, the fused one tiers up.
-  RunResult LadderOut =
-      RunOne(Ladder, Interpreter::Mode::AdaptiveNative, Digits);
-  RunResult FusedOut = RunOne(FusedOnly, Interpreter::Mode::Adaptive, Digits);
+  RunResult LadderOut = RunOne(Ladder, Digits);
+  RunResult FusedOut = RunOne(FusedOnly, Digits);
   if (LadderOut.Output != FusedOut.Output ||
       LadderOut.ExitValue != FusedOut.ExitValue) {
     std::fprintf(stderr, "bench error: tier-ladder and adaptive engines "
                          "disagree on the phase-shift workload\n");
     std::exit(1);
   }
-  RunSchedule(Ladder, Interpreter::Mode::AdaptiveNative);
-  RunSchedule(FusedOnly, Interpreter::Mode::Adaptive);
+  RunSchedule(Ladder);
+  RunSchedule(FusedOnly);
   std::vector<double> LadderSamples, FusedSamples;
   for (unsigned Rep = 0; Rep < std::max(1u, Reps); ++Rep) {
-    LadderSamples.push_back(timeOnce(
-        [&] { RunSchedule(Ladder, Interpreter::Mode::AdaptiveNative); }));
-    FusedSamples.push_back(timeOnce(
-        [&] { RunSchedule(FusedOnly, Interpreter::Mode::Adaptive); }));
+    LadderSamples.push_back(timeOnce([&] { RunSchedule(Ladder); }));
+    FusedSamples.push_back(timeOnce([&] { RunSchedule(FusedOnly); }));
   }
   Result.Ladder = summarizeTimings(std::move(LadderSamples));
   Result.Fused = summarizeTimings(std::move(FusedSamples));
@@ -1011,15 +1003,15 @@ TierLadderPhaseResult runTierLadderPhaseBench(unsigned Reps, bool Smoke) {
   Result.PerfAvailable = true;
   Result.PerfReps = std::max(3u, Reps);
   const std::string &Steady = Result.Blocks % 2 ? Digits : Letters;
-  RunOne(Ladder, Interpreter::Mode::AdaptiveNative, Steady);
-  RunOne(FusedOnly, Interpreter::Mode::Adaptive, Steady);
+  RunOne(Ladder, Steady);
+  RunOne(FusedOnly, Steady);
   Counters.start();
   for (unsigned Rep = 0; Rep < Result.PerfReps; ++Rep)
-    RunOne(Ladder, Interpreter::Mode::AdaptiveNative, Steady);
+    RunOne(Ladder, Steady);
   PerfSample LadderSample = Counters.stop();
   Counters.start();
   for (unsigned Rep = 0; Rep < Result.PerfReps; ++Rep)
-    RunOne(FusedOnly, Interpreter::Mode::Adaptive, Steady);
+    RunOne(FusedOnly, Steady);
   PerfSample FusedSample = Counters.stop();
   Result.LadderBranches = LadderSample.Branches;
   Result.LadderBranchMisses = LadderSample.BranchMisses;
@@ -1148,17 +1140,24 @@ int main(int Argc, char **Argv) {
 
   // The engine matrix.  "threaded"/"serial" name the workload harness
   // (thread pool size); the dispatch loop itself is always single
-  // threaded per run.  Fused vs. decoded under the *same* harness
-  // isolates the dispatch + superinstruction win; adaptive vs. fused
+  // threaded per run.  Every interpreted config below runs the one
+  // threaded dispatch loop.  Fused vs. tier0 under the *same* harness
+  // isolates the superinstruction + layout win; adaptive vs. fused
   // isolates the online tiering overhead against the offline-profiled
-  // oracle, and adaptive vs. decoded is the payoff of tiering at all.
+  // oracle, and adaptive vs. tier0 is the payoff of tiering at all.
+  const RuntimeOptions TieringKnobs = benchRuntimeOptions();
+  const RuntimeOptions Tier0Knobs = tier0RuntimeOptions();
   EngineConfig Configs[] = {
-      {"fused-threaded", Interpreter::Mode::Fused, true, {}, {}, {}},
-      {"fused-serial", Interpreter::Mode::Fused, false, {}, {}, {}},
-      {"decoded-threaded", Interpreter::Mode::Decoded, true, {}, {}, {}},
-      {"decoded-serial", Interpreter::Mode::Decoded, false, {}, {}, {}},
-      {"adaptive-threaded", Interpreter::Mode::Adaptive, true, {}, {}, {}},
-      {"adaptive-serial", Interpreter::Mode::Adaptive, false, {}, {}, {}},
+      {"fused-threaded", Interpreter::Mode::Fused, true, {}, {}, {}, {}},
+      {"fused-serial", Interpreter::Mode::Fused, false, {}, {}, {}, {}},
+      {"tier0-threaded", Interpreter::Mode::Adaptive, true, Tier0Knobs, {},
+       {}, {}},
+      {"tier0-serial", Interpreter::Mode::Adaptive, false, Tier0Knobs, {},
+       {}, {}},
+      {"adaptive-threaded", Interpreter::Mode::Adaptive, true,
+       TieringKnobs, {}, {}, {}},
+      {"adaptive-serial", Interpreter::Mode::Adaptive, false,
+       TieringKnobs, {}, {}, {}},
   };
 
   std::printf("running %zu sweeps x %zu workloads, %u warmup + %u reps "
@@ -1179,7 +1178,7 @@ int main(int Argc, char **Argv) {
     Options.Threads = Config.Threaded ? Threads : 1;
     Options.Mode = Config.Mode;
     Options.CacheCompiles = true;
-    Options.Runtime = benchRuntimeOptions();
+    Options.Runtime = Config.Runtime;
     ConfigEvals.push_back(std::make_unique<Evaluator>(Options));
     for (unsigned Iter = 0; Iter < Warmup; ++Iter)
       Config.Final = runSuite(*ConfigEvals.back(), Sweeps);
@@ -1201,30 +1200,30 @@ int main(int Argc, char **Argv) {
 
   const EngineConfig &FusedThreaded = Configs[0];
   const EngineConfig &FusedSerial = Configs[1];
-  const EngineConfig &DecodedThreaded = Configs[2];
-  const EngineConfig &DecodedSerial = Configs[3];
+  const EngineConfig &Tier0Threaded = Configs[2];
+  const EngineConfig &Tier0Serial = Configs[3];
   const EngineConfig &AdaptiveThreaded = Configs[4];
   const EngineConfig &AdaptiveSerial = Configs[5];
   auto Ratio = [](double Num, double Den) {
     return Den > 0.0 ? Num / Den : 0.0;
   };
   const double SpeedupThreaded =
-      Ratio(DecodedThreaded.Timing.Median, FusedThreaded.Timing.Median);
+      Ratio(Tier0Threaded.Timing.Median, FusedThreaded.Timing.Median);
   const double SpeedupSerial =
-      Ratio(DecodedSerial.Timing.Median, FusedSerial.Timing.Median);
-  const double AdaptiveOverDecodedSerial =
-      Ratio(DecodedSerial.Timing.Median, AdaptiveSerial.Timing.Median);
-  const double AdaptiveOverDecodedThreaded =
-      Ratio(DecodedThreaded.Timing.Median, AdaptiveThreaded.Timing.Median);
+      Ratio(Tier0Serial.Timing.Median, FusedSerial.Timing.Median);
+  const double AdaptiveOverTier0Serial =
+      Ratio(Tier0Serial.Timing.Median, AdaptiveSerial.Timing.Median);
+  const double AdaptiveOverTier0Threaded =
+      Ratio(Tier0Threaded.Timing.Median, AdaptiveThreaded.Timing.Median);
   // Steady-state tiering overhead against the offline-profiled oracle:
   // 1.0 means the adaptive engine matched the ahead-of-time fused build.
   const double AdaptiveOverheadVsFused =
       Ratio(AdaptiveSerial.Timing.Median, FusedSerial.Timing.Median);
-  std::printf("  fused over decoded: %.2fx serial, %.2fx threaded\n",
+  std::printf("  fused over tier0: %.2fx serial, %.2fx threaded\n",
               SpeedupSerial, SpeedupThreaded);
-  std::printf("  adaptive over decoded: %.2fx serial, %.2fx threaded "
+  std::printf("  adaptive over tier0: %.2fx serial, %.2fx threaded "
               "(steady-state overhead vs fused %.3fx)\n",
-              AdaptiveOverDecodedSerial, AdaptiveOverDecodedThreaded,
+              AdaptiveOverTier0Serial, AdaptiveOverTier0Threaded,
               AdaptiveOverheadVsFused);
 
   // Same logical work on every engine — cheap invariant, always on.
@@ -1236,6 +1235,17 @@ int main(int Argc, char **Argv) {
                    Config.Name);
       return 1;
     }
+  // The tier0 baseline is only a baseline if it never left the unfused
+  // stream.
+  for (const EngineConfig *Config : {&Tier0Threaded, &Tier0Serial})
+    for (const std::vector<WorkloadRecord> &Records : Config->Final.Sweeps)
+      for (const WorkloadRecord &Record : Records)
+        if (Record.Eval.Baseline.Runtime.TierUps ||
+            Record.Eval.Reordered.Runtime.TierUps) {
+          std::fprintf(stderr, "bench error: %s tiered up on %s\n",
+                       Config->Name, Record.Eval.Name.c_str());
+          return 1;
+        }
 
   std::vector<SweepSpec> VerifySweeps;
   SuiteResult Reference;
@@ -1250,8 +1260,8 @@ int main(int Argc, char **Argv) {
     Reference = runSuite(TreeEval, VerifySweeps);
     checkAgainstReference("fused", FusedThreaded.Final, Sweeps, Reference,
                           VerifySweeps);
-    checkAgainstReference("decoded", DecodedThreaded.Final, Sweeps,
-                          Reference, VerifySweeps);
+    checkAgainstReference("tier0", Tier0Threaded.Final, Sweeps, Reference,
+                          VerifySweeps);
     checkAgainstReference("adaptive", AdaptiveThreaded.Final, Sweeps,
                           Reference, VerifySweeps);
     std::printf("  observables identical on all verified sweeps\n");
@@ -1292,13 +1302,18 @@ int main(int Argc, char **Argv) {
   PhaseShiftResult PhaseShift = runPhaseShiftBench(Warmup, Reps, Smoke);
   const double PhaseShiftWin =
       PhaseShift.Adaptive.Median > 0.0
-          ? PhaseShift.Decoded.Median / PhaseShift.Adaptive.Median
+          ? PhaseShift.Tier0.Median / PhaseShift.Adaptive.Median
           : 0.0;
-  std::printf("  phase-shift: adaptive %.2fx over decoded "
+  std::printf("  phase-shift: adaptive %.2fx over tier0 "
               "(%.3fs vs %.3fs median, %llu recompiles)\n",
               PhaseShiftWin, PhaseShift.Adaptive.Median,
-              PhaseShift.Decoded.Median,
+              PhaseShift.Tier0.Median,
               (unsigned long long)PhaseShift.Tiering.Recompiles);
+  if (PhaseShift.Tier0Tiering.TierUps) {
+    std::fprintf(stderr, "bench error: the phase-shift tier0 baseline "
+                         "tiered up\n");
+    return 1;
+  }
 
   std::printf("running the native AOT configuration...\n");
   NativeBenchResult Native =
@@ -1318,9 +1333,9 @@ int main(int Argc, char **Argv) {
     std::printf("  native backend unavailable: %s\n",
                 Native.Reason.c_str());
 
-  std::printf("running the adaptive-native (tier-2) configuration...\n");
-  AdaptiveNativeBenchResult TierTwo =
-      runAdaptiveNativeBench(Warmup, Reps, Sweeps, FusedSerial.Final);
+  std::printf("running the tier-ladder (tier-2) configuration...\n");
+  TierLadderBenchResult TierTwo =
+      runTierLadderBench(Warmup, Reps, Sweeps, FusedSerial.Final);
   const double TierTwoOverAdaptiveSerial =
       TierTwo.Available
           ? Ratio(AdaptiveSerial.Timing.Median, TierTwo.Timing.Median)
@@ -1333,11 +1348,11 @@ int main(int Argc, char **Argv) {
           ? Ratio(TierTwo.Timing.Median, Native.Timing.Median)
           : 0.0;
   if (TierTwo.Available) {
-    std::printf("  adaptive-native  median %.3fs  (min %.3fs, stddev "
+    std::printf("  tier-ladder      median %.3fs  (min %.3fs, stddev "
                 "%.4fs, %u warmup passes)\n",
                 TierTwo.Timing.Median, TierTwo.Timing.Min,
                 TierTwo.Timing.Stddev, TierTwo.WarmupPasses);
-    std::printf("  adaptive-native over adaptive: %.2fx serial "
+    std::printf("  tier-ladder over adaptive: %.2fx serial "
                 "(%.2fx of offline native)\n",
                 TierTwoOverAdaptiveSerial, TierTwoVsOfflineNative);
     std::printf("  tier-2: %llu tier-ups, %llu native runs, %llu rechecks, "
@@ -1470,8 +1485,8 @@ int main(int Argc, char **Argv) {
   writeSuite(Out, "engine", FusedThreaded.Final, FusedThreaded.Cache,
              Sweeps, /*Detailed=*/true);
   Out << ",\n";
-  writeSuite(Out, "decoded", DecodedThreaded.Final, DecodedThreaded.Cache,
-             Sweeps, /*Detailed=*/false);
+  writeSuite(Out, "tier0", Tier0Threaded.Final, Tier0Threaded.Cache, Sweeps,
+             /*Detailed=*/false);
   Out << ",\n  \"speedup\": " << SpeedupThreaded << "\n";
   Out << "}\n";
   std::printf("wrote %s\n", OutPath.c_str());
@@ -1498,7 +1513,7 @@ int main(int Argc, char **Argv) {
     const EngineConfig &Config = Configs[Index];
     const uint64_t Insts = totalInsts(Config.Final);
     EngineOut << "    {\"name\": \"" << Config.Name << "\", \"mode\": \""
-              << modeName(Config.Mode) << "\", \"harness\": \""
+              << execModeName(Config.Mode) << "\", \"harness\": \""
               << (Config.Threaded ? "threaded" : "serial")
               << "\", \"wall_seconds\": ";
     writeTiming(EngineOut, Config.Timing);
@@ -1520,13 +1535,12 @@ int main(int Argc, char **Argv) {
               << (Index + 1 < std::size(Configs) ? "," : "") << "\n";
   }
   EngineOut << "  ],\n";
-  EngineOut << "  \"speedup\": {\"fused_over_decoded_serial\": "
+  EngineOut << "  \"speedup\": {\"fused_over_tier0_serial\": "
             << SpeedupSerial
-            << ", \"fused_over_decoded_threaded\": " << SpeedupThreaded
-            << ", \"adaptive_over_decoded_serial\": "
-            << AdaptiveOverDecodedSerial
-            << ", \"adaptive_over_decoded_threaded\": "
-            << AdaptiveOverDecodedThreaded << "},\n";
+            << ", \"fused_over_tier0_threaded\": " << SpeedupThreaded
+            << ", \"adaptive_over_tier0_serial\": " << AdaptiveOverTier0Serial
+            << ", \"adaptive_over_tier0_threaded\": "
+            << AdaptiveOverTier0Threaded << "},\n";
   const RuntimeOptions BenchRuntime = benchRuntimeOptions();
   EngineOut << "  \"adaptive\": {\n";
   EngineOut << "    \"knobs\": {\"hot_threshold\": "
@@ -1562,11 +1576,11 @@ int main(int Argc, char **Argv) {
   EngineOut << "    \"overhead_vs_fused_serial\": " << AdaptiveOverheadVsFused
             << ",\n";
   EngineOut << "    \"phase_shift\": {\"input_bytes\": "
-            << PhaseShift.InputBytes << ", \"decoded_wall_seconds\": ";
-  writeTiming(EngineOut, PhaseShift.Decoded);
+            << PhaseShift.InputBytes << ", \"tier0_wall_seconds\": ";
+  writeTiming(EngineOut, PhaseShift.Tier0);
   EngineOut << ", \"adaptive_wall_seconds\": ";
   writeTiming(EngineOut, PhaseShift.Adaptive);
-  EngineOut << ", \"adaptive_over_decoded\": " << PhaseShiftWin
+  EngineOut << ", \"adaptive_over_tier0\": " << PhaseShiftWin
             << ", \"tier_ups\": " << PhaseShift.Tiering.TierUps
             << ", \"swaps\": " << PhaseShift.Tiering.Swaps
             << ", \"drift_events\": " << PhaseShift.Tiering.DriftEvents
@@ -1809,28 +1823,29 @@ int main(int Argc, char **Argv) {
   EngineOut << "}\n";
   std::printf("wrote %s\n", EngineOutPath.c_str());
 
+  // Fusion must pay for itself on the shared dispatch loop.
   if (FailIfSlower &&
       (SpeedupSerial < 1.0 || SpeedupThreaded < 1.0)) {
     std::fprintf(stderr,
-                 "bench error: fused engine slower than decoded "
+                 "bench error: fused engine slower than tier0 "
                  "(serial %.2fx, threaded %.2fx)\n",
                  SpeedupSerial, SpeedupThreaded);
     return 1;
   }
   // Tiering must pay for itself: steady-state adaptive may never lose to
-  // the engine it tiers up from, neither on the sweeps nor on the
+  // the tier it tiers up from, neither on the sweeps nor on the
   // phase-shift workload built to stress re-optimization.
-  if (FailIfSlower && (AdaptiveOverDecodedSerial < 1.0 ||
-                       AdaptiveOverDecodedThreaded < 1.0)) {
+  if (FailIfSlower && (AdaptiveOverTier0Serial < 1.0 ||
+                       AdaptiveOverTier0Threaded < 1.0)) {
     std::fprintf(stderr,
-                 "bench error: adaptive engine slower than decoded "
+                 "bench error: adaptive engine slower than tier0 "
                  "(serial %.2fx, threaded %.2fx)\n",
-                 AdaptiveOverDecodedSerial, AdaptiveOverDecodedThreaded);
+                 AdaptiveOverTier0Serial, AdaptiveOverTier0Threaded);
     return 1;
   }
   if (FailIfSlower && PhaseShiftWin < 1.0) {
     std::fprintf(stderr,
-                 "bench error: adaptive engine slower than decoded on the "
+                 "bench error: adaptive engine slower than tier0 on the "
                  "phase-shift workload (%.2fx)\n",
                  PhaseShiftWin);
     return 1;
@@ -1853,7 +1868,7 @@ int main(int Argc, char **Argv) {
   if (FailIfSlower && TierTwo.Available &&
       TierTwoOverAdaptiveSerial < 2.0) {
     std::fprintf(stderr,
-                 "bench error: adaptive-native engine below 2x over "
+                 "bench error: tier-ladder engine below 2x over "
                  "adaptive (%.2fx)\n",
                  TierTwoOverAdaptiveSerial);
     return 1;
@@ -1861,7 +1876,7 @@ int main(int Argc, char **Argv) {
   if (FailIfSlower && TierTwo.Available && Native.Available &&
       TierTwoVsOfflineNative > 1.15) {
     std::fprintf(stderr,
-                 "bench error: adaptive-native engine more than 15%% "
+                 "bench error: tier-ladder engine more than 15%% "
                  "behind offline native (%.2fx)\n",
                  TierTwoVsOfflineNative);
     return 1;

@@ -379,9 +379,7 @@ int main(int Argc, char **Argv) {
             Request.Kind = RequestKind::Execute;
             Request.Spec.Source = P.Source;
             Request.Input = P.Input;
-            Request.Mode = static_cast<uint8_t>(
-                Iter % 2 ? Interpreter::Mode::Fused
-                         : Interpreter::Mode::Decoded);
+            Request.Mode = static_cast<uint8_t>(Interpreter::Mode::Fused);
           } else if (Slot == 5) {
             Request.Kind = RequestKind::Compile;
             Request.Spec.Source = P.Source;
@@ -512,7 +510,7 @@ int main() {
           ServiceRequest Request;
           Request.Kind = RequestKind::Execute;
           Request.Spec.Source = SlowSource;
-          Request.Mode = static_cast<uint8_t>(Interpreter::Mode::Decoded);
+          Request.Mode = static_cast<uint8_t>(Interpreter::Mode::Tree);
           ServiceResponse Response;
           // Plain roundTrip: rejections must be observed, not retried
           // away.

@@ -120,20 +120,16 @@ Evaluator::preparedFor(const std::shared_ptr<const CompileResult> &Compiled,
     }
   }
   auto Start = std::chrono::steady_clock::now();
-  std::shared_ptr<const DecodedModule> Program;
-  if (Options.Mode == Interpreter::Mode::Fused) {
-    // The fused engine dogfoods the paper's own profile: arm execution
-    // order inside MultiCmp superinstructions follows the pass-1 counts
-    // when the caller has them (observables are unaffected either way).
-    FuseOptions FO;
-    ProfileDB Profile;
-    if (ProfileText && !ProfileText->empty() &&
-        Profile.deserialize(*ProfileText))
-      FO.Profile = &Profile;
-    Program = std::make_shared<DecodedModule>(decodeFused(*Key, FO));
-  } else {
-    Program = std::make_shared<DecodedModule>(DecodedModule::decode(*Key));
-  }
+  // The fused engine dogfoods the paper's own profile: arm execution
+  // order inside MultiCmp superinstructions follows the pass-1 counts when
+  // the caller has them (observables are unaffected either way).
+  FuseOptions FO;
+  ProfileDB Profile;
+  if (ProfileText && !ProfileText->empty() &&
+      Profile.deserialize(*ProfileText))
+    FO.Profile = &Profile;
+  std::shared_ptr<const DecodedModule> Program =
+      std::make_shared<DecodedModule>(decodeFused(*Key, FO));
   Seconds += secondsSince(Start);
   Hit = false;
   if (Options.CacheCompiles) {
@@ -161,10 +157,8 @@ Evaluator::controllerFor(const std::shared_ptr<const CompileResult> &Compiled,
     }
   }
   auto Start = std::chrono::steady_clock::now();
-  RuntimeOptions RO = Options.Runtime;
-  if (Options.Mode == Interpreter::Mode::AdaptiveNative)
-    RO.NativeTier = true;
-  auto Controller = std::make_shared<AdaptiveController>(*Key, RO);
+  auto Controller =
+      std::make_shared<AdaptiveController>(*Key, Options.Runtime);
   Seconds += secondsSince(Start);
   Hit = false;
   if (Options.CacheCompiles) {
@@ -299,9 +293,7 @@ Evaluator::evaluateWorkload(const Workload &W,
   // baseline build is fused against the reordered compile's pass-1
   // profile so even the unreordered code gets profile-guided arm ordering
   // at the engine level (sequence ids line up because compilation is
-  // deterministic — the same property pass 2 relies on).  The plain
-  // decoded engine stays exactly the PR-1 stack — per-run self-decode —
-  // so bench comparisons against it measure this PR's whole engine side.
+  // deterministic — the same property pass 2 relies on).
   std::shared_ptr<const DecodedModule> BaselinePrepared, ReorderedPrepared;
   if (Options.Mode == Interpreter::Mode::Fused) {
     BaselinePrepared =
@@ -315,8 +307,7 @@ Evaluator::evaluateWorkload(const Workload &W,
   // cached controller; the immutable DecodeCache is deliberately not used
   // (it could only ever serve a stale fused stream).
   std::shared_ptr<AdaptiveController> BaselineCtl, ReorderedCtl;
-  if (Options.Mode == Interpreter::Mode::Adaptive ||
-      Options.Mode == Interpreter::Mode::AdaptiveNative) {
+  if (Options.Mode == Interpreter::Mode::Adaptive) {
     BaselineCtl = controllerFor(Baseline, Record.BaselineAdaptiveHit,
                                 Record.DecodeSeconds);
     ReorderedCtl = controllerFor(Reordered, Record.ReorderedAdaptiveHit,

@@ -46,13 +46,13 @@ namespace bropt {
 struct EvaluatorOptions {
   /// Worker threads; 0 means one per hardware thread.
   unsigned Threads = 0;
-  /// Cache CompileResults — and decoded/fused programs — across calls
+  /// Cache CompileResults — and fused programs — across calls
   /// (keyed by source + options, respectively by module identity).
   bool CacheCompiles = true;
   /// Execution engine for every interpreter run.
   Interpreter::Mode Mode = Interpreter::Mode::Fused;
-  /// Controller knobs for Mode::Adaptive and Mode::AdaptiveNative (the
-  /// latter forces Runtime.NativeTier on); ignored by the other engines.
+  /// Controller knobs for Mode::Adaptive (Runtime.NativeTier turns tier 2
+  /// on); ignored by the other engines.
   RuntimeOptions Runtime;
   /// LRU bounds for the per-module caches (0 = unbounded).  Sized so the
   /// full bench sweep — ~100 distinct modules live at once — fits, while
@@ -89,7 +89,7 @@ struct EvaluatorStats {
   uint64_t BaselineMisses = 0;
   uint64_t ReorderedHits = 0;
   uint64_t ReorderedMisses = 0;
-  /// Decoded/fused-program cache: configurations sharing a module reuse
+  /// Fused-program cache: configurations sharing a module reuse
   /// one prepared program instead of re-decoding per evaluation.
   uint64_t DecodeHits = 0;
   uint64_t DecodeMisses = 0;
@@ -103,7 +103,7 @@ struct EvaluatorStats {
   /// build — i.e. drift-triggered re-fusions of an evolving profile, not
   /// plain cache hits serving an unchanged stream.
   uint64_t AdaptiveReFusions = 0;
-  /// Mode::AdaptiveNative: native bodies activated across all cached
+  /// Runtime.NativeTier: native bodies activated across all cached
   /// controllers (fresh builds and cache re-activations alike), and drift
   /// de-optimizations back to the fused tier.
   uint64_t AdaptiveNativePromotions = 0;
@@ -124,8 +124,8 @@ struct EvaluatorStats {
 /// spans every sweep.  Concurrency contract: the caches are mutex-guarded
 /// and the stats counters are relaxed atomics, so evaluateWorkload() and
 /// stats() are safe from concurrent callers in the immutable-program
-/// modes (tree/decoded/fused/native) — broptd serves Evaluate requests
-/// from its worker pool this way.  The adaptive modes reuse *stateful*
+/// modes (tree/fused/native) — broptd serves Evaluate requests from its
+/// worker pool this way.  The adaptive mode reuses *stateful*
 /// controllers across calls and one controller must not run two
 /// interpreters at once, so adaptive-mode evaluations sharing a module
 /// must still be serialized by the caller.
@@ -187,7 +187,7 @@ private:
   std::map<std::string, std::shared_ptr<const CompileResult>> BaselineCache;
   std::map<std::string, std::shared_ptr<const CompileResult>> ReorderedCache;
 
-  // Prepared (decoded or fused) programs keyed by module identity, so
+  // Prepared fused programs keyed by module identity, so
   // predictor sweeps that re-evaluate one build under many configurations
   // decode it once.  Each entry pins its CompileResult so the key can
   // never dangle or be recycled while cached.  All three per-module

@@ -12,144 +12,64 @@
 
 namespace bropt {
 
-ExecBackend::~ExecBackend() = default;
-
-bool ExecBackend::available(std::string *Reason) const {
-  (void)Reason;
-  return true;
-}
-
 namespace {
 
-/// The four sim/ engines share one backend parameterized by mode; the
-/// Interpreter itself differentiates them.
-class InterpBackend final : public ExecBackend {
-public:
-  InterpBackend(Interpreter::Mode Mode, const char *Name)
-      : Mode(Mode), Name(Name) {}
-
-  const char *name() const override { return Name; }
-
-  RunResult run(const Module &M, const ExecRequest &Req) const override {
-    Interpreter Interp(M, Mode);
-    if (Req.Adaptive)
-      Req.Adaptive->attach(Interp); // installs tier-0 program and hooks
-    else
-      Interp.setPreparedProgram(Req.Prepared);
-    Interp.setInput(Req.Input);
-    Interp.setInstructionLimit(Req.InstructionLimit);
-    if (Req.AttachedPredictor)
-      Interp.attachPredictor(Req.AttachedPredictor);
-    return Interp.run(Req.EntryName, Req.Args);
-  }
-
-private:
-  Interpreter::Mode Mode;
-  const char *Name;
-};
-
-class NativeExecBackend final : public ExecBackend {
-public:
-  const char *name() const override { return "native"; }
-
-  bool available(std::string *Reason) const override {
-    if (NativeRunner::shared().available())
-      return true;
-    if (Reason)
-      *Reason = NativeRunner::shared().unavailableReason();
-    return false;
-  }
-
-  RunResult run(const Module &M, const ExecRequest &Req) const override {
-    const NativeProgram *Program = Req.Native;
-    std::shared_ptr<const NativeProgram> Local;
-    if (!Program) {
-      std::string Error;
-      CEmitterOptions Opts;
-      Opts.EntryName = Req.EntryName;
-      Local = NativeRunner::shared().prepare(M, &Error, Opts);
-      if (!Local) {
-        RunResult Result;
-        Result.Trapped = true;
-        Result.TrapReason = "native compile failed: " + Error;
-        return Result;
-      }
-      Program = Local.get();
-    }
-    return Program->run(Req.Input, Req.Args, Req.InstructionLimit);
-  }
-};
-
-/// The full tier ladder.  Each activation asks the controller which tier
-/// executes it: beginRun() hands back the hot-swapped native body, or
-/// null for an interpreted run (pre-promotion, or a drift recheck) that
-/// goes through the normal adaptive attachment.
-class AdaptiveNativeBackend final : public ExecBackend {
-public:
-  const char *name() const override { return "adaptive-native"; }
-
-  bool available(std::string *Reason) const override {
-    if (NativeRunner::shared().available())
-      return true;
-    if (Reason)
-      *Reason = NativeRunner::shared().unavailableReason();
-    return false;
-  }
-
-  RunResult run(const Module &M, const ExecRequest &Req) const override {
-    if (!Req.Adaptive) {
+RunResult runNative(const Module &M, const ExecRequest &Req) {
+  const NativeProgram *Program = Req.Native;
+  std::shared_ptr<const NativeProgram> Local;
+  if (!Program) {
+    std::string Error;
+    CEmitterOptions Opts;
+    Opts.EntryName = Req.EntryName;
+    Local = NativeRunner::shared().prepare(M, &Error, Opts);
+    if (!Local) {
       RunResult Result;
       Result.Trapped = true;
-      Result.TrapReason =
-          "adaptive-native mode requires an AdaptiveController "
-          "(ExecRequest::Adaptive)";
+      Result.TrapReason = "native compile failed: " + Error;
       return Result;
     }
-    if (auto Native = Req.Adaptive->beginRun())
-      return Native->run(Req.Input, Req.Args, Req.InstructionLimit);
-    Interpreter Interp(M, Interpreter::Mode::Adaptive);
-    Req.Adaptive->attach(Interp);
-    Interp.setInput(Req.Input);
-    Interp.setInstructionLimit(Req.InstructionLimit);
-    if (Req.AttachedPredictor)
-      Interp.attachPredictor(Req.AttachedPredictor);
-    return Interp.run(Req.EntryName, Req.Args);
+    Program = Local.get();
   }
-};
+  return Program->run(Req.Input, Req.Args, Req.InstructionLimit);
+}
 
 } // namespace
 
-ExecBackend &execBackendFor(Interpreter::Mode Mode) {
-  static InterpBackend Decoded(Interpreter::Mode::Decoded, "decoded");
-  static InterpBackend Tree(Interpreter::Mode::Tree, "tree");
-  static InterpBackend Fused(Interpreter::Mode::Fused, "fused");
-  static InterpBackend Adaptive(Interpreter::Mode::Adaptive, "adaptive");
-  static NativeExecBackend Native;
-  static AdaptiveNativeBackend AdaptiveNative;
-  switch (Mode) {
-  case Interpreter::Mode::Decoded:
-    return Decoded;
-  case Interpreter::Mode::Tree:
-    return Tree;
-  case Interpreter::Mode::Fused:
-    return Fused;
-  case Interpreter::Mode::Adaptive:
-    return Adaptive;
-  case Interpreter::Mode::Native:
-    return Native;
-  case Interpreter::Mode::AdaptiveNative:
-    return AdaptiveNative;
-  }
-  return Fused;
-}
-
 RunResult executeModule(const Module &M, Interpreter::Mode Mode,
                         const ExecRequest &Req) {
-  return execBackendFor(Mode).run(M, Req);
+  if (Mode == Interpreter::Mode::Native)
+    return runNative(M, Req);
+  // Tier 2: each adaptive activation asks the controller which tier runs
+  // it.  beginRun() hands back the hot-swapped native body, or null for an
+  // interpreted run (RuntimeOptions::NativeTier off, not promoted yet, or
+  // a drift recheck).
+  if (Mode == Interpreter::Mode::Adaptive && Req.Adaptive)
+    if (std::shared_ptr<const NativeProgram> Native = Req.Adaptive->beginRun())
+      return Native->run(Req.Input, Req.Args, Req.InstructionLimit);
+  Interpreter Interp(M, Mode);
+  if (Req.Adaptive)
+    Req.Adaptive->attach(Interp); // installs tier-0 program and hooks
+  else
+    Interp.setPreparedProgram(Req.Prepared);
+  Interp.setInput(Req.Input);
+  Interp.setInstructionLimit(Req.InstructionLimit);
+  if (Req.AttachedPredictor)
+    Interp.attachPredictor(Req.AttachedPredictor);
+  return Interp.run(Req.EntryName, Req.Args);
 }
 
 const char *execModeName(Interpreter::Mode Mode) {
-  return execBackendFor(Mode).name();
+  switch (Mode) {
+  case Interpreter::Mode::Tree:
+    return "tree";
+  case Interpreter::Mode::Fused:
+    return "fused";
+  case Interpreter::Mode::Adaptive:
+    return "adaptive";
+  case Interpreter::Mode::Native:
+    return "native";
+  }
+  return "unknown";
 }
 
 ModuleEdgeWeights collectEdgeWeights(const Module &M,
@@ -170,18 +90,11 @@ ModuleEdgeWeights collectEdgeWeights(const Module &M,
 }
 
 std::optional<Interpreter::Mode> parseExecMode(std::string_view Name) {
-  if (Name == "decoded")
-    return Interpreter::Mode::Decoded;
-  if (Name == "tree")
-    return Interpreter::Mode::Tree;
-  if (Name == "fused")
-    return Interpreter::Mode::Fused;
-  if (Name == "adaptive")
-    return Interpreter::Mode::Adaptive;
-  if (Name == "native")
-    return Interpreter::Mode::Native;
-  if (Name == "adaptive-native")
-    return Interpreter::Mode::AdaptiveNative;
+  for (Interpreter::Mode Mode :
+       {Interpreter::Mode::Tree, Interpreter::Mode::Fused,
+        Interpreter::Mode::Adaptive, Interpreter::Mode::Native})
+    if (Name == execModeName(Mode))
+      return Mode;
   return std::nullopt;
 }
 

@@ -6,17 +6,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The engine-selection seam.  Four interpreter engines live in sim/ and
-/// the native AOT backend lives in codegen/; sim/ must not depend on
-/// codegen/, so mode dispatch cannot live inside Interpreter.  This
-/// layer sits above both: driver/Evaluator, `broptc --interp`, bench_json
-/// and the fuzz oracle all route runs through executeModule() and get
-/// uniform behaviour — including Interpreter::Mode::Native — instead of
-/// each hand-rolling Interpreter setup.
+/// The engine-selection seam.  The tree walker and the threaded loop live
+/// in sim/ and the native AOT backend lives in codegen/; sim/ must not
+/// depend on codegen/, so mode dispatch cannot live inside Interpreter.
+/// This layer sits above both: driver/Evaluator, `broptc --interp`,
+/// broptd, the benches and the fuzz oracle all route runs through
+/// executeModule() and get uniform behaviour — including
+/// Interpreter::Mode::Native and the adaptive runtime's tier 2 — instead
+/// of each hand-rolling Interpreter setup.
 ///
 /// An ExecRequest carries everything a run needs; the fields mirror the
-/// Interpreter setters they feed.  Backends are stateless singletons;
-/// per-run state lives in the request and the engines themselves.
+/// Interpreter setters they feed.  Per-run state lives in the request and
+/// the engines themselves.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,36 +49,19 @@ struct ExecRequest {
   /// Fed every executed CondBr (interpreter engines only; native code
   /// does not model prediction).  Any zoo member (predict/Zoo.h).
   Predictor *AttachedPredictor = nullptr;
-  /// Pre-decoded program for the decoded/fused engines (Evaluator decode
-  /// cache); ignored elsewhere.
+  /// Pre-decoded program for the threaded loop (Evaluator decode cache);
+  /// ignored elsewhere.
   const DecodedModule *Prepared = nullptr;
-  /// Adaptive-runtime controller for Mode::Adaptive and (required, with
-  /// RuntimeOptions::NativeTier set) Mode::AdaptiveNative; when set it
-  /// owns engine attachment and Prepared is ignored.
+  /// Adaptive-runtime controller for Mode::Adaptive; when set it owns
+  /// engine attachment and Prepared is ignored.  With its
+  /// RuntimeOptions::NativeTier on, beginRun() may hand the whole
+  /// activation to the controller's native body (tier 2).
   AdaptiveController *Adaptive = nullptr;
   /// Pre-compiled shared object for Mode::Native (Evaluator native
   /// cache).  When null the backend compiles on the fly — convenient for
   /// tools, but callers in hot paths should prepare once.
   const NativeProgram *Native = nullptr;
 };
-
-/// One execution strategy behind a uniform run() call.
-class ExecBackend {
-public:
-  virtual ~ExecBackend();
-
-  /// Short engine name ("fused", "native", ...).
-  virtual const char *name() const = 0;
-
-  /// False when the backend cannot run on this host (native without a C
-  /// compiler); \p Reason explains why.
-  virtual bool available(std::string *Reason = nullptr) const;
-
-  virtual RunResult run(const Module &M, const ExecRequest &Req) const = 0;
-};
-
-/// \returns the backend implementing \p Mode (a process-wide singleton).
-ExecBackend &execBackendFor(Interpreter::Mode Mode);
 
 /// Runs \p M under \p Mode.  The one call every engine consumer shares.
 RunResult executeModule(const Module &M, Interpreter::Mode Mode,
@@ -97,8 +81,7 @@ ModuleEdgeWeights collectEdgeWeights(const Module &M,
                                      uint64_t InstructionLimit =
                                          2'000'000'000);
 
-/// Parses "tree" | "decoded" | "fused" | "adaptive" | "native" |
-/// "adaptive-native".
+/// Parses "tree" | "fused" | "adaptive" | "native".
 std::optional<Interpreter::Mode> parseExecMode(std::string_view Name);
 
 } // namespace bropt

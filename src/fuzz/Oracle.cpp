@@ -78,26 +78,16 @@ RunResult runFused(const Module &M, const DecodedModule &DM,
 
 /// Runs the adaptive engine through a persistent controller, the way the
 /// driver's Evaluator re-enters a cached one: tiering state accumulated on
-/// earlier inputs carries into this run.
+/// earlier inputs carries into this run.  With the controller's NativeTier
+/// on this is the full tier ladder: beginRun() decides per activation
+/// whether the hot-swapped native body or the interpreter executes it.
 RunResult runAdaptive(const Module &M, AdaptiveController &Controller,
                       const std::string &Input, uint64_t Limit) {
-  Interpreter Interp(M, Interpreter::Mode::Adaptive);
-  Controller.attach(Interp);
-  Interp.setInput(Input);
-  Interp.setInstructionLimit(Limit);
-  return Interp.run();
-}
-
-/// Runs the full tier ladder through the exec seam: beginRun() decides
-/// per activation whether the hot-swapped native body or the adaptive
-/// interpreter executes this input.
-RunResult runAdaptiveNative(const Module &M, AdaptiveController &Controller,
-                            const std::string &Input, uint64_t Limit) {
   ExecRequest Req;
   Req.Input = Input;
   Req.InstructionLimit = Limit;
   Req.Adaptive = &Controller;
-  return executeModule(M, Interpreter::Mode::AdaptiveNative, Req);
+  return executeModule(M, Interpreter::Mode::Adaptive, Req);
 }
 
 std::string describeRun(const RunResult &R) {
@@ -594,22 +584,24 @@ OracleReport bropt::runOracle(std::string_view Source,
     const std::string &Input = HeldOutInputs[InputIndex];
     RunResult BaseTree =
         runOne(*Base.M, Interpreter::Mode::Tree, Input, Opts.InstructionLimit);
-    RunResult BaseDecoded = runOne(*Base.M, Interpreter::Mode::Decoded, Input,
-                                   Opts.InstructionLimit);
+    // Adaptive with no controller is tier 0 alone: the unfused stream on
+    // the threaded loop.  Checked on every program, whatever the options.
+    RunResult BaseUnfused = runOne(*Base.M, Interpreter::Mode::Adaptive,
+                                   Input, Opts.InstructionLimit);
     RunResult OptTree = runOne(*Optimized.M, Interpreter::Mode::Tree, Input,
                                Opts.InstructionLimit);
-    RunResult OptDecoded = runOne(*Optimized.M, Interpreter::Mode::Decoded,
+    RunResult OptUnfused = runOne(*Optimized.M, Interpreter::Mode::Adaptive,
                                   Input, Opts.InstructionLimit);
 
     std::string Detail;
-    if (!enginesAgree(BaseTree, BaseDecoded, "decoded", Detail)) {
+    if (!enginesAgree(BaseTree, BaseUnfused, "unfused", Detail)) {
       Report.Kind = ViolationKind::EngineMismatch;
       Report.Detail = formatString("baseline module, held-out input %zu: ",
                                    InputIndex) +
                       Detail;
       return Report;
     }
-    if (!enginesAgree(OptTree, OptDecoded, "decoded", Detail)) {
+    if (!enginesAgree(OptTree, OptUnfused, "unfused", Detail)) {
       Report.Kind = ViolationKind::EngineMismatch;
       Report.Detail = formatString("reordered module, held-out input %zu: ",
                                    InputIndex) +
@@ -678,17 +670,17 @@ OracleReport bropt::runOracle(std::string_view Source,
     }
     if (BaseAN) {
       RunResult BaseANRun =
-          runAdaptiveNative(*Base.M, *BaseAN, Input, Opts.InstructionLimit);
-      RunResult OptANRun = runAdaptiveNative(*Optimized.M, *OptAN, Input,
-                                             Opts.InstructionLimit);
-      if (!observablesAgree(BaseTree, BaseANRun, "adaptive-native", Detail)) {
+          runAdaptive(*Base.M, *BaseAN, Input, Opts.InstructionLimit);
+      RunResult OptANRun =
+          runAdaptive(*Optimized.M, *OptAN, Input, Opts.InstructionLimit);
+      if (!observablesAgree(BaseTree, BaseANRun, "tier-ladder", Detail)) {
         Report.Kind = ViolationKind::EngineMismatch;
         Report.Detail = formatString("baseline module, held-out input %zu: ",
                                      InputIndex) +
                         Detail;
         return Report;
       }
-      if (!observablesAgree(OptTree, OptANRun, "adaptive-native", Detail)) {
+      if (!observablesAgree(OptTree, OptANRun, "tier-ladder", Detail)) {
         Report.Kind = ViolationKind::EngineMismatch;
         Report.Detail = formatString("reordered module, held-out input %zu: ",
                                      InputIndex) +
@@ -728,9 +720,9 @@ OracleReport bropt::runOracle(std::string_view Source,
             Detail;
         return Report;
       }
-      RunResult AwareDecoded = runOne(*AwareIV.M, Interpreter::Mode::Decoded,
+      RunResult AwareUnfused = runOne(*AwareIV.M, Interpreter::Mode::Adaptive,
                                       Input, Opts.InstructionLimit);
-      if (!enginesAgree(AwareTree, AwareDecoded, "decoded", Detail)) {
+      if (!enginesAgree(AwareTree, AwareUnfused, "unfused", Detail)) {
         Report.Kind = ViolationKind::EngineMismatch;
         Report.Detail =
             formatString("aware Set IV module, held-out input %zu: ",

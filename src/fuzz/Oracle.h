@@ -11,12 +11,13 @@
 ///
 ///  1. Behavior: the reordered and baseline modules produce identical
 ///     output, exit value, and trap behavior on every held-out input.
-///  2. Engines: the tree-walking, decoded, fused threaded-dispatch, and
-///     adaptive (online-tiering) interpreters agree on every artifact of
-///     every run, dynamic counters included.  The AOT-native and
-///     adaptive-native (tier-2 JIT) engines join on the observables half
-///     of the bar — trap, exit value, output — since native code collects
-///     no dynamic counters.
+///  2. Engines: the tree walker, the threaded loop over the unfused stream
+///     (adaptive tier 0 alone) and over the fused stream, and the adaptive
+///     (online-tiering) runtime agree on every artifact of every run,
+///     dynamic counters included.  The AOT-native engine and the adaptive
+///     runtime with its native tier (tier-2 JIT) join on the observables
+///     half of the bar — trap, exit value, output — since native code
+///     collects no dynamic counters.
 ///  3. Verification: the IR verifier passes after every individual pass
 ///     (observed through the pass-observer hook).
 ///  4. Cost: for every sequence the transformation reordered, the selected
@@ -69,7 +70,7 @@ enum class FaultKind : uint8_t {
   /// ChainModelCost) so the lowering-optimality oracle's plumbing is
   /// testable the same way.
   PretendLoweringRegression,
-  /// Point the adaptive-native tier's host compiler at a command that
+  /// Point the adaptive runtime's tier-2 host compiler at a command that
   /// never returns.  Not a corruption: the expectation inverts — a clean
   /// oracle run with at least one recorded compile cancellation proves
   /// the tier-2 deadline machinery tears down a wedged $BROPT_CC and
@@ -113,7 +114,7 @@ struct OracleOptions {
   uint64_t InstructionLimit = 50'000'000;
   /// Also run both modules through the fused threaded-dispatch engine
   /// (sim/Fuse.h) and hold it to the same exact-agreement bar as the
-  /// decoded engine.  On by default; the flag exists so a fusion bug can
+  /// unfused stream.  On by default; the flag exists so a fusion bug can
   /// be bisected away from pipeline bugs.
   bool CheckFusedEngine = true;
   /// Also run both modules through the adaptive runtime
@@ -139,8 +140,8 @@ struct OracleOptions {
   /// is reported as an engine mismatch.  Silently skipped when no host
   /// compiler is available (NativeRunner::available()).
   bool CheckNativeEngine = true;
-  /// Also run both modules through the full tier ladder (Mode::
-  /// AdaptiveNative): persistent controllers with NativeTier on and a
+  /// Also run both modules through the full tier ladder (Mode::Adaptive
+  /// on controllers built with NativeTier on): persistent controllers and a
   /// native threshold low enough that held-out runs promote to tier-2,
   /// held to the observables bar against the tree walker (native bodies
   /// collect no counters).  Under FaultKind::HangNativeCompile the
@@ -162,7 +163,7 @@ struct OracleOptions {
   /// held-out input and (b) the never-worse model-cost guarantee.  Also
   /// recompiles misprediction-aware (Predictor "paper"): the repriced
   /// selection must keep (a) and (b) under its own pricing, and the
-  /// tree/decoded/fused tiers must agree exactly on the aware module.
+  /// tree/unfused/fused tiers must agree exactly on the aware module.
   bool CheckLoweringOptimal = true;
   /// Also replay the program through an in-process broptd
   /// (service/Service.h): submit the same source + training inputs as a
@@ -183,7 +184,7 @@ struct OracleReport {
   /// Human-readable explanation with enough detail to debug: which input,
   /// which sequence, which pass.
   std::string Detail;
-  /// Tier-2 compiles the adaptive-native controllers cancelled (deadline
+  /// Tier-2 compiles the native-tier adaptive controllers cancelled (deadline
   /// or teardown), summed over both modules.  Populated on clean runs;
   /// FaultKind::HangNativeCompile expects ok() && this >= 1.
   uint64_t NativeCompileCancellations = 0;

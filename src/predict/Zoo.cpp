@@ -8,22 +8,6 @@
 
 using namespace bropt;
 
-// --- TwoBitPredictor -----------------------------------------------------
-
-bool TwoBitPredictor::predictAndTrain(uint32_t BranchId, bool Taken) {
-  if (BranchId >= Counters.size())
-    Counters.resize(BranchId + 1, 1); // weakly not-taken cold state
-  uint8_t &Counter = Counters[BranchId];
-  bool Predicted = Counter >= 2;
-  if (Taken) {
-    if (Counter < 3)
-      ++Counter;
-  } else if (Counter > 0) {
-    --Counter;
-  }
-  return Predicted;
-}
-
 // --- LocalTwoLevelPredictor ----------------------------------------------
 
 LocalTwoLevelPredictor::LocalTwoLevelPredictor(unsigned HistoryBits,
@@ -180,7 +164,7 @@ bool TagePredictor::predictAndTrain(uint32_t BranchId, bool Taken) {
 
 const std::vector<std::string> &bropt::predictorZooNames() {
   static const std::vector<std::string> Names = {
-      "paper", "gshare", "twobit", "local", "tage", "tage-poor"};
+      "paper", "gshare", "local", "tage", "tage-poor"};
   return Names;
 }
 
@@ -191,8 +175,6 @@ std::unique_ptr<Predictor> bropt::makePredictor(std::string_view Name) {
   if (Name == "gshare")
     return std::make_unique<BranchPredictor>(PredictorConfig{8, 2, 2048},
                                              "gshare");
-  if (Name == "twobit")
-    return std::make_unique<TwoBitPredictor>();
   if (Name == "local")
     return std::make_unique<LocalTwoLevelPredictor>();
   if (Name == "tage")

@@ -14,7 +14,6 @@
 ///
 ///   paper      (0,2) per-address, 2048 entries — the paper's Table 5 HW
 ///   gshare     (8,2) global-history gshare, 2048 entries
-///   twobit     unaliased per-branch 2-bit saturating counters
 ///   local      per-branch 10-bit local history over a shared 2-bit table
 ///   tage       a well-provisioned TAGE: bimodal base + 4 tagged
 ///              geometric-history components
@@ -39,23 +38,6 @@
 #include <vector>
 
 namespace bropt {
-
-/// Unaliased per-branch 2-bit saturating counters: the classic Smith
-/// predictor with an unbounded table, so it shows pure per-branch bias
-/// with no interference.  Its steady-state miss rate on a branch taken
-/// with probability t is the minority share min(t, 1-t) — exactly the
-/// analytic model cost/BranchCostModel.h prices with at quality 1.0.
-class TwoBitPredictor : public Predictor {
-public:
-  const char *name() const override { return "twobit"; }
-
-protected:
-  bool predictAndTrain(uint32_t BranchId, bool Taken) override;
-  void resetState() override { Counters.clear(); }
-
-private:
-  std::vector<uint8_t> Counters; ///< grown on demand, weakly-not-taken cold
-};
 
 /// Per-branch local-history two-level predictor (Yeh/Patt PAg shape): each
 /// static branch keeps its own history register; a shared table of 2-bit

@@ -8,9 +8,9 @@
 /// \file
 /// The adaptive execution controller: replaces the paper's offline two-pass
 /// scheme (profile run, then recompile) with an online loop over the same
-/// machinery.  Execution starts in tier 0 — the plainly decoded engine with
-/// AdaptiveHooks sampling every Nth conditional branch.  Samples feed three
-/// consumers:
+/// machinery.  Execution starts in tier 0 — the unfused stream on the
+/// threaded loop, with AdaptiveHooks sampling every Nth conditional
+/// branch.  Samples feed three consumers:
 ///
 ///  - a HotnessSampler (per-branch bias for the hot-first layout, and
 ///    per-function sample counts for the tier-up decision),
@@ -98,7 +98,9 @@ struct RuntimeOptions {
   /// machine code (CEmitter + NativeRunner) and run whole activations
   /// natively.  Requires the fused tier to have deployed first: the native
   /// body is built from the same ordering decisions, so the tier ladder is
-  /// tree/decoded -> fused -> native.
+  /// unfused -> fused -> native.  This is the only tier-2 switch:
+  /// executeModule() runs Mode::Adaptive through beginRun() and the
+  /// controller answers null while it is off.
   bool NativeTier = false;
   /// Estimated conditional-branch executions a function must accumulate
   /// before it is considered for the native tier.

@@ -66,7 +66,7 @@ struct HotnessSampler {
   }
 };
 
-/// Runs \p M on \p Input in the decoded engine with a sample interval of 1
+/// Runs \p M on \p Input in adaptive tier 0 with a sample interval of 1
 /// and returns the exact per-branch taken/total counts.  Purely a
 /// measurement: output and side effects of the run are discarded.
 BranchHotness collectBranchHotness(const Module &M, std::string_view Input,

@@ -77,7 +77,9 @@ struct ServiceRequest {
   uint64_t Seq = 0;
   CompileSpec Spec;        ///< Compile and Execute
   std::string Input;       ///< Execute: program stdin
-  uint8_t Mode = 2;        ///< Execute: Interpreter::Mode numeric value
+  /// Execute: Interpreter::Mode numeric value — 1 tree, 2 fused,
+  /// 3 adaptive, 4 native; the daemon answers any other byte with Error.
+  uint8_t Mode = 2;
   uint64_t InstructionLimit = 2'000'000'000; ///< Execute fuel
   std::string WorkloadName; ///< Evaluate: standard workload name
   std::string ProgramKey;  ///< ProfileExport/ProfileMerge target

@@ -62,7 +62,7 @@ const char *bropt::serveUsage() {
          "  --drain-seconds S    graceful-shutdown budget (default 30)\n"
          "  --retry-after-ms N   rejection retry hint (default 50)\n"
          "  --hot-threshold N    adaptive tier-up threshold\n"
-         "  --native-tier        enable tier-2 native promotion\n"
+         "  --native-tier        let adaptive executes promote to tier 2\n"
          "  --native-threshold N tier-2 promotion threshold\n"
          "  --sample-interval N  adaptive sampling interval\n"
          "  --verbose            log lifecycle events to stderr\n";

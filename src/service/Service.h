@@ -82,8 +82,9 @@ struct ServiceOptions {
   uint32_t RetryAfterMillis = 50;
   /// Per-frame size cap, enforced before allocation.
   uint32_t MaxFrameBytes = MaxServiceFrameBytes;
-  /// Adaptive-runtime knobs for Execute requests in the adaptive modes
-  /// (and the FuseOptions base for fused-engine preparation).
+  /// Adaptive-runtime knobs for adaptive Execute requests — NativeTier
+  /// (`--native-tier`) is the daemon's only tier-2 switch — and the
+  /// FuseOptions base for fused-engine preparation.
   RuntimeOptions Runtime;
   /// Optional log sink (startup, shutdown, per-connection events).
   std::function<void(const std::string &)> Log;

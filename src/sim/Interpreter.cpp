@@ -51,7 +51,7 @@ RunResult Interpreter::run(const std::string &EntryName,
   Aborted = false;
   InputCursor = 0;
 
-  if (ExecutionMode == Mode::Native || ExecutionMode == Mode::AdaptiveNative) {
+  if (ExecutionMode == Mode::Native) {
     // sim/ cannot see codegen/; the exec layer dispatches native runs.
     trap("native mode requires the exec backend (use "
          "executeModule from exec/ExecBackend.h)");
@@ -64,8 +64,7 @@ RunResult Interpreter::run(const std::string &EntryName,
     for (size_t Index = 0; Index < Global->Init.size(); ++Index)
       Memory[Global->BaseAddress + Index] = Global->Init[Index];
 
-  if (ExecutionMode == Mode::Decoded || ExecutionMode == Mode::Fused ||
-      ExecutionMode == Mode::Adaptive) {
+  if (ExecutionMode == Mode::Fused || ExecutionMode == Mode::Adaptive) {
     // Without a prepared program, re-decode on every run: decoding is
     // O(static size) — noise next to the dynamic counts — and passes
     // mutate modules between runs.  Callers that run one module many
@@ -86,12 +85,10 @@ RunResult Interpreter::run(const std::string &EntryName,
       trap("argument count mismatch for entry function");
       return Result;
     }
-    // Adaptive starts in tier 0: the plainly decoded program under the
-    // decoded engine.  Hot activations migrate to fused streams through
-    // the AdaptiveHooks safe-point checks inside the dispatch loops.
-    Result.ExitValue = ExecutionMode == Mode::Fused
-                           ? execFused(*DM, *Entry, Args, 0)
-                           : execDecoded(*DM, *Entry, Args, 0);
+    // Both modes share the threaded loop.  Adaptive starts in tier 0, the
+    // unfused stream; hot activations migrate to fused streams through the
+    // AdaptiveHooks safe-point checks.
+    Result.ExitValue = execFused(*DM, *Entry, Args, 0);
     if (AttachedPredictor)
       Result.Prediction = AttachedPredictor->getStats();
     return Result;
@@ -111,378 +108,6 @@ RunResult Interpreter::run(const std::string &EntryName,
   if (AttachedPredictor)
     Result.Prediction = AttachedPredictor->getStats();
   return Result;
-}
-
-namespace {
-
-/// Local inline copy of evalCondCode: the dispatch loop evaluates one
-/// condition per branch, and an out-of-line call there is measurable.
-inline bool evalCC(CondCode CC, int64_t Lhs, int64_t Rhs) {
-  switch (CC) {
-  case CondCode::EQ:
-    return Lhs == Rhs;
-  case CondCode::NE:
-    return Lhs != Rhs;
-  case CondCode::LT:
-    return Lhs < Rhs;
-  case CondCode::LE:
-    return Lhs <= Rhs;
-  case CondCode::GT:
-    return Lhs > Rhs;
-  case CondCode::GE:
-    return Lhs >= Rhs;
-  }
-  BROPT_UNREACHABLE("unknown condition code");
-}
-
-} // namespace
-
-int64_t Interpreter::execDecoded(const DecodedModule &DM,
-                                 const DecodedFunction &F,
-                                 const std::vector<int64_t> &Args,
-                                 unsigned Depth) {
-  if (Depth > MaxCallDepth) {
-    trap("call depth limit exceeded");
-    return 0;
-  }
-  assert(Args.size() == F.NumParams && "bad argument count");
-  if (!F.HasBody) {
-    trap(formatString("function '%s' has no body", F.Name.c_str()));
-    return 0;
-  }
-
-  // The execution frame: registers (zeroed, parameters first) followed by
-  // the function's interned constants, so every operand read is one
-  // branchless slot load.
-  std::vector<int64_t> Frame(F.numSlots(), 0);
-  int64_t *Regs = Frame.data();
-  std::copy(Args.begin(), Args.end(), Regs);
-  std::copy(F.Constants.begin(), F.Constants.end(), Regs + F.NumRegs);
-
-  // Counters accumulate in locals and flush to Result.Counts at every
-  // exit, keeping per-instruction increments out of memory.  Flushing must
-  // also happen around recursive calls so callees see (and extend) exact
-  // global totals.
-  DynamicCounts LC;
-  auto flush = [&] {
-    DynamicCounts &C = Result.Counts;
-    C.TotalInsts += LC.TotalInsts;
-    C.CondBranches += LC.CondBranches;
-    C.TakenBranches += LC.TakenBranches;
-    C.UncondJumps += LC.UncondJumps;
-    C.IndirectJumps += LC.IndirectJumps;
-    C.Compares += LC.Compares;
-    C.Loads += LC.Loads;
-    C.Stores += LC.Stores;
-    C.Calls += LC.Calls;
-    C.ProfileHooks += LC.ProfileHooks;
-    LC = DynamicCounts();
-  };
-  // Instructions this frame may still execute before the limit trips;
-  // LC.TotalInsts counts against it.  Recomputed after every call.
-  uint64_t Budget = InstructionLimit - Result.Counts.TotalInsts;
-
-// Equivalent to the tree walker's `++Counts.TotalInsts > InstructionLimit`
-// (the final count lands one past the limit, like the tree walker's).
-#define BROPT_COUNT_INST()                                                     \
-  do {                                                                         \
-    if (++LC.TotalInsts > Budget) {                                            \
-      flush();                                                                 \
-      trap("instruction limit exceeded");                                      \
-      return 0;                                                                \
-    }                                                                          \
-  } while (0)
-
-  int64_t CCLhs = 0, CCRhs = 0;
-  const DecodedInst *Insts = F.Insts.data();
-  size_t Index = 0;
-
-  // The adaptive runtime's hooks; null (one dead test per branch) unless
-  // a controller is attached.  Checked once at activation entry — so a
-  // steady-state run migrates to the published fused stream immediately —
-  // and then every SampleInterval conditional branches at block-boundary
-  // safe points.  Samples never affect observable behaviour.
-  AdaptiveHooks *const AH = Hooks;
-  if (AH && AH->TrySwap) {
-    size_t NewIndex = 0;
-    if (const DecodedModule *NewDM = AH->TrySwap(DM, F.FuncIndex, 0, NewIndex))
-      return execFused(*NewDM, NewDM->function(F.FuncIndex), Args, Depth,
-                       NewIndex, Regs, CCLhs, CCRhs);
-  }
-
-// Sampled adaptive check at a safe point: Index was just assigned a branch
-// target, which in a plainly decoded program is always a block start.
-#define BROPT_ADAPTIVE_CHECK(BRANCH_ID, TAKEN, VALUE)                          \
-  do {                                                                         \
-    if (AH && --AH->SampleCountdown == 0) {                                    \
-      AH->SampleCountdown = AH->SampleInterval;                                \
-      if (AH->OnSample)                                                        \
-        AH->OnSample(F.FuncIndex, (BRANCH_ID), (TAKEN), (VALUE));              \
-      if (AH->TrySwap) {                                                       \
-        size_t NewIndex = 0;                                                   \
-        if (const DecodedModule *NewDM =                                       \
-                AH->TrySwap(DM, F.FuncIndex, Index, NewIndex)) {               \
-          flush();                                                             \
-          return execFused(*NewDM, NewDM->function(F.FuncIndex), Args, Depth,  \
-                           NewIndex, Regs, CCLhs, CCRhs);                      \
-        }                                                                      \
-      }                                                                        \
-    }                                                                          \
-  } while (0)
-
-  for (;;) {
-    const DecodedInst &Inst = Insts[Index];
-    switch (Inst.Op) {
-    case DecodedOp::Move:
-      BROPT_COUNT_INST();
-      Regs[Inst.Dest] = Inst.A.read(Regs);
-      break;
-    case DecodedOp::Binary: {
-      BROPT_COUNT_INST();
-      int64_t Lhs = Inst.A.read(Regs);
-      int64_t Rhs = Inst.B.read(Regs);
-      int64_t Value = 0;
-      uint64_t UL = static_cast<uint64_t>(Lhs), UR = static_cast<uint64_t>(Rhs);
-      switch (static_cast<BinaryOp>(Inst.SubOp)) {
-      case BinaryOp::Add:
-        Value = static_cast<int64_t>(UL + UR);
-        break;
-      case BinaryOp::Sub:
-        Value = static_cast<int64_t>(UL - UR);
-        break;
-      case BinaryOp::Mul:
-        Value = static_cast<int64_t>(UL * UR);
-        break;
-      case BinaryOp::Div:
-        if (Rhs == 0) {
-          flush();
-          trap("division by zero");
-          return 0;
-        }
-        if (Lhs == INT64_MIN && Rhs == -1) {
-          flush();
-          trap("division overflow");
-          return 0;
-        }
-        Value = Lhs / Rhs;
-        break;
-      case BinaryOp::Rem:
-        if (Rhs == 0) {
-          flush();
-          trap("remainder by zero");
-          return 0;
-        }
-        if (Lhs == INT64_MIN && Rhs == -1) {
-          flush();
-          trap("remainder overflow");
-          return 0;
-        }
-        Value = Lhs % Rhs;
-        break;
-      case BinaryOp::And:
-        Value = Lhs & Rhs;
-        break;
-      case BinaryOp::Or:
-        Value = Lhs | Rhs;
-        break;
-      case BinaryOp::Xor:
-        Value = Lhs ^ Rhs;
-        break;
-      case BinaryOp::Shl:
-        Value = static_cast<int64_t>(UL << (UR & 63));
-        break;
-      case BinaryOp::Shr:
-        Value = Lhs >> (UR & 63);
-        break;
-      }
-      Regs[Inst.Dest] = Value;
-      break;
-    }
-    case DecodedOp::Unary: {
-      BROPT_COUNT_INST();
-      int64_t Src = Inst.A.read(Regs);
-      Regs[Inst.Dest] =
-          static_cast<UnaryOp>(Inst.SubOp) == UnaryOp::Neg
-              ? static_cast<int64_t>(-static_cast<uint64_t>(Src))
-              : (Src == 0 ? 1 : 0);
-      break;
-    }
-    case DecodedOp::Load: {
-      BROPT_COUNT_INST();
-      ++LC.Loads;
-      int64_t Address = Inst.A.read(Regs) + Inst.Imm;
-      if (Address < 0 || static_cast<uint64_t>(Address) >= Memory.size()) {
-        flush();
-        trap(formatString("load from invalid address %lld",
-                          static_cast<long long>(Address)));
-        return 0;
-      }
-      Regs[Inst.Dest] = Memory[static_cast<size_t>(Address)];
-      break;
-    }
-    case DecodedOp::Store: {
-      BROPT_COUNT_INST();
-      ++LC.Stores;
-      int64_t Address = Inst.A.read(Regs) + Inst.Imm;
-      if (Address < 0 || static_cast<uint64_t>(Address) >= Memory.size()) {
-        flush();
-        trap(formatString("store to invalid address %lld",
-                          static_cast<long long>(Address)));
-        return 0;
-      }
-      Memory[static_cast<size_t>(Address)] = Inst.B.read(Regs);
-      break;
-    }
-    case DecodedOp::Cmp:
-      BROPT_COUNT_INST();
-      ++LC.Compares;
-      CCLhs = Inst.A.read(Regs);
-      CCRhs = Inst.B.read(Regs);
-      break;
-    case DecodedOp::Call: {
-      BROPT_COUNT_INST();
-      ++LC.Calls;
-      std::vector<int64_t> CallArgs;
-      CallArgs.reserve(Inst.ExtraCount);
-      const DecodedOperand *ArgSlice =
-          Inst.ExtraCount ? &F.CallArgs[Inst.Extra] : nullptr;
-      for (uint32_t ArgIndex = 0; ArgIndex < Inst.ExtraCount; ++ArgIndex)
-        CallArgs.push_back(ArgSlice[ArgIndex].read(Regs));
-      flush();
-      int64_t Value =
-          execDecoded(DM, DM.function(Inst.Target0), CallArgs, Depth + 1);
-      if (Aborted)
-        return 0;
-      Budget = InstructionLimit - Result.Counts.TotalInsts;
-      if (Inst.Dest != DecodedInst::NoReg)
-        Regs[Inst.Dest] = Value;
-      break;
-    }
-    case DecodedOp::ReadChar:
-      BROPT_COUNT_INST();
-      if (InputCursor < Input.size())
-        Regs[Inst.Dest] = static_cast<unsigned char>(Input[InputCursor++]);
-      else
-        Regs[Inst.Dest] = -1;
-      break;
-    case DecodedOp::PutChar:
-      BROPT_COUNT_INST();
-      Result.Output.push_back(static_cast<char>(Inst.A.read(Regs) & 0xff));
-      break;
-    case DecodedOp::PrintInt:
-      BROPT_COUNT_INST();
-      Result.Output += formatString(
-          "%lld\n", static_cast<long long>(Inst.A.read(Regs)));
-      break;
-    case DecodedOp::Profile:
-      // Instrumentation hooks never count toward TotalInsts or the limit.
-      ++LC.ProfileHooks;
-      if (OnProfile)
-        OnProfile(Inst.Dest, Inst.A.read(Regs));
-      break;
-    case DecodedOp::ComboProfile:
-      ++LC.ProfileHooks;
-      if (OnComboProfile) {
-        int64_t Mask = 0;
-        const DecodedCondition *Conds =
-            Inst.ExtraCount ? &F.Conditions[Inst.Extra] : nullptr;
-        for (uint32_t Bit = 0; Bit < Inst.ExtraCount; ++Bit)
-          if (evalCC(Conds[Bit].Pred, Conds[Bit].Lhs.read(Regs),
-                     Conds[Bit].Rhs.read(Regs)))
-            Mask |= int64_t{1} << Bit;
-        OnComboProfile(Inst.Dest, Mask);
-      }
-      break;
-    case DecodedOp::CondBr: {
-      BROPT_COUNT_INST();
-      ++LC.CondBranches;
-      bool Taken = evalCC(static_cast<CondCode>(Inst.SubOp), CCLhs, CCRhs);
-      if (Taken)
-        ++LC.TakenBranches;
-      if (AttachedPredictor)
-        AttachedPredictor->observe(Inst.Dest, Taken);
-      Index = Taken ? Inst.Target0 : Inst.Target1;
-      BROPT_ADAPTIVE_CHECK(Inst.Dest, Taken, CCLhs);
-      continue;
-    }
-    case DecodedOp::Jump:
-      BROPT_COUNT_INST();
-      ++LC.UncondJumps;
-      Index = Inst.Target0;
-      continue;
-    case DecodedOp::FallThrough:
-      // A layout fall-through executes for free, like in the tree walker.
-      Index = Inst.Target0;
-      continue;
-    case DecodedOp::Switch: {
-      BROPT_COUNT_INST();
-      int64_t Value = Inst.A.read(Regs);
-      uint32_t Target = Inst.Target0;
-      const DecodedCase *CaseSlice =
-          Inst.ExtraCount ? &F.Cases[Inst.Extra] : nullptr;
-      for (uint32_t CaseIndex = 0; CaseIndex < Inst.ExtraCount; ++CaseIndex)
-        if (CaseSlice[CaseIndex].Value == Value) {
-          Target = CaseSlice[CaseIndex].Target;
-          break;
-        }
-      Index = Target;
-      continue;
-    }
-    case DecodedOp::IndirectJump: {
-      BROPT_COUNT_INST();
-      ++LC.IndirectJumps;
-      int64_t TableIndex = Inst.A.read(Regs);
-      if (TableIndex < 0 ||
-          static_cast<uint64_t>(TableIndex) >= Inst.ExtraCount) {
-        flush();
-        trap(formatString("indirect jump index %lld out of range",
-                          static_cast<long long>(TableIndex)));
-        return 0;
-      }
-      Index = F.JumpTables[Inst.Extra + static_cast<size_t>(TableIndex)];
-      continue;
-    }
-    case DecodedOp::Ret: {
-      BROPT_COUNT_INST();
-      int64_t Value = Inst.SubOp ? Inst.A.read(Regs) : 0;
-      flush();
-      return Value;
-    }
-    case DecodedOp::TrapFellOff:
-      // The tree walker traps after exhausting the block's instructions
-      // without executing anything further, so this must not count.
-      flush();
-      trap(F.Labels[Inst.Dest] + " fell off the end (no terminator)");
-      return 0;
-    case DecodedOp::CmpBr:
-    case DecodedOp::MultiCmp:
-    case DecodedOp::MoveCmpBr:
-    case DecodedOp::BinCmpBr:
-    case DecodedOp::LoadCmpBr:
-    case DecodedOp::ReadCharCmpBr:
-    case DecodedOp::MoveJump:
-    case DecodedOp::BinJump:
-    case DecodedOp::LoadJump:
-    case DecodedOp::StoreJump:
-    case DecodedOp::LoadBin:
-    case DecodedOp::Bin2:
-    case DecodedOp::BinStore:
-    case DecodedOp::BinStoreJump:
-    case DecodedOp::Move2:
-    case DecodedOp::LoadBinStore:
-    case DecodedOp::LoadBinStoreJump:
-    case DecodedOp::StoreLoadBin:
-    case DecodedOp::PutCharLoadBin:
-    case DecodedOp::ProfileCmpBr:
-    case DecodedOp::ReadCharProfileCmpBr:
-      // Only decodeFused() emits macro-ops, and fused programs run through
-      // execFused (sim/Threaded.cpp).
-      BROPT_UNREACHABLE("fused macro-op in a plainly decoded program");
-    }
-    ++Index;
-  }
-#undef BROPT_ADAPTIVE_CHECK
-#undef BROPT_COUNT_INST
 }
 
 int64_t Interpreter::execFunction(const Function &F,

@@ -82,25 +82,26 @@ struct AdaptiveHooks {
 class Interpreter {
 public:
   /// Execution strategies.  All produce bit-identical RunResults; the
-  /// fused engine exists purely for speed, the other two purely as
-  /// differential-testing references (see docs/SIM.md).
+  /// tree walker is the reference, the others exist for speed (see
+  /// docs/SIM.md).  The numeric values double as the broptd wire mode
+  /// bytes (service/Protocol.h) and are pinned.
   enum class Mode : uint8_t {
-    /// Flatten the module into DecodedInst arrays and dispatch over them
-    /// with a switch (the PR-1 engine; kept as a reference).
-    Decoded,
-    /// Walk the Instruction hierarchy block by block, as the original
-    /// implementation did.
-    Tree,
-    /// Engine v2: threaded dispatch (computed goto where the compiler
-    /// supports it) over a hot-first laid out, superinstruction-fused
-    /// program (sim/Fuse.h).  The default.
-    Fused,
-    /// Tier 0 of the adaptive runtime (src/runtime/): executes the plainly
-    /// decoded program like Decoded, but honours installed AdaptiveHooks —
-    /// sampled profiling plus hot-swapping the activation onto a fused
-    /// stream at block-boundary safe points.  With no hooks installed this
-    /// is exactly Decoded.
-    Adaptive,
+    /// Walk the Instruction hierarchy block by block: the semantic
+    /// reference every other engine is held to.
+    Tree = 1,
+    /// Threaded dispatch (computed goto where the compiler supports it)
+    /// over a hot-first laid out, superinstruction-fused program
+    /// (sim/Fuse.h).  The default.
+    Fused = 2,
+    /// The adaptive runtime (src/runtime/).  Tier 0 runs the unfused
+    /// stream (DecodedModule::decode) on the same threaded loop as Fused,
+    /// honouring installed AdaptiveHooks — sampled profiling plus
+    /// hot-swapping the activation onto a fused stream at block-boundary
+    /// safe points.  Without hooks this is tier 0 alone.  The controller's
+    /// tier 2 (RuntimeOptions::NativeTier) is dispatched by
+    /// exec/ExecBackend.h, which asks beginRun() whether an activation
+    /// runs natively.
+    Adaptive = 3,
     /// AOT-compiled machine code: codegen/CEmitter lowers the module to C,
     /// codegen/NativeRunner compiles and dlopens it.  Observables are
     /// bit-identical to the other engines but DynamicCounts stay zero
@@ -108,17 +109,7 @@ public:
     /// this mode itself — dispatch goes through exec/ExecBackend.h, which
     /// owns the sim -> codegen layering; Interpreter::run() on this mode
     /// traps with a pointer at the seam.
-    Native,
-    /// The full tier ladder: Adaptive plus the runtime's tier 2, which
-    /// compiles functions that stay hot past NativeThreshold through the
-    /// native backend and runs whole activations in machine code (with
-    /// periodic interpreted rechecks for drift).  Like Native, only the
-    /// exec backend can dispatch this mode — it asks the controller's
-    /// beginRun() which tier executes each activation; Interpreter::run()
-    /// on this mode traps.  The interpreted activations themselves run as
-    /// Mode::Adaptive (attach() sets it), so the sim engines never see
-    /// this value.
-    AdaptiveNative,
+    Native = 4,
   };
 
   explicit Interpreter(const Module &M, Mode ExecMode = Mode::Fused);
@@ -160,16 +151,16 @@ public:
   /// Caps the number of executed instructions; exceeded -> trap.
   void setInstructionLimit(uint64_t Limit) { InstructionLimit = Limit; }
 
-  /// Supplies a pre-decoded program for run() to execute instead of
-  /// re-decoding the module every run (the Evaluator's decode cache uses
-  /// this).  The caller must keep \p DM alive and consistent with the
-  /// module; programs containing fused macro-ops require Mode::Fused.
-  /// Ignored by the tree walker; pass null to revert to per-run decoding.
+  /// Supplies a pre-decoded program, fused or unfused, for run() to
+  /// execute instead of re-decoding the module every run (the Evaluator's
+  /// decode cache uses this).  The caller must keep \p DM alive and
+  /// consistent with the module.  Ignored by the tree walker; pass null to
+  /// revert to per-run decoding.
   void setPreparedProgram(const DecodedModule *DM) { Prepared = DM; }
 
   /// Installs (or clears, with null) the adaptive runtime's hooks.  Only
-  /// honoured by the decoded and fused engines; the caller keeps \p H
-  /// alive and may mutate its countdown fields between runs.
+  /// honoured by the threaded loop (Fused and Adaptive); the caller keeps
+  /// \p H alive and may mutate its countdown fields between runs.
   void setAdaptiveHooks(AdaptiveHooks *H) { Hooks = H; }
 
   /// Runs \p EntryName with \p Args.  Resets all counters first.
@@ -184,13 +175,12 @@ public:
 private:
   int64_t execFunction(const Function &F, const std::vector<int64_t> &Args,
                        unsigned Depth);
-  int64_t execDecoded(const DecodedModule &DM, const DecodedFunction &F,
-                      const std::vector<int64_t> &Args, unsigned Depth);
-  /// Executes \p F in the fused engine.  The trailing parameters resume an
-  /// activation hot-swapped from another program version: when
-  /// \p ResumeRegs is non-null the frame's registers are copied from it
-  /// (Args is ignored), the condition codes start at the resume values,
-  /// and execution begins at \p StartIndex — which must be a block start.
+  /// Executes \p F on the threaded loop, over a fused or an unfused
+  /// stream alike.  The trailing parameters resume an activation
+  /// hot-swapped from another program version: when \p ResumeRegs is
+  /// non-null the frame's registers are copied from it (Args is ignored),
+  /// the condition codes start at the resume values, and execution begins
+  /// at \p StartIndex — which must be a block start.
   /// Frame transfer is sound because fusion rewrites instructions in place
   /// without touching NumRegs or the constant pool.
   int64_t execFused(const DecodedModule &DM, const DecodedFunction &F,

@@ -3,18 +3,20 @@
 // Part of the bropt project, a reproduction of "Improving Performance by
 // Branch Reordering" (Yang, Uh & Whalley, PLDI 1998).
 //
-// Engine v2: executes fused programs (sim/Fuse.h) with token-threaded
-// dispatch — on GCC/Clang each handler jumps directly to the next
-// handler through a computed goto, giving the hardware one indirect-branch
-// prediction site per handler instead of the single shared site a switch
-// loop has; elsewhere a portable switch fallback expands from the same
-// handler bodies.  Select at configure time with -DBROPT_THREADED_DISPATCH
-// (CMake) or by predefining BROPT_COMPUTED_GOTO to 0/1.
+// The one dispatch loop over the decoded format.  It executes fused
+// programs (sim/Fuse.h) and the unfused stream adaptive tier 0 starts in
+// (DecodedModule::decode) with token-threaded dispatch — on GCC/Clang each
+// handler jumps directly to the next handler through a computed goto,
+// giving the hardware one indirect-branch prediction site per handler
+// instead of the single shared site a switch loop has; elsewhere a
+// portable switch fallback expands from the same handler bodies.  Select
+// at configure time with -DBROPT_THREADED_DISPATCH (CMake) or by
+// predefining BROPT_COMPUTED_GOTO to 0/1.
 //
 // The macro-op handlers (CmpBr, MultiCmp) account for the *logical* IR
 // instructions they stand for: DynamicCounts, predictor observations,
 // condition-code state, and instruction-limit traps are bit-identical to
-// the reference engines, including trips in the middle of a fused chain
+// the tree-walking reference, including trips in the middle of a fused chain
 // (see docs/SIM.md for the argument and tests/sim/fused_test.cpp for the
 // enforcement).
 //
@@ -39,8 +41,8 @@ using namespace bropt;
 
 namespace {
 
-/// Same local copy as in Interpreter.cpp: one condition evaluation per
-/// branch; an out-of-line call here is measurable.
+/// Local inline copy of evalCondCode: one condition evaluation per branch;
+/// an out-of-line call here is measurable.
 inline bool evalCC(CondCode CC, int64_t Lhs, int64_t Rhs) {
   switch (CC) {
   case CondCode::EQ:
@@ -77,9 +79,11 @@ int64_t Interpreter::execFused(const DecodedModule &DM,
     return 0;
   }
 
-  // Frame layout and counter discipline are identical to execDecoded:
-  // registers then interned constants; counters accumulate in locals and
-  // flush at every exit and around recursive calls.  A hot-swapped
+  // The execution frame: registers (zeroed, parameters first) followed by
+  // the function's interned constants, so every operand read is one
+  // branchless slot load.  Counters accumulate in locals and flush at
+  // every exit and around recursive calls, so callees see (and extend)
+  // exact global totals.  A hot-swapped
   // activation resumes with the register file copied from the frame it
   // left behind — fusion never changes NumRegs or the constant pool, so
   // the slot layout matches.
@@ -562,7 +566,7 @@ Dispatch:
       }
       // One sample for the whole ladder, attributed to the first logical
       // arm — the ladder head — with its compare value, mirroring where
-      // the decoded tier samples the same sequence.
+      // the unfused tier 0 samples the same sequence.
       BROPT_ADAPTIVE_CHECK(Arms[0].BranchId, Winner == 0,
                            Arms[0].Lhs.read(Regs));
       BROPT_DISPATCH();

@@ -149,15 +149,15 @@ TEST(EvaluatorTest, DecodeCacheReusesPreparedPrograms) {
   expectSameMeasurement(First.Eval.Baseline, Second.Eval.Baseline);
   expectSameMeasurement(First.Eval.Reordered, Second.Eval.Reordered);
 
-  // The decoded reference engine keeps the PR-1 per-run self-decode and
-  // never touches the fuse cache — it is the comparison baseline.
-  EvaluatorOptions DecodedMode;
-  DecodedMode.Mode = Interpreter::Mode::Decoded;
-  Evaluator Decoded(DecodedMode);
-  WorkloadRecord Reference = Decoded.evaluateWorkload(W, Options);
+  // The tree walker never touches the fuse cache — it is the uncached
+  // comparison baseline.
+  EvaluatorOptions TreeMode;
+  TreeMode.Mode = Interpreter::Mode::Tree;
+  Evaluator Tree(TreeMode);
+  WorkloadRecord Reference = Tree.evaluateWorkload(W, Options);
   ASSERT_TRUE(Reference.Eval.ok()) << Reference.Eval.Error;
-  EXPECT_EQ(Decoded.stats().DecodeHits, 0u);
-  EXPECT_EQ(Decoded.stats().DecodeMisses, 0u);
+  EXPECT_EQ(Tree.stats().DecodeHits, 0u);
+  EXPECT_EQ(Tree.stats().DecodeMisses, 0u);
   expectSameMeasurement(First.Eval.Baseline, Reference.Eval.Baseline);
   expectSameMeasurement(First.Eval.Reordered, Reference.Eval.Reordered);
 }
@@ -270,10 +270,10 @@ TEST(EvaluatorTest, AdaptiveControllersAreCachedAndStateful) {
   // Tiering mid-measurement must not perturb a single observable.
   expectSameMeasurement(First.Eval.Baseline, Second.Eval.Baseline);
   expectSameMeasurement(First.Eval.Reordered, Second.Eval.Reordered);
-  EvaluatorOptions DecodedMode;
-  DecodedMode.Mode = Interpreter::Mode::Decoded;
-  Evaluator Decoded(DecodedMode);
-  WorkloadRecord Reference = Decoded.evaluateWorkload(W, Options);
+  EvaluatorOptions TreeMode;
+  TreeMode.Mode = Interpreter::Mode::Tree;
+  Evaluator Tree(TreeMode);
+  WorkloadRecord Reference = Tree.evaluateWorkload(W, Options);
   ASSERT_TRUE(Reference.Eval.ok()) << Reference.Eval.Error;
   expectSameMeasurement(First.Eval.Baseline, Reference.Eval.Baseline);
   expectSameMeasurement(First.Eval.Reordered, Reference.Eval.Reordered);

@@ -52,12 +52,21 @@ int64_t runExit(Module &M, std::string_view Input) {
 // classifySwitch: the decision table from paper Table 2
 //===----------------------------------------------------------------------===//
 
+/// One row of the table. gtest names each instance after the raw bytes of
+/// its parameter, so the struct has no implicit padding: left to the
+/// compiler, the holes after the two enums carried whatever the stack held
+/// and the case names changed from run to run. `Tag` fills the hole after
+/// `Set`; its values keep the names each case is listed under. It takes no
+/// part in the check.
 struct ClassifyCase {
   SwitchHeuristicSet Set;
+  uint32_t Tag;
   size_t NumCases;
   uint64_t Span;
   SwitchShape Expected;
+  uint32_t TailTag = 0;
 };
+static_assert(sizeof(ClassifyCase) == 32, "ClassifyCase must stay unpadded");
 
 class ClassifyTest : public ::testing::TestWithParam<ClassifyCase> {};
 
@@ -71,29 +80,31 @@ INSTANTIATE_TEST_SUITE_P(
     Table2, ClassifyTest,
     ::testing::Values(
         // Set I: indirect when n >= 4 and dense.
-        ClassifyCase{SwitchHeuristicSet::SetI, 4, 4, SwitchShape::JumpTable},
-        ClassifyCase{SwitchHeuristicSet::SetI, 4, 12, SwitchShape::JumpTable},
-        ClassifyCase{SwitchHeuristicSet::SetI, 4, 13,
+        ClassifyCase{SwitchHeuristicSet::SetI, 0, 4, 4,
+                     SwitchShape::JumpTable},
+        ClassifyCase{SwitchHeuristicSet::SetI, 0, 4, 12,
+                     SwitchShape::JumpTable},
+        ClassifyCase{SwitchHeuristicSet::SetI, 0x7F24, 4, 13,
                      SwitchShape::LinearSearch},
-        ClassifyCase{SwitchHeuristicSet::SetI, 3, 3,
+        ClassifyCase{SwitchHeuristicSet::SetI, 0x7F24, 3, 3,
                      SwitchShape::LinearSearch},
-        ClassifyCase{SwitchHeuristicSet::SetI, 8, 100,
+        ClassifyCase{SwitchHeuristicSet::SetI, 0, 8, 100,
                      SwitchShape::BinarySearch},
-        ClassifyCase{SwitchHeuristicSet::SetI, 7, 100,
+        ClassifyCase{SwitchHeuristicSet::SetI, 0, 7, 100,
                      SwitchShape::LinearSearch},
         // Set II: indirect only from n >= 16.
-        ClassifyCase{SwitchHeuristicSet::SetII, 15, 15,
+        ClassifyCase{SwitchHeuristicSet::SetII, 0, 15, 15,
                      SwitchShape::BinarySearch},
-        ClassifyCase{SwitchHeuristicSet::SetII, 16, 16,
+        ClassifyCase{SwitchHeuristicSet::SetII, 0, 16, 16,
                      SwitchShape::JumpTable},
-        ClassifyCase{SwitchHeuristicSet::SetII, 16, 100,
+        ClassifyCase{SwitchHeuristicSet::SetII, 0, 16, 100,
                      SwitchShape::BinarySearch},
-        ClassifyCase{SwitchHeuristicSet::SetII, 6, 6,
+        ClassifyCase{SwitchHeuristicSet::SetII, 0xEFD00000, 6, 6,
                      SwitchShape::LinearSearch},
         // Set III: always linear.
-        ClassifyCase{SwitchHeuristicSet::SetIII, 40, 40,
+        ClassifyCase{SwitchHeuristicSet::SetIII, 0, 40, 40,
                      SwitchShape::LinearSearch},
-        ClassifyCase{SwitchHeuristicSet::SetIII, 4, 4,
+        ClassifyCase{SwitchHeuristicSet::SetIII, 0xCAD00000, 4, 4,
                      SwitchShape::LinearSearch}));
 
 //===----------------------------------------------------------------------===//

@@ -121,10 +121,10 @@ TEST(MispredictProfileTest, MergeSumsSplitTrainingRuns) {
 TEST(MispredictProfileTest, MergeRefusesMixedPredictors) {
   // Counts measured under different predictors are incomparable; their
   // signatures differ, so the merge must report a conflict, not sum them.
-  ProfileDB Paper, TwoBit;
+  ProfileDB Paper, Gshare;
   ASSERT_NE(measureInto(Paper, "paper", "xxyyzz"), nullptr);
-  ASSERT_NE(measureInto(TwoBit, "twobit", "xxyyzz"), nullptr);
-  ProfileMergeStats Stats = Paper.merge(TwoBit);
+  ASSERT_NE(measureInto(Gshare, "gshare", "xxyyzz"), nullptr);
+  ProfileMergeStats Stats = Paper.merge(Gshare);
   EXPECT_FALSE(Stats.clean());
   EXPECT_GT(Stats.Skipped, 0u);
   ASSERT_FALSE(Stats.Conflicts.empty());

@@ -57,14 +57,15 @@ RunResult runTree(const Module &M, const std::string &Input) {
   return Interp.run();
 }
 
-/// One activation through the full tier ladder: beginRun() decides whether
-/// the native body or the adaptive interpreter executes it.
+/// One activation through the full tier ladder: with NativeTier on,
+/// beginRun() decides whether the native body or the adaptive interpreter
+/// executes it.
 RunResult runLadder(const Module &M, AdaptiveController &Controller,
                     const std::string &Input) {
   ExecRequest Req;
   Req.Input = Input;
   Req.Adaptive = &Controller;
-  return executeModule(M, Interpreter::Mode::AdaptiveNative, Req);
+  return executeModule(M, Interpreter::Mode::Adaptive, Req);
 }
 
 /// Native bodies collect no dynamic counters, so the ladder is held to
@@ -294,16 +295,6 @@ TEST(AdaptiveNativeTest, DrainDeadlineCancelsInFlightBackgroundJob) {
   EXPECT_FALSE(Controller.nativeTiered());
   // The controller survives the teardown: later activations still run.
   expectSameOutcome(Tree, runLadder(M, Controller, Input));
-}
-
-TEST(AdaptiveNativeTest, BackendRequiresAController) {
-  // Mode dispatch without an attached controller is a configuration
-  // error, reported as a trap with an actionable reason — not a crash.
-  CompileResult Keep;
-  Module &M = compileClassifier(Keep);
-  RunResult Result = executeModule(M, Interpreter::Mode::AdaptiveNative, {});
-  EXPECT_TRUE(Result.Trapped);
-  EXPECT_NE(Result.TrapReason.find("AdaptiveController"), std::string::npos);
 }
 
 } // namespace

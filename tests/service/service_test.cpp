@@ -31,6 +31,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -109,7 +110,7 @@ TEST(ServiceProtocol, RequestRoundTripsEveryField) {
   Request.Spec.WarmStart = true;
   Request.Spec.Predictor = "tage";
   Request.Input = "stdin bytes";
-  Request.Mode = (uint8_t)Interpreter::Mode::AdaptiveNative;
+  Request.Mode = (uint8_t)Interpreter::Mode::Native;
   Request.InstructionLimit = 123456789;
 
   ServiceRequest Decoded;
@@ -398,9 +399,9 @@ TEST(ServiceExecute, AllEnginesAgreeOverTheWire) {
 
   const std::string Input = "aabbaacc";
   RunResult Direct = directRun(ChainSource, Input);
-  const Interpreter::Mode Modes[] = {
-      Interpreter::Mode::Decoded, Interpreter::Mode::Tree,
-      Interpreter::Mode::Fused, Interpreter::Mode::Adaptive};
+  const Interpreter::Mode Modes[] = {Interpreter::Mode::Tree,
+                                     Interpreter::Mode::Fused,
+                                     Interpreter::Mode::Adaptive};
   for (Interpreter::Mode Mode : Modes) {
     ServiceResponse Response;
     ASSERT_TRUE(
@@ -424,10 +425,21 @@ TEST(ServiceExecute, BadModeAndBadSourceAreRequestLevelErrors) {
   EXPECT_EQ(Response.Status, ResponseStatus::Error);
   EXPECT_FALSE(Response.Error.empty());
 
-  Request = executeRequest(ChainSource, "x");
-  Request.Mode = 99;
-  ASSERT_TRUE(Client->roundTrip(Request, Response));
-  EXPECT_EQ(Response.Status, ResponseStatus::Error);
+  // The wire mode bytes are pinned; every other byte is an error — 0 and
+  // 5 (the retired decoded and adaptive-native bytes) as much as 255.
+  EXPECT_EQ((uint8_t)Interpreter::Mode::Tree, 1);
+  EXPECT_EQ((uint8_t)Interpreter::Mode::Fused, 2);
+  EXPECT_EQ((uint8_t)Interpreter::Mode::Adaptive, 3);
+  EXPECT_EQ((uint8_t)Interpreter::Mode::Native, 4);
+  for (uint8_t Bad : {0, 5, 255}) {
+    Request = executeRequest(ChainSource, "x");
+    Request.Mode = Bad;
+    ASSERT_TRUE(Client->roundTrip(Request, Response)) << (int)Bad;
+    EXPECT_EQ(Response.Status, ResponseStatus::Error) << (int)Bad;
+    EXPECT_NE(Response.Error.find("invalid execution mode"),
+              std::string::npos)
+        << Response.Error;
+  }
 
   // Request-level failures never poison the connection or the daemon.
   ASSERT_TRUE(Client->roundTrip(executeRequest(ChainSource, "x"), Response));
@@ -719,19 +731,24 @@ TEST(ServiceShutdown, DrainsAdmittedWorkBeforeClosing) {
   EXPECT_TRUE(Daemon.service().shutdown());
 }
 
-TEST(ServiceShutdown, DrainCancelsInFlightTierTwoCompile) {
-  // A private NativeRunner whose "host compiler" never returns, the
-  // adaptive_native_test idiom: discoverCompiler() reads $BROPT_CC at
-  // construction; restore the real value immediately after.
+/// A private NativeRunner whose "host compiler" never returns, the
+/// adaptive_native_test idiom: discoverCompiler() reads $BROPT_CC at
+/// construction; restore the real value immediately after.
+std::unique_ptr<NativeRunner> makeHangRunner() {
   const char *SavedCC = getenv("BROPT_CC");
   std::string Saved = SavedCC ? SavedCC : "";
   setenv("BROPT_CC", "sleep 600 #", 1);
-  NativeRunner HangRunner;
+  auto Runner = std::make_unique<NativeRunner>();
   if (SavedCC)
     setenv("BROPT_CC", Saved.c_str(), 1);
   else
     unsetenv("BROPT_CC");
+  return Runner;
+}
 
+/// Daemon knobs under which SlowSource turns hot enough for tier 2 within
+/// one execute; compiles go to \p Runner.
+ServiceOptions tierTwoOptions(NativeRunner &Runner) {
   ServiceOptions Options;
   Options.Threads = 2;
   Options.DrainDeadlineSeconds = 2.0;
@@ -741,18 +758,25 @@ TEST(ServiceShutdown, DrainCancelsInFlightTierTwoCompile) {
   Options.Runtime.MinSamplesBetweenRecompiles = 16;
   Options.Runtime.MinSamplesBetweenNativeBuilds = 16;
   Options.Runtime.Background = true;
-  Options.Runtime.Runner = &HangRunner;
+  Options.Runtime.Runner = &Runner;
+  return Options;
+}
+
+TEST(ServiceShutdown, DrainCancelsInFlightTierTwoCompile) {
+  std::unique_ptr<NativeRunner> HangRunner = makeHangRunner();
+  ServiceOptions Options = tierTwoOptions(*HangRunner);
+  Options.Runtime.NativeTier = true; // broptd --native-tier
   InProcessService Daemon(Options);
   ASSERT_TRUE(Daemon.ok()) << Daemon.error();
   auto Client = Daemon.connect();
   ASSERT_TRUE(Client);
 
-  // Hot adaptive-native runs: the controller tiers up and launches a
-  // background native compile that wedges on the fake compiler.
+  // Hot adaptive runs: the controller tiers up and launches a background
+  // native compile that wedges on the fake compiler.
   for (unsigned Round = 0; Round < 3; ++Round) {
     ServiceResponse Response;
     ASSERT_TRUE(Client->roundTrip(
-        executeRequest(SlowSource, "", Interpreter::Mode::AdaptiveNative),
+        executeRequest(SlowSource, "", Interpreter::Mode::Adaptive),
         Response));
     ASSERT_TRUE(Response.ok()) << Response.Error;
   }
@@ -767,6 +791,35 @@ TEST(ServiceShutdown, DrainCancelsInFlightTierTwoCompile) {
   EXPECT_LT(Elapsed, 30.0);
   EXPECT_GE(Daemon.service().stats().TierTwoCancellations, 1u)
       << "shutdown drained without cancelling the wedged tier-2 compile";
+}
+
+TEST(ServiceShutdown, AdaptiveStaysInterpretedWithoutNativeTier) {
+  // The same hot program and knobs as the drain test above, which with
+  // --native-tier launches a tier-2 compile the drain must cancel.
+  // Without the flag no adaptive execute may promote: native runs count
+  // nothing, so every response must carry the full interpreted
+  // instruction count, and no compile is ever launched for the drain to
+  // cancel.
+  std::unique_ptr<NativeRunner> HangRunner = makeHangRunner();
+  InProcessService Daemon(tierTwoOptions(*HangRunner));
+  ASSERT_TRUE(Daemon.ok()) << Daemon.error();
+  auto Client = Daemon.connect();
+  ASSERT_TRUE(Client);
+
+  RunResult Direct = directRun(SlowSource, "");
+  ASSERT_GT(Direct.Counts.TotalInsts, 0u);
+  for (unsigned Round = 0; Round < 4; ++Round) {
+    ServiceResponse Response;
+    ASSERT_TRUE(Client->roundTrip(
+        executeRequest(SlowSource, "", Interpreter::Mode::Adaptive),
+        Response));
+    ASSERT_TRUE(Response.ok()) << Response.Error;
+    EXPECT_EQ(Response.TotalInsts, Direct.Counts.TotalInsts)
+        << "round " << Round;
+    EXPECT_EQ(Response.Output, Direct.Output);
+  }
+  EXPECT_TRUE(Daemon.service().shutdown());
+  EXPECT_EQ(Daemon.service().stats().TierTwoCancellations, 0u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -1,13 +1,14 @@
-//===- tests/sim/decoded_test.cpp - Engine differential tests -------------===//
+//===- tests/sim/decoded_test.cpp - Engine agreement suite ----------------===//
 //
-// The pre-decoded flat-dispatch engine and the fused threaded-dispatch
-// engine must both be observationally identical to the tree-walking
-// reference interpreter: same DynamicCounts, same predictor statistics,
-// same output bytes, same exit values, and same trap diagnostics, on
-// every workload and example program, with and without an attached
-// predictor.  These tests run all three engines over everything and
-// assert bitwise equality.  Fusion-specific shapes are covered separately
-// in fused_test.cpp.
+// The one dispatch loop over the decoded format runs two streams: the
+// unfused stream adaptive tier 0 starts in (Mode::Adaptive with no
+// controller) and the fused stream (Mode::Fused).  Both must be
+// observationally identical to the tree-walking reference interpreter:
+// same DynamicCounts, same predictor statistics, same output bytes, same
+// exit values, and same trap diagnostics, on every workload and example
+// program, with and without an attached predictor.  These tests run all
+// three over everything and assert bitwise equality.  Fusion-specific
+// shapes are covered separately in fused_test.cpp.
 //
 //===----------------------------------------------------------------------===//
 
@@ -38,17 +39,21 @@ void expectCountsEqual(const DynamicCounts &Tree, const DynamicCounts &Flat) {
   EXPECT_EQ(Tree.ProfileHooks, Flat.ProfileHooks);
 }
 
-/// Runs \p M under all three engines (optionally with a fresh predictor
-/// each) and asserts every observable field matches the tree walker's.
+/// The three modes every test here runs: the reference, then the threaded
+/// loop over the unfused stream (Adaptive with no controller attached is
+/// tier 0 alone) and over the fused stream.
+const Interpreter::Mode Modes[] = {Interpreter::Mode::Tree,
+                                   Interpreter::Mode::Adaptive,
+                                   Interpreter::Mode::Fused};
+
+/// Runs \p M under all three (optionally with a fresh predictor each) and
+/// asserts every observable field matches the tree walker's.
 /// \returns the tree result.
 RunResult expectIdenticalRuns(const Module &M, std::string_view Input,
                               bool WithPredictor,
                               const std::string &Context) {
   SCOPED_TRACE(Context);
-  const Interpreter::Mode Modes[] = {Interpreter::Mode::Tree,
-                                     Interpreter::Mode::Decoded,
-                                     Interpreter::Mode::Fused};
-  const char *ModeNames[] = {"tree", "decoded", "fused"};
+  const char *ModeNames[] = {"tree", "unfused", "fused"};
   RunResult Results[3];
   for (int Index = 0; Index < 3; ++Index) {
     Interpreter Interp(M, Modes[Index]);
@@ -146,7 +151,7 @@ TEST(DecodedDifferentialTest, ExamplePrograms) {
 
 TEST(DecodedDifferentialTest, CommonSuccessorInstrumentationRuns) {
   // The §10 extension adds ComboProfile hooks; run an instrumented build
-  // through both engines via the driver's pass-1 on a switch-heavy
+  // through every stream via the driver's pass-1 on a switch-heavy
   // workload and make sure the collected profiles agree.
   const Workload *W = findWorkload("sort");
   ASSERT_NE(W, nullptr);
@@ -182,9 +187,6 @@ TEST(DecodedDifferentialTest, ProfileHookCallbacksMatch) {
   Builder.emitRet(Operand::reg(Counter));
 
   std::vector<std::pair<unsigned, int64_t>> Seen[3];
-  const Interpreter::Mode Modes[3] = {Interpreter::Mode::Tree,
-                                      Interpreter::Mode::Decoded,
-                                      Interpreter::Mode::Fused};
   for (int Index = 0; Index < 3; ++Index) {
     Interpreter Interp(M, Modes[Index]);
     Interp.setProfileCallback([&Seen, Index](unsigned Id, int64_t Value) {
@@ -202,7 +204,7 @@ TEST(DecodedDifferentialTest, ProfileHookCallbacksMatch) {
 }
 
 TEST(DecodedDifferentialTest, TrapDiagnosticsMatch) {
-  // Block without a terminator: both engines must report the same
+  // Block without a terminator: every stream must report the same
   // fell-off-the-end diagnostic, with all preceding work counted.
   {
     Module M;
@@ -230,7 +232,7 @@ TEST(DecodedDifferentialTest, TrapDiagnosticsMatch) {
     RunResult TreeResult =
         Interpreter(M, Interpreter::Mode::Tree).run("main", {0});
     for (Interpreter::Mode Mode :
-         {Interpreter::Mode::Decoded, Interpreter::Mode::Fused}) {
+         {Interpreter::Mode::Adaptive, Interpreter::Mode::Fused}) {
       RunResult Other = Interpreter(M, Mode).run("main", {0});
       EXPECT_TRUE(TreeResult.Trapped);
       EXPECT_EQ(TreeResult.TrapReason, Other.TrapReason);
@@ -242,9 +244,7 @@ TEST(DecodedDifferentialTest, TrapDiagnosticsMatch) {
     Function *F = M.createFunction("main", 2);
     BasicBlock *Entry = F->createBlock();
     IRBuilder(Entry).emitRet();
-    for (Interpreter::Mode Mode :
-         {Interpreter::Mode::Tree, Interpreter::Mode::Decoded,
-          Interpreter::Mode::Fused}) {
+    for (Interpreter::Mode Mode : Modes) {
       RunResult Missing = Interpreter(M, Mode).run("nonexistent");
       EXPECT_TRUE(Missing.Trapped);
       EXPECT_NE(Missing.TrapReason.find("not found"), std::string::npos);
@@ -264,9 +264,7 @@ TEST(DecodedDifferentialTest, InstructionLimitMatches) {
   unsigned R = F->newReg();
   Builder.emitMove(R, Operand::imm(0));
   Builder.emitJump(Loop);
-  for (Interpreter::Mode Mode :
-       {Interpreter::Mode::Tree, Interpreter::Mode::Decoded,
-        Interpreter::Mode::Fused}) {
+  for (Interpreter::Mode Mode : Modes) {
     Interpreter Interp(M, Mode);
     Interp.setInstructionLimit(999);
     RunResult Result = Interp.run();
@@ -277,9 +275,9 @@ TEST(DecodedDifferentialTest, InstructionLimitMatches) {
 }
 
 TEST(DecodedDifferentialTest, ModuleMutationsAreObserved) {
-  // Without a prepared program the decoded and fused engines re-decode
-  // per run, so IR mutations between runs — here a jump becoming a layout
-  // fall-through — must take effect.
+  // Without a prepared program the threaded loop re-decodes per run, so
+  // IR mutations between runs — here a jump becoming a layout
+  // fall-through — must take effect on either stream.
   Module M;
   Function *F = M.createFunction("main", 0);
   BasicBlock *A = F->createBlock();
@@ -289,10 +287,12 @@ TEST(DecodedDifferentialTest, ModuleMutationsAreObserved) {
   Builder.setInsertionPoint(B);
   Builder.emitRet();
 
-  Interpreter Interp(M);
-  EXPECT_EQ(Interp.run().Counts.UncondJumps, 1u);
+  Interpreter Fused(M), Unfused(M, Interpreter::Mode::Adaptive);
+  EXPECT_EQ(Fused.run().Counts.UncondJumps, 1u);
+  EXPECT_EQ(Unfused.run().Counts.UncondJumps, 1u);
   Jump->setIsFallThrough(true);
-  EXPECT_EQ(Interp.run().Counts.UncondJumps, 0u);
+  EXPECT_EQ(Fused.run().Counts.UncondJumps, 0u);
+  EXPECT_EQ(Unfused.run().Counts.UncondJumps, 0u);
 }
 
 TEST(DecodedDifferentialTest, BranchIdsMatchTreeNumbering) {

@@ -37,8 +37,9 @@
 //                     runs them when a host compiler is available and
 //                     silently skips otherwise, 'on' fails fast when no
 //                     compiler is found, 'off' disables them
-//   --adaptive-native MODE  tier-2 (adaptive-native) engine agreement
-//                     checks, same modes and semantics as --native
+//   --adaptive-native MODE  tier-ladder agreement checks (the adaptive
+//                     runtime with its native tier on), same modes and
+//                     semantics as --native
 //   --lowering-check MODE  Set IV lowering-optimality invariant: 'on'
 //                     (default) recompiles every program under Set IV and
 //                     holds it to observable identity plus the never-worse

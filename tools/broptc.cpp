@@ -19,7 +19,7 @@
 //   --method-selection    allow profile-guided jump tables (paper §10)
 //   --ijmp-cost N         indirect-jump cost estimate for method selection
 //   --predictor NAME      compile misprediction-aware against a zoo
-//                         predictor (paper, gshare, twobit, local, tage,
+//                         predictor (paper, gshare, local, tage,
 //                         tage-poor; docs/PREDICT.md): training runs
 //                         measure per-branch mispredictions and shape
 //                         selection charges them.  With --run, also
@@ -40,16 +40,16 @@
 //                         --predictor scheme, default the paper's
 //                         (0,2)/2048)
 //   --interp MODE         execution engine for --run: 'fused' (default),
-//                         'decoded' (pre-decoded flat dispatch), 'tree'
-//                         (reference tree-walking interpreter), 'adaptive'
-//                         (online tiering; see docs/RUNTIME.md), 'native'
-//                         (AOT via the host C compiler), or
-//                         'adaptive-native' (the full tier ladder: adaptive
-//                         plus tier-2 promotion to machine code)
+//                         'tree' (reference tree-walking interpreter),
+//                         'adaptive' (online tiering; see
+//                         docs/RUNTIME.md), or 'native' (AOT via the host
+//                         C compiler)
 //   --adaptive            shorthand for --interp adaptive; prints the
 //                         tiering counters after the run
-//   --adaptive-native     shorthand for --interp adaptive-native; prints
-//                         the tiering counters (native tier included)
+//   --adaptive-native     --adaptive with the runtime's native tier on
+//                         (the full tier ladder: tier-2 promotion to
+//                         machine code); prints the native-tier counters
+//                         too
 //   --native-threshold N  estimated branch executions before a hot
 //                         function is promoted to the native tier
 //   --adaptive-trace      with the adaptive engines: log tier-up, swap,
@@ -88,8 +88,7 @@ namespace {
                "              [--emit-ir] [--profile-in FILE] "
                "[--profile-out FILE] [--profile-binary]\n"
                "              [--stats] [--run] [--predict]\n"
-               "              [--interp fused|decoded|tree|adaptive|native|"
-               "adaptive-native]\n"
+               "              [--interp fused|tree|adaptive|native]\n"
                "              [--adaptive] [--adaptive-native] "
                "[--native-threshold N] [--adaptive-trace]\n"
                "       broptc --serve --socket PATH [flags]   "
@@ -122,6 +121,7 @@ struct CliOptions {
   bool Predict = false;
   bool AdaptiveStats = false;
   bool AdaptiveTrace = false;
+  bool NativeTier = false;      ///< RuntimeOptions::NativeTier
   uint64_t NativeThreshold = 0; ///< 0 keeps the RuntimeOptions default
   Interpreter::Mode InterpMode = Interpreter::Mode::Fused;
 };
@@ -163,7 +163,7 @@ CliOptions parseArgs(int Argc, char **Argv) {
       Options.Compile.Predictor = nextValue();
       if (!makePredictor(Options.Compile.Predictor))
         usageError("--predictor expects a zoo name: paper, gshare, "
-                   "twobit, local, tage, or tage-poor");
+                   "local, tage, or tage-poor");
     } else if (Arg == "--emit-ir") {
       Options.EmitIR = true;
     } else if (Arg == "--profile" || Arg == "--profile-out") {
@@ -183,20 +183,20 @@ CliOptions parseArgs(int Argc, char **Argv) {
       if (std::optional<Interpreter::Mode> Parsed = parseExecMode(Mode))
         Options.InterpMode = *Parsed;
       else
-        usageError("--interp expects 'fused', 'decoded', 'tree', "
-                   "'adaptive', 'native', or 'adaptive-native'");
+        usageError("--interp expects 'fused', 'tree', 'adaptive', or "
+                   "'native'");
     } else if (Arg == "--adaptive") {
       Options.InterpMode = Interpreter::Mode::Adaptive;
       Options.AdaptiveStats = true;
     } else if (Arg == "--adaptive-native") {
-      Options.InterpMode = Interpreter::Mode::AdaptiveNative;
+      Options.InterpMode = Interpreter::Mode::Adaptive;
+      Options.NativeTier = true;
       Options.AdaptiveStats = true;
     } else if (Arg == "--native-threshold") {
       Options.NativeThreshold =
           static_cast<uint64_t>(std::atoll(nextValue().c_str()));
     } else if (Arg == "--adaptive-trace") {
-      if (Options.InterpMode != Interpreter::Mode::AdaptiveNative)
-        Options.InterpMode = Interpreter::Mode::Adaptive;
+      Options.InterpMode = Interpreter::Mode::Adaptive;
       Options.AdaptiveStats = true;
       Options.AdaptiveTrace = true;
     } else if (!Arg.empty() && Arg[0] == '-') {
@@ -342,11 +342,9 @@ int main(int Argc, char **Argv) {
     // the exec seam; broptc no longer hand-assembles an Interpreter.
     ExecRequest Req;
     Req.Input = Input;
-    if (Options.InterpMode == Interpreter::Mode::Adaptive ||
-        Options.InterpMode == Interpreter::Mode::AdaptiveNative) {
+    if (Options.InterpMode == Interpreter::Mode::Adaptive) {
       RuntimeOptions RO;
-      RO.NativeTier =
-          Options.InterpMode == Interpreter::Mode::AdaptiveNative;
+      RO.NativeTier = Options.NativeTier;
       if (Options.NativeThreshold)
         RO.NativeThreshold = Options.NativeThreshold;
       if (Options.AdaptiveTrace)

@@ -12,9 +12,9 @@
 //
 // Shared compile options: --train FILE (repeatable), --profile-in FILE,
 // --set I..IV, --common-successor, --method-selection, --warm-start.
-// `run` adds --input FILE and --mode tree|decoded|fused|adaptive|native|
-// adaptive-native.  Rejected requests (backpressure) are retried after
-// the server's hint.
+// `run` adds --input FILE and --mode tree|fused|adaptive|native (whether
+// adaptive runs may promote to tier 2 is the daemon's `--native-tier`).
+// Rejected requests (backpressure) are retried after the server's hint.
 //
 //===----------------------------------------------------------------------===//
 
@@ -131,8 +131,7 @@ int main(int Argc, char **Argv) {
       if (std::optional<Interpreter::Mode> Parsed = parseExecMode(Mode))
         Request.Mode = static_cast<uint8_t>(*Parsed);
       else
-        usageError("--mode expects tree|decoded|fused|adaptive|native|"
-                   "adaptive-native");
+        usageError("--mode expects tree|fused|adaptive|native");
     } else if (Arg == "--out") {
       OutPath = nextValue();
     } else if (!Arg.empty() && Arg[0] == '-') {
