@@ -26,8 +26,6 @@
 #include "predict/BranchPredictor.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -60,61 +58,6 @@ inline void rule(unsigned Width) {
 inline Evaluator &sharedEvaluator() {
   static Evaluator Eval;
   return Eval;
-}
-
-/// Robust summary of repeated wall-clock measurements.  Single-shot means
-/// are noise-prone; perf gates compare medians.
-struct TimingStats {
-  double Min = 0.0;
-  double Median = 0.0;
-  double Mean = 0.0;
-  double Stddev = 0.0;
-  std::vector<double> Samples; ///< in measurement order
-};
-
-/// Times one invocation of \p Body in seconds.
-template <typename Fn> double timeOnce(Fn &&Body) {
-  auto Start = std::chrono::steady_clock::now();
-  Body();
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       Start)
-      .count();
-}
-
-/// Summarizes wall-clock samples gathered elsewhere (e.g. interleaved
-/// across several configurations); \p Samples must be non-empty.
-inline TimingStats summarizeTimings(std::vector<double> Samples) {
-  TimingStats Stats;
-  Stats.Samples = std::move(Samples);
-  std::vector<double> Sorted = Stats.Samples;
-  std::sort(Sorted.begin(), Sorted.end());
-  Stats.Min = Sorted.front();
-  Stats.Median = Sorted.size() % 2
-                     ? Sorted[Sorted.size() / 2]
-                     : 0.5 * (Sorted[Sorted.size() / 2 - 1] +
-                              Sorted[Sorted.size() / 2]);
-  for (double Sample : Sorted)
-    Stats.Mean += Sample;
-  Stats.Mean /= static_cast<double>(Sorted.size());
-  for (double Sample : Sorted)
-    Stats.Stddev += (Sample - Stats.Mean) * (Sample - Stats.Mean);
-  Stats.Stddev = std::sqrt(Stats.Stddev / static_cast<double>(Sorted.size()));
-  return Stats;
-}
-
-/// Runs \p Body \p Warmup untimed iterations (cache/branch-predictor
-/// settling) followed by \p Reps timed ones, and summarizes the timings.
-/// \p Reps is clamped to at least 1.
-template <typename Fn>
-TimingStats timeRepeated(unsigned Warmup, unsigned Reps, Fn &&Body) {
-  for (unsigned Iter = 0; Iter < Warmup; ++Iter)
-    Body();
-  Reps = std::max(1u, Reps);
-  std::vector<double> Samples;
-  Samples.reserve(Reps);
-  for (unsigned Iter = 0; Iter < Reps; ++Iter)
-    Samples.push_back(timeOnce(Body));
-  return summarizeTimings(std::move(Samples));
 }
 
 /// Aborts the bench with a diagnostic unless every evaluation succeeded

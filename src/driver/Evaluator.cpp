@@ -7,17 +7,9 @@
 #include "sim/Fuse.h"
 #include "support/Strings.h"
 
-#include <chrono>
-
 using namespace bropt;
 
 namespace {
-
-double secondsSince(std::chrono::steady_clock::time_point Start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       Start)
-      .count();
-}
 
 /// Stable textual signature of everything a baseline compile depends on.
 std::string baselineKey(const Workload &W, const CompileOptions &Options) {
@@ -74,10 +66,6 @@ EvaluatorStats Evaluator::stats() const {
       Counters.AdaptiveMisses.load(std::memory_order_relaxed);
   S.AdaptiveReFusions =
       Counters.AdaptiveReFusions.load(std::memory_order_relaxed);
-  S.AdaptiveNativePromotions =
-      Counters.AdaptiveNativePromotions.load(std::memory_order_relaxed);
-  S.AdaptiveNativeDeopts =
-      Counters.AdaptiveNativeDeopts.load(std::memory_order_relaxed);
   S.NativeHits = Counters.NativeHits.load(std::memory_order_relaxed);
   S.NativeMisses = Counters.NativeMisses.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> Lock(CacheMutex);
@@ -88,8 +76,6 @@ EvaluatorStats Evaluator::stats() const {
     const RuntimeStats Runtime = Entry.Controller->stats();
     if (Runtime.Recompiles > 1)
       S.AdaptiveReFusions += Runtime.Recompiles - 1;
-    S.AdaptiveNativePromotions += Runtime.NativeTierUps;
-    S.AdaptiveNativeDeopts += Runtime.NativeDeopts;
   }
   S.DecodeEvictions = DecodeCache.evictions();
   S.AdaptiveEvictions = AdaptiveCache.evictions();
@@ -108,8 +94,7 @@ void Evaluator::clearCache() {
 
 std::shared_ptr<const DecodedModule>
 Evaluator::preparedFor(const std::shared_ptr<const CompileResult> &Compiled,
-                       const std::string *ProfileText, bool &Hit,
-                       double &Seconds) {
+                       const std::string *ProfileText, bool &Hit) {
   const Module *Key = Compiled->M.get();
   if (Options.CacheCompiles) {
     std::lock_guard<std::mutex> Lock(CacheMutex);
@@ -119,7 +104,6 @@ Evaluator::preparedFor(const std::shared_ptr<const CompileResult> &Compiled,
       return Entry->Program;
     }
   }
-  auto Start = std::chrono::steady_clock::now();
   // The fused engine dogfoods the paper's own profile: arm execution
   // order inside MultiCmp superinstructions follows the pass-1 counts when
   // the caller has them (observables are unaffected either way).
@@ -130,7 +114,6 @@ Evaluator::preparedFor(const std::shared_ptr<const CompileResult> &Compiled,
     FO.Profile = &Profile;
   std::shared_ptr<const DecodedModule> Program =
       std::make_shared<DecodedModule>(decodeFused(*Key, FO));
-  Seconds += secondsSince(Start);
   Hit = false;
   if (Options.CacheCompiles) {
     std::lock_guard<std::mutex> Lock(CacheMutex);
@@ -146,7 +129,7 @@ Evaluator::preparedFor(const std::shared_ptr<const CompileResult> &Compiled,
 
 std::shared_ptr<AdaptiveController>
 Evaluator::controllerFor(const std::shared_ptr<const CompileResult> &Compiled,
-                         bool &Hit, double &Seconds) {
+                         bool &Hit) {
   const Module *Key = Compiled->M.get();
   if (Options.CacheCompiles) {
     std::lock_guard<std::mutex> Lock(CacheMutex);
@@ -156,10 +139,8 @@ Evaluator::controllerFor(const std::shared_ptr<const CompileResult> &Compiled,
       return Entry->Controller;
     }
   }
-  auto Start = std::chrono::steady_clock::now();
   auto Controller =
       std::make_shared<AdaptiveController>(*Key, Options.Runtime);
-  Seconds += secondsSince(Start);
   Hit = false;
   if (Options.CacheCompiles) {
     std::lock_guard<std::mutex> Lock(CacheMutex);
@@ -168,13 +149,12 @@ Evaluator::controllerFor(const std::shared_ptr<const CompileResult> &Compiled,
     Counters.AdaptiveMisses.fetch_add(1, std::memory_order_relaxed);
     if (auto Evicted = AdaptiveCache.put(Key, AdaptiveEntry{Compiled,
                                                             Controller})) {
-      // Keep the evicted controller's re-fusion and tiering history in the
-      // aggregate counters; stats() can no longer walk it.
+      // Keep the evicted controller's re-fusion history in the aggregate
+      // counters; stats() can no longer walk it.
       const RuntimeStats Runtime = Evicted->Controller->stats();
       if (Runtime.Recompiles > 1)
-        Counters.AdaptiveReFusions.fetch_add(Runtime.Recompiles - 1, std::memory_order_relaxed);
-      Counters.AdaptiveNativePromotions.fetch_add(Runtime.NativeTierUps, std::memory_order_relaxed);
-      Counters.AdaptiveNativeDeopts.fetch_add(Runtime.NativeDeopts, std::memory_order_relaxed);
+        Counters.AdaptiveReFusions.fetch_add(Runtime.Recompiles - 1,
+                                             std::memory_order_relaxed);
     }
   }
   return Controller;
@@ -182,7 +162,7 @@ Evaluator::controllerFor(const std::shared_ptr<const CompileResult> &Compiled,
 
 std::shared_ptr<const NativeProgram>
 Evaluator::nativeFor(const std::shared_ptr<const CompileResult> &Compiled,
-                     bool &Hit, double &Seconds, std::string &Error) {
+                     bool &Hit, std::string &Error) {
   const Module *Key = Compiled->M.get();
   if (Options.CacheCompiles) {
     std::lock_guard<std::mutex> Lock(CacheMutex);
@@ -192,11 +172,9 @@ Evaluator::nativeFor(const std::shared_ptr<const CompileResult> &Compiled,
       return Entry->Program;
     }
   }
-  auto Start = std::chrono::steady_clock::now();
   std::string CompileError;
   std::shared_ptr<const NativeProgram> Program =
       NativeRunner::shared().prepare(*Compiled->M, &CompileError);
-  Seconds += secondsSince(Start);
   Hit = false;
   if (!Program) {
     Error = "native compile failed: " + CompileError;
@@ -214,7 +192,7 @@ Evaluator::nativeFor(const std::shared_ptr<const CompileResult> &Compiled,
 
 std::shared_ptr<const CompileResult>
 Evaluator::baselineFor(const Workload &W, const CompileOptions &CompileOpts,
-                       bool &Hit, double &Seconds) {
+                       bool &Hit) {
   std::string Key;
   if (Options.CacheCompiles) {
     Key = baselineKey(W, CompileOpts);
@@ -226,10 +204,8 @@ Evaluator::baselineFor(const Workload &W, const CompileOptions &CompileOpts,
       return It->second;
     }
   }
-  auto Start = std::chrono::steady_clock::now();
   auto Result = std::make_shared<CompileResult>(
       compileBaseline(W.Source, CompileOpts));
-  Seconds += secondsSince(Start);
   Hit = false;
   if (Options.CacheCompiles) {
     std::lock_guard<std::mutex> Lock(CacheMutex);
@@ -241,7 +217,7 @@ Evaluator::baselineFor(const Workload &W, const CompileOptions &CompileOpts,
 
 std::shared_ptr<const CompileResult>
 Evaluator::reorderedFor(const Workload &W, const CompileOptions &CompileOpts,
-                        bool &Hit, double &Seconds) {
+                        bool &Hit) {
   std::string Key;
   if (Options.CacheCompiles) {
     Key = reorderedKey(W, CompileOpts);
@@ -253,10 +229,8 @@ Evaluator::reorderedFor(const Workload &W, const CompileOptions &CompileOpts,
       return It->second;
     }
   }
-  auto Start = std::chrono::steady_clock::now();
   auto Result = std::make_shared<CompileResult>(
       compileWithReordering(W.Source, W.TrainingInput, CompileOpts));
-  Seconds += secondsSince(Start);
   Hit = false;
   if (Options.CacheCompiles) {
     std::lock_guard<std::mutex> Lock(CacheMutex);
@@ -274,14 +248,14 @@ Evaluator::evaluateWorkload(const Workload &W,
   WorkloadEvaluation &Eval = Record.Eval;
   Eval.Name = W.Name;
 
-  std::shared_ptr<const CompileResult> Baseline = baselineFor(
-      W, CompileOpts, Record.BaselineCacheHit, Record.CompileSeconds);
+  std::shared_ptr<const CompileResult> Baseline =
+      baselineFor(W, CompileOpts, Record.BaselineCacheHit);
   if (!Baseline->ok()) {
     Eval.Error = W.Name + ": baseline compile failed: " + Baseline->Error;
     return Record;
   }
-  std::shared_ptr<const CompileResult> Reordered = reorderedFor(
-      W, CompileOpts, Record.ReorderedCacheHit, Record.CompileSeconds);
+  std::shared_ptr<const CompileResult> Reordered =
+      reorderedFor(W, CompileOpts, Record.ReorderedCacheHit);
   if (!Reordered->ok()) {
     Eval.Error = W.Name + ": reordering compile failed: " + Reordered->Error;
     return Record;
@@ -296,22 +270,18 @@ Evaluator::evaluateWorkload(const Workload &W,
   // deterministic — the same property pass 2 relies on).
   std::shared_ptr<const DecodedModule> BaselinePrepared, ReorderedPrepared;
   if (Options.Mode == Interpreter::Mode::Fused) {
-    BaselinePrepared =
-        preparedFor(Baseline, &Reordered->ProfileText,
-                    Record.BaselineDecodeHit, Record.DecodeSeconds);
-    ReorderedPrepared = preparedFor(Reordered, nullptr,
-                                    Record.ReorderedDecodeHit,
-                                    Record.DecodeSeconds);
+    BaselinePrepared = preparedFor(Baseline, &Reordered->ProfileText,
+                                   Record.BaselineDecodeHit);
+    ReorderedPrepared =
+        preparedFor(Reordered, nullptr, Record.ReorderedDecodeHit);
   }
   // The adaptive engine carries its own evolving program versions inside a
   // cached controller; the immutable DecodeCache is deliberately not used
   // (it could only ever serve a stale fused stream).
   std::shared_ptr<AdaptiveController> BaselineCtl, ReorderedCtl;
   if (Options.Mode == Interpreter::Mode::Adaptive) {
-    BaselineCtl = controllerFor(Baseline, Record.BaselineAdaptiveHit,
-                                Record.DecodeSeconds);
-    ReorderedCtl = controllerFor(Reordered, Record.ReorderedAdaptiveHit,
-                                 Record.DecodeSeconds);
+    BaselineCtl = controllerFor(Baseline, Record.BaselineAdaptiveHit);
+    ReorderedCtl = controllerFor(Reordered, Record.ReorderedAdaptiveHit);
   }
   // Native builds AOT-compile each module once; the cached `.so` is keyed
   // by module identity and its source hash embodies the block ordering,
@@ -319,14 +289,14 @@ Evaluator::evaluateWorkload(const Workload &W,
   std::shared_ptr<const NativeProgram> BaselineNative, ReorderedNative;
   if (Options.Mode == Interpreter::Mode::Native) {
     std::string NativeError;
-    BaselineNative = nativeFor(Baseline, Record.BaselineNativeHit,
-                               Record.NativeCompileSeconds, NativeError);
+    BaselineNative =
+        nativeFor(Baseline, Record.BaselineNativeHit, NativeError);
     if (!BaselineNative) {
       Eval.Error = W.Name + ": " + NativeError;
       return Record;
     }
-    ReorderedNative = nativeFor(Reordered, Record.ReorderedNativeHit,
-                                Record.NativeCompileSeconds, NativeError);
+    ReorderedNative =
+        nativeFor(Reordered, Record.ReorderedNativeHit, NativeError);
     if (!ReorderedNative) {
       Eval.Error = W.Name + ": " + NativeError;
       return Record;
@@ -349,16 +319,12 @@ Evaluator::evaluateWorkload(const Workload &W,
     return measureBuild(M, W.TestInput, Predictor, Eval.Error,
                         Options.Mode, Prepared, Controller, Native);
   };
-  auto RunStart = std::chrono::steady_clock::now();
   Eval.Baseline = measure(*Baseline->M, BaselinePrepared.get(),
                           BaselineCtl.get(), BaselineNative.get());
-  if (!Eval.ok()) {
-    Record.RunSeconds = secondsSince(RunStart);
+  if (!Eval.ok())
     return Record;
-  }
   Eval.Reordered = measure(*Reordered->M, ReorderedPrepared.get(),
                            ReorderedCtl.get(), ReorderedNative.get());
-  Record.RunSeconds = secondsSince(RunStart);
   if (!Eval.ok())
     return Record;
 
@@ -386,17 +352,11 @@ std::vector<WorkloadRecord> Evaluator::evaluateWorkloads(
   return Records;
 }
 
-std::vector<WorkloadRecord> Evaluator::evaluateAllRecorded(
-    const CompileOptions &CompileOpts,
-    const std::optional<PredictorConfig> &Predictor) {
-  return evaluateWorkloads(standardWorkloads(), CompileOpts, Predictor);
-}
-
 std::vector<WorkloadEvaluation>
 Evaluator::evaluateAll(const CompileOptions &CompileOpts,
                        const std::optional<PredictorConfig> &Predictor) {
   std::vector<WorkloadRecord> Records =
-      evaluateAllRecorded(CompileOpts, Predictor);
+      evaluateWorkloads(standardWorkloads(), CompileOpts, Predictor);
   std::vector<WorkloadEvaluation> Evals;
   Evals.reserve(Records.size());
   for (WorkloadRecord &Record : Records)

@@ -7,7 +7,7 @@
 ///
 /// \file
 /// The evaluation harness the bench binaries run on.  It wraps the
-/// per-workload pipeline of driver/Report.h with three additions:
+/// per-workload pipeline of driver/Report.h with two additions:
 ///
 ///  * workloads are compiled and interpreted concurrently on a ThreadPool
 ///    (one task per workload; compiled modules are immutable during
@@ -16,10 +16,7 @@
 ///    builds depend only on (source, heuristic set) and reordered builds
 ///    on (source, training input, full options), so the predictor sweeps
 ///    of Tables 5/6 — which re-evaluate identical builds under many
-///    predictor configurations — stop recompiling identical inputs;
-///  * every evaluation carries wall-clock records (compile seconds, run
-///    seconds, cache hits) so the bench suite's perf trajectory can be
-///    tracked across PRs (bench/bench_json.cpp).
+///    predictor configurations — stop recompiling identical inputs.
 ///
 /// DynamicCounts and PredictorStats never depend on wall clock or thread
 /// schedule: interpretation is deterministic, so the records produced here
@@ -62,12 +59,9 @@ struct EvaluatorOptions {
   size_t NativeCacheCapacity = 128;
 };
 
-/// A WorkloadEvaluation plus the harness-level measurements around it.
+/// A WorkloadEvaluation plus the cache hits behind it.
 struct WorkloadRecord {
   WorkloadEvaluation Eval;
-  double CompileSeconds = 0.0; ///< baseline + reordered compiles (0 if cached)
-  double DecodeSeconds = 0.0;  ///< decode/fuse of both builds (0 if cached)
-  double RunSeconds = 0.0;     ///< interpretation of both builds
   bool BaselineCacheHit = false;
   bool ReorderedCacheHit = false;
   bool BaselineDecodeHit = false;
@@ -79,8 +73,6 @@ struct WorkloadRecord {
   /// Mode::Native only: the builds' shared objects came from the cache.
   bool BaselineNativeHit = false;
   bool ReorderedNativeHit = false;
-  /// Mode::Native only: emit + host-compiler + dlopen time (0 if cached).
-  double NativeCompileSeconds = 0.0;
 };
 
 /// Aggregate cache counters (monotonic over the Evaluator's lifetime).
@@ -103,11 +95,6 @@ struct EvaluatorStats {
   /// build — i.e. drift-triggered re-fusions of an evolving profile, not
   /// plain cache hits serving an unchanged stream.
   uint64_t AdaptiveReFusions = 0;
-  /// Runtime.NativeTier: native bodies activated across all cached
-  /// controllers (fresh builds and cache re-activations alike), and drift
-  /// de-optimizations back to the fused tier.
-  uint64_t AdaptiveNativePromotions = 0;
-  uint64_t AdaptiveNativeDeopts = 0;
   /// Native `.so` cache (Mode::Native): compiled shared objects keyed by
   /// module identity; the source hash underneath embodies the ordering
   /// signature, so a reordered build never serves a baseline request.
@@ -147,13 +134,8 @@ public:
       const std::vector<Workload> &Workloads, const CompileOptions &Options,
       const std::optional<PredictorConfig> &Predictor = std::nullopt);
 
-  /// Evaluates every standard workload concurrently (records form).
-  std::vector<WorkloadRecord> evaluateAllRecorded(
-      const CompileOptions &Options,
-      const std::optional<PredictorConfig> &Predictor = std::nullopt);
-
   /// Drop-in replacement for evaluateAllWorkloads(): every standard
-  /// workload, concurrently, without the harness-level records.
+  /// workload, concurrently, without the cache-hit records.
   std::vector<WorkloadEvaluation> evaluateAll(
       const CompileOptions &Options,
       const std::optional<PredictorConfig> &Predictor = std::nullopt);
@@ -163,20 +145,18 @@ public:
 
 private:
   std::shared_ptr<const CompileResult>
-  baselineFor(const Workload &W, const CompileOptions &Options, bool &Hit,
-              double &Seconds);
+  baselineFor(const Workload &W, const CompileOptions &Options, bool &Hit);
   std::shared_ptr<const CompileResult>
-  reorderedFor(const Workload &W, const CompileOptions &Options, bool &Hit,
-               double &Seconds);
+  reorderedFor(const Workload &W, const CompileOptions &Options, bool &Hit);
   std::shared_ptr<const DecodedModule>
   preparedFor(const std::shared_ptr<const CompileResult> &Compiled,
-              const std::string *ProfileText, bool &Hit, double &Seconds);
+              const std::string *ProfileText, bool &Hit);
   std::shared_ptr<AdaptiveController>
   controllerFor(const std::shared_ptr<const CompileResult> &Compiled,
-                bool &Hit, double &Seconds);
+                bool &Hit);
   std::shared_ptr<const NativeProgram>
   nativeFor(const std::shared_ptr<const CompileResult> &Compiled, bool &Hit,
-            double &Seconds, std::string &Error);
+            std::string &Error);
 
   EvaluatorOptions Options;
   ThreadPool Pool;
@@ -236,8 +216,6 @@ private:
     std::atomic<uint64_t> AdaptiveHits{0};
     std::atomic<uint64_t> AdaptiveMisses{0};
     std::atomic<uint64_t> AdaptiveReFusions{0};
-    std::atomic<uint64_t> AdaptiveNativePromotions{0};
-    std::atomic<uint64_t> AdaptiveNativeDeopts{0};
     std::atomic<uint64_t> NativeHits{0};
     std::atomic<uint64_t> NativeMisses{0};
   };

@@ -81,7 +81,8 @@ bool chainBranches(Function &F);
 bool repositionCode(Function &F);
 
 /// What the profile-guided layout did (satellite of the ext-TSP layout;
-/// surfaced through ReorderStats and bench_json).
+/// surfaced through ReorderStats, `broptc --stats` and perfbench's
+/// `opt.fall_through_weight`).
 struct LayoutStats {
   /// Functions whose layout was recomputed from measured edge weights.
   unsigned FunctionsLaidOut = 0;

@@ -9,8 +9,7 @@
 /// The predictor zoo (docs/PREDICT.md): every prediction scheme the
 /// Tables 5-6 harness sweeps and the cost layer can be calibrated against,
 /// behind the one Predictor interface.  The registry names are stable —
-/// they key `broptc --predictor`, the Misprediction plane signatures, and
-/// the `predictors` section of BENCH_engine.json:
+/// they key `broptc --predictor` and the Misprediction plane signatures:
 ///
 ///   paper      (0,2) per-address, 2048 entries — the paper's Table 5 HW
 ///   gshare     (8,2) global-history gshare, 2048 entries

@@ -227,10 +227,8 @@ bool layoutHotFirst(DecodedFunction &DF, std::vector<uint32_t> &StartOf,
     // the deterministic incumbent — stays.
     if (BranchCostModel::layoutPrefers(
             static_cast<double>(adjacentWeight(Candidate)),
-            static_cast<double>(adjacentWeight(Order)))) {
+            static_cast<double>(adjacentWeight(Order))))
       Order = std::move(Candidate);
-      ++Stats.ChainMergedLayouts;
-    }
   }
 
   uint64_t Moved = 0;
@@ -363,7 +361,6 @@ void fuseFunction(DecodedFunction &DF, const CmpCountMap &CmpCount,
       MacroOp.Target0 = Arm.Target;
       MacroOp.Target1 = DefaultTarget;
       DF.Insts[Head] = MacroOp;
-      ++Stats.FusedPairs;
       continue;
     }
 
@@ -421,7 +418,6 @@ void fuseFunction(DecodedFunction &DF, const CmpCountMap &CmpCount,
     DF.ArmExec.insert(DF.ArmExec.end(), Exec.begin(), Exec.end());
     DF.Insts[Head] = MacroOp;
     ++Stats.FusedChains;
-    Stats.ChainArms += NumArms;
   }
 }
 
@@ -433,7 +429,7 @@ void fuseFunction(DecodedFunction &DF, const CmpCountMap &CmpCount,
 /// both land on the rewritten macro-op.  The CmpBr slot it absorbs
 /// becomes unreachable (branches only target block starts).
 void fusePreOps(DecodedFunction &DF, const std::vector<uint32_t> &StartOf,
-                const std::vector<uint32_t> &Sizes, FuseStats &Stats) {
+                const std::vector<uint32_t> &Sizes) {
   for (size_t B = 0; B < StartOf.size(); ++B) {
     // A fused pair block is [pre-ops..., CmpBr at Z-2, stale CondBr].
     if (Sizes[B] < 3)
@@ -466,7 +462,6 @@ void fusePreOps(DecodedFunction &DF, const std::vector<uint32_t> &StartOf,
         MacroOp.Dest = Br.Dest; // branch id
         DF.Insts[BrIdx - 1] = MacroOp;
       }
-      ++Stats.FusedPreOps;
       continue;
     }
 
@@ -510,7 +505,6 @@ void fusePreOps(DecodedFunction &DF, const std::vector<uint32_t> &StartOf,
       continue;
     }
     DF.Insts[BrIdx - 1] = MacroOp;
-    ++Stats.FusedPreOps;
   }
 }
 
@@ -520,7 +514,7 @@ void fusePreOps(DecodedFunction &DF, const std::vector<uint32_t> &StartOf,
 /// absorbed Jump slot is never a branch target (targets only land on block
 /// starts), and the macro-op counts both logical instructions.
 void fuseJumps(DecodedFunction &DF, const std::vector<uint32_t> &StartOf,
-               const std::vector<uint32_t> &Sizes, FuseStats &Stats) {
+               const std::vector<uint32_t> &Sizes) {
   for (size_t B = 0; B < StartOf.size(); ++B) {
     if (Sizes[B] < 2)
       continue;
@@ -545,7 +539,6 @@ void fuseJumps(DecodedFunction &DF, const std::vector<uint32_t> &StartOf,
       continue;
     }
     X.Target0 = DF.Insts[JumpIdx].Target0;
-    ++Stats.FusedJumps;
   }
 }
 
@@ -556,7 +549,7 @@ void fuseJumps(DecodedFunction &DF, const std::vector<uint32_t> &StartOf,
 /// handler advances past it.
 void fuseStraightPairs(DecodedFunction &DF,
                        const std::vector<uint32_t> &StartOf,
-                       const std::vector<uint32_t> &Sizes, FuseStats &Stats) {
+                       const std::vector<uint32_t> &Sizes) {
   for (size_t B = 0; B < StartOf.size(); ++B) {
     const uint32_t End = StartOf[B] + Sizes[B];
     for (uint32_t I = StartOf[B]; I + 1 < End; ++I) {
@@ -660,7 +653,6 @@ void fuseStraightPairs(DecodedFunction &DF,
         continue;
       }
       ++I; // skip the absorbed slot
-      ++Stats.FusedStraight;
     }
   }
 }
@@ -915,11 +907,11 @@ DecodedModule bropt::decodeFused(const Module &M, const FuseOptions &Opts,
     if (Opts.FusePairs || Opts.FuseChains)
       fuseFunction(DF, CmpCount, Opts, Stats);
     if (Opts.FusePairs && Opts.FusePreOps)
-      fusePreOps(DF, StartOf, Sizes, Stats);
+      fusePreOps(DF, StartOf, Sizes);
     if (Opts.FuseJumps)
-      fuseJumps(DF, StartOf, Sizes, Stats);
+      fuseJumps(DF, StartOf, Sizes);
     if (Opts.FuseStraightPairs)
-      fuseStraightPairs(DF, StartOf, Sizes, Stats);
+      fuseStraightPairs(DF, StartOf, Sizes);
     // Always last: the straight-line macro-op handlers assume a compacted
     // stream (they advance one slot, not past stale ones).
     std::vector<uint32_t> FinalIndex;

@@ -103,35 +103,13 @@ struct FuseOptions {
   unsigned MaxChainArms = 24;
 };
 
-/// What the fuser did, for benches and tests.
+/// What the fuser did, for tests and perfbench's traced run.
 struct FuseStats {
-  uint64_t FusedPairs = 0;    ///< CmpBr macro-ops emitted
   uint64_t FusedChains = 0;   ///< MultiCmp superinstructions emitted
-  uint64_t ChainArms = 0;     ///< total arms across all MultiCmps
-  uint64_t FusedPreOps = 0;   ///< pre-op macro-ops (XxxCmpBr) emitted
-  uint64_t FusedJumps = 0;    ///< jump macro-ops (XxxJump) emitted
-  uint64_t FusedStraight = 0; ///< straight-line pair/triple macro-ops
   uint64_t ProfileOrderedChains = 0; ///< chains whose exec order ≠ logical
   uint64_t BlocksMoved = 0;   ///< blocks placed out of original order
   uint64_t FunctionsLaidOut = 0; ///< functions whose layout changed
-  uint64_t ChainMergedLayouts = 0; ///< functions where the measured
-                                   ///< chain-merge order beat greedy-follow
   uint64_t CompactedSlots = 0; ///< stale/unreachable slots dropped
-
-  FuseStats &operator+=(const FuseStats &O) {
-    FusedPairs += O.FusedPairs;
-    FusedChains += O.FusedChains;
-    ChainArms += O.ChainArms;
-    FusedPreOps += O.FusedPreOps;
-    FusedJumps += O.FusedJumps;
-    FusedStraight += O.FusedStraight;
-    ProfileOrderedChains += O.ProfileOrderedChains;
-    BlocksMoved += O.BlocksMoved;
-    FunctionsLaidOut += O.FunctionsLaidOut;
-    ChainMergedLayouts += O.ChainMergedLayouts;
-    CompactedSlots += O.CompactedSlots;
-    return *this;
-  }
 };
 
 /// True when the fused dispatch loop (sim/Threaded.cpp) was built with

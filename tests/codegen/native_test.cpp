@@ -243,11 +243,14 @@ TEST(NativeRunnerTest, EvaluatorNativeModeCachesAndEvicts) {
   EXPECT_TRUE(First.Eval.OutputsMatch);
   EXPECT_FALSE(First.BaselineNativeHit);
 
+  const NativeRunnerStats Before = NativeRunner::shared().stats();
   WorkloadRecord Again = Eval.evaluateWorkload(Suite[0], {});
   ASSERT_TRUE(Again.Eval.ok()) << Again.Eval.Error;
   EXPECT_TRUE(Again.BaselineNativeHit);
   EXPECT_TRUE(Again.ReorderedNativeHit);
-  EXPECT_EQ(Again.NativeCompileSeconds, 0.0);
+  // The hits reuse the shared objects: nothing is emitted or compiled.
+  EXPECT_EQ(NativeRunner::shared().stats().Compiles, Before.Compiles);
+  EXPECT_EQ(NativeRunner::shared().stats().CacheHits, Before.CacheHits);
 
   // A different workload's two builds displace the cached pair.
   WorkloadRecord Other = Eval.evaluateWorkload(Suite[1], {});

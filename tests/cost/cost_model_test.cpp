@@ -18,13 +18,16 @@
 //     the invariant a double-charged chain extra would break.
 //  6. Misprediction-aware selection (a targeted predictor) changes only
 //     the model, never observable behaviour, and keeps the same
-//     never-worse guarantee.
+//     never-worse guarantee.  Over the whole suite, the build aware of
+//     the paper's predictor never mispredicts more under that predictor
+//     than the plain build does.
 //
 //===----------------------------------------------------------------------===//
 
 #include "cost/BranchCostModel.h"
 
 #include "driver/Driver.h"
+#include "predict/Zoo.h"
 #include "sim/Interpreter.h"
 #include "workloads/Workloads.h"
 
@@ -176,10 +179,8 @@ TEST(BranchCostModelTest, ChosenShapeNeverCostsMoreThanTheChain) {
 }
 
 TEST(BranchCostModelTest, AwareSelectionKeepsObservablesAndNeverWorse) {
-  unsigned Checked = 0;
+  uint64_t PlainMispredictions = 0, AwareMispredictions = 0;
   for (const Workload &W : standardWorkloads()) {
-    if (++Checked > 5) // a sample: the full sweep lives in the benches
-      break;
     CompileOptions Plain;
     Plain.HeuristicSet = SwitchHeuristicSet::SetIV;
     CompileOptions Aware = Plain;
@@ -192,14 +193,22 @@ TEST(BranchCostModelTest, AwareSelectionKeepsObservablesAndNeverWorse) {
     ASSERT_TRUE(PlainResult.ok()) << W.Name << ": " << PlainResult.Error;
     ASSERT_TRUE(AwareResult.ok()) << W.Name << ": " << AwareResult.Error;
 
+    // Each run gets its own cold instance of the targeted predictor, so
+    // no history bleeds from one build into the other.
+    auto run = [&W](const Module &M, uint64_t &Mispredictions) {
+      std::unique_ptr<Predictor> Paper = makePredictor("paper");
+      Interpreter Interp(M);
+      Interp.attachPredictor(Paper.get());
+      Interp.setInput(W.TestInput);
+      RunResult Result = Interp.run();
+      Mispredictions += Paper->getStats().Mispredictions;
+      return Result;
+    };
+
     // The aware model reprices shapes; it must never change what the
     // program computes.
-    Interpreter PlainRun(*PlainResult.M);
-    PlainRun.setInput(W.TestInput);
-    RunResult PlainOut = PlainRun.run();
-    Interpreter AwareRun(*AwareResult.M);
-    AwareRun.setInput(W.TestInput);
-    RunResult AwareOut = AwareRun.run();
+    RunResult PlainOut = run(*PlainResult.M, PlainMispredictions);
+    RunResult AwareOut = run(*AwareResult.M, AwareMispredictions);
     ASSERT_FALSE(PlainOut.Trapped) << W.Name;
     ASSERT_FALSE(AwareOut.Trapped) << W.Name;
     EXPECT_EQ(PlainOut.Output, AwareOut.Output) << W.Name;
@@ -211,6 +220,11 @@ TEST(BranchCostModelTest, AwareSelectionKeepsObservablesAndNeverWorse) {
               AwareResult.Stats.ChainModelCost + 1e-9)
         << W.Name;
   }
+  // The misprediction-aware promise, measured: targeting the paper's
+  // (0,2)/2048 hardware never yields a suite that mispredicts more on it
+  // than the unaware Set IV build.  Runs are deterministic, so there is
+  // no tolerance.
+  EXPECT_LE(AwareMispredictions, PlainMispredictions);
 }
 
 } // namespace

@@ -32,13 +32,19 @@ Workload tinyWorkload() {
   return W;
 }
 
+/// Every observable a build measurement carries that no engine, schedule
+/// or cache may change.
 void expectSameMeasurement(const BuildMeasurement &A,
                            const BuildMeasurement &B) {
   EXPECT_EQ(A.Counts.TotalInsts, B.Counts.TotalInsts);
   EXPECT_EQ(A.Counts.CondBranches, B.Counts.CondBranches);
+  EXPECT_EQ(A.Counts.TakenBranches, B.Counts.TakenBranches);
   EXPECT_EQ(A.Counts.UncondJumps, B.Counts.UncondJumps);
+  EXPECT_EQ(A.Counts.IndirectJumps, B.Counts.IndirectJumps);
+  EXPECT_EQ(A.Counts.Compares, B.Counts.Compares);
   EXPECT_EQ(A.Mispredictions, B.Mispredictions);
   EXPECT_EQ(A.Output, B.Output);
+  EXPECT_EQ(A.ExitValue, B.ExitValue);
 }
 
 TEST(EvaluatorTest, CachesBaselineAndReorderedCompiles) {
@@ -277,6 +283,59 @@ TEST(EvaluatorTest, AdaptiveControllersAreCachedAndStateful) {
   ASSERT_TRUE(Reference.Eval.ok()) << Reference.Eval.Error;
   expectSameMeasurement(First.Eval.Baseline, Reference.Eval.Baseline);
   expectSameMeasurement(First.Eval.Reordered, Reference.Eval.Reordered);
+}
+
+TEST(EvaluatorTest, CachedAdaptiveSweepsMatchTreeWalkerOnAllWorkloads) {
+  // Every standard workload under four sweeps: plain Sets I and IV, and
+  // Set I measured under the Table 5 predictor and one Table 6 point.
+  // Knobs sized for these workloads: low enough that controllers tier up
+  // within the passes, so later passes re-enter tiered controllers.
+  struct Sweep {
+    SwitchHeuristicSet Set;
+    std::optional<PredictorConfig> Predictor;
+  };
+  const Sweep Sweeps[] = {
+      {SwitchHeuristicSet::SetI, std::nullopt},
+      {SwitchHeuristicSet::SetIV, std::nullopt},
+      {SwitchHeuristicSet::SetI, PredictorConfig::ultraSparc()},
+      {SwitchHeuristicSet::SetI, PredictorConfig{0, 2, 256}},
+  };
+  EvaluatorOptions Opts;
+  Opts.Mode = Interpreter::Mode::Adaptive;
+  Opts.Runtime.HotThreshold = 2048;
+  Opts.Runtime.SampleInterval = 64;
+  Evaluator Adaptive(Opts);
+  std::vector<std::vector<WorkloadEvaluation>> Last;
+  for (int Pass = 0; Pass < 3; ++Pass) {
+    Last.clear();
+    for (const Sweep &S : Sweeps) {
+      CompileOptions Options;
+      Options.HeuristicSet = S.Set;
+      Last.push_back(Adaptive.evaluateAll(Options, S.Predictor));
+    }
+  }
+
+  EvaluatorOptions TreeMode;
+  TreeMode.Mode = Interpreter::Mode::Tree;
+  Evaluator Tree(TreeMode);
+  uint64_t TierUps = 0;
+  for (size_t Index = 0; Index < std::size(Sweeps); ++Index) {
+    CompileOptions Options;
+    Options.HeuristicSet = Sweeps[Index].Set;
+    std::vector<WorkloadEvaluation> Reference =
+        Tree.evaluateAll(Options, Sweeps[Index].Predictor);
+    ASSERT_EQ(Last[Index].size(), Reference.size());
+    for (size_t W = 0; W < Reference.size(); ++W) {
+      const WorkloadEvaluation &Got = Last[Index][W];
+      SCOPED_TRACE(Got.Name + " in sweep " + std::to_string(Index));
+      ASSERT_TRUE(Got.ok()) << Got.Error;
+      ASSERT_TRUE(Reference[W].ok()) << Reference[W].Error;
+      expectSameMeasurement(Got.Baseline, Reference[W].Baseline);
+      expectSameMeasurement(Got.Reordered, Reference[W].Reordered);
+      TierUps += Got.Baseline.Runtime.TierUps + Got.Reordered.Runtime.TierUps;
+    }
+  }
+  EXPECT_GT(TierUps, 0u) << "no cached controller ever tiered up";
 }
 
 TEST(EvaluatorTest, ClearCacheDropsAdaptiveControllers) {

@@ -5,6 +5,9 @@
 //  * the wire protocol round-trips every request/response field, and
 //    malformed, truncated, or oversize frames are rejected without
 //    tearing down the server;
+//  * under many concurrent clients and a mixed request load, every
+//    execute response equals a direct tree-walker run, and compiles share
+//    the artifact cache across clients;
 //  * backpressure engages at the queue high-water mark — rejections with
 //    a retry hint, never unbounded queueing — while the Stats control
 //    plane keeps answering inline;
@@ -32,6 +35,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <memory>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -91,6 +95,41 @@ RunResult directRun(const char *Source, const std::string &Input) {
   Interpreter Interp(*Result.M, Interpreter::Mode::Tree);
   Interp.setInput(Input);
   return Interp.run();
+}
+
+/// A branchy classifier parameterized by \p Seed.  The thresholds, the
+/// arithmetic and a baked-in tag differ per seed, so every seed is a
+/// distinct module: a distinct artifact-cache entry and profile shard key.
+std::string classifierSource(unsigned Seed) {
+  const unsigned A = 48 + Seed % 30, B = 91 + Seed % 20, C = 3 + Seed % 5;
+  std::ostringstream Out;
+  Out << "int tag = " << Seed << ";\n"
+      << "int low = 0; int mid = 0; int high = 0; int other = 0;\n"
+      << "int main() {\n"
+      << "  int c;\n"
+      << "  while ((c = getchar()) != -1) {\n"
+      << "    if (c < " << A << ") { low = low + " << 1 + Seed % 3 << "; }\n"
+      << "    else if (c < " << B << ") { mid = mid + 1; }\n"
+      << "    else if (c - c / " << C << " * " << C
+      << " == 0) { high = high + 2; }\n"
+      << "    else { other = other + 1; }\n"
+      << "  }\n"
+      << "  printint(low); printint(mid); printint(high);\n"
+      << "  printint(other); printint(tag);\n"
+      << "  return low + mid * 2 + high * 3 + other;\n"
+      << "}\n";
+  return Out.str();
+}
+
+/// Deterministic printable input bytes for \p Seed.
+std::string classifierInput(unsigned Seed, size_t Bytes) {
+  std::string Input;
+  uint64_t State = 0x9e3779b97f4a7c15ULL ^ (Seed * 0x2545f4914f6cdd1dULL);
+  for (size_t Index = 0; Index < Bytes; ++Index) {
+    State = State * 6364136223846793005ULL + 1442695040888963407ULL;
+    Input += static_cast<char>(' ' + (State >> 33) % 95);
+  }
+  return Input;
 }
 
 //===----------------------------------------------------------------------===//
@@ -444,6 +483,141 @@ TEST(ServiceExecute, BadModeAndBadSourceAreRequestLevelErrors) {
   // Request-level failures never poison the connection or the daemon.
   ASSERT_TRUE(Client->roundTrip(executeRequest(ChainSource, "x"), Response));
   EXPECT_TRUE(Response.ok()) << Response.Error;
+}
+
+TEST(ServiceExecute, ConcurrentClientsMatchDirectExecution) {
+  ServiceOptions Options;
+  Options.Threads = 4;
+  InProcessService Daemon(Options);
+  ASSERT_TRUE(Daemon.ok()) << Daemon.error();
+
+  // The corpus the mixed load draws on: each program with its direct
+  // tree-walker run, its pass-1 profile as clients ship it, and the key
+  // the daemon files it under.
+  struct Program {
+    std::string Source, Input, ProfileBlob, ProgramKey;
+    RunResult Reference;
+  };
+  constexpr unsigned NumPrograms = 8;
+  std::vector<Program> Corpus(NumPrograms);
+  {
+    auto Client = Daemon.connect();
+    ASSERT_TRUE(Client);
+    for (unsigned Index = 0; Index < NumPrograms; ++Index) {
+      Program &P = Corpus[Index];
+      P.Source = classifierSource(Index);
+      P.Input = classifierInput(Index, 2048);
+      P.Reference = directRun(P.Source.c_str(), P.Input);
+      Pass1Result Pass1 = runPass1(P.Source, P.Input, CompileOptions());
+      ASSERT_TRUE(Pass1.ok()) << Pass1.Error;
+      P.ProfileBlob = Pass1.Profile.serializeBinary();
+      ServiceRequest Request;
+      Request.Kind = RequestKind::Compile;
+      Request.Spec.Source = P.Source;
+      ServiceResponse Response;
+      ASSERT_TRUE(Client->roundTrip(Request, Response));
+      ASSERT_TRUE(Response.ok()) << Response.Error;
+      P.ProgramKey = Response.ProgramKey;
+    }
+  }
+
+  constexpr unsigned NumClients = 16, PerClient = 32;
+  std::atomic<unsigned> TransportErrors{0}, RequestErrors{0};
+
+  // Cold, then warm compiles at the same concurrency.  Every client first
+  // compiles a source the daemon has never seen; then, rotated by one,
+  // the source another client just compiled, which the shared artifact
+  // cache must serve.
+  std::vector<std::string> Fresh(NumClients);
+  for (unsigned Index = 0; Index < NumClients; ++Index)
+    Fresh[Index] = classifierSource(1000 + Index);
+  std::atomic<unsigned> ColdHits{0}, WarmMisses{0};
+  auto CompileRound = [&](bool Warm) {
+    std::vector<std::thread> Clients;
+    for (unsigned Index = 0; Index < NumClients; ++Index)
+      Clients.emplace_back([&, Index] {
+        auto Client = Daemon.connect();
+        ServiceRequest Request;
+        Request.Kind = RequestKind::Compile;
+        Request.Spec.Source = Fresh[Warm ? (Index + 1) % NumClients : Index];
+        ServiceResponse Response;
+        if (!Client || !Client->roundTrip(Request, Response)) {
+          ++TransportErrors;
+          return;
+        }
+        if (!Response.ok())
+          ++RequestErrors;
+        else if (Warm && !Response.CompileCacheHit)
+          ++WarmMisses;
+        else if (!Warm && Response.CompileCacheHit)
+          ++ColdHits;
+      });
+    for (std::thread &T : Clients)
+      T.join();
+  };
+  CompileRound(/*Warm=*/false);
+  CompileRound(/*Warm=*/true);
+  EXPECT_EQ(ColdHits, 0u) << "a never-seen source hit the cache";
+  EXPECT_EQ(WarmMisses, 0u) << "another client's compile was not shared";
+
+  // The mixed closed loop.  Of every 8 requests a client sends, 5 are
+  // fused executes, 1 a compile, 1 a profile merge or export, and 1 a
+  // stats request.
+  std::atomic<unsigned> Executes{0}, Mismatches{0};
+  std::vector<std::thread> Clients;
+  for (unsigned ClientIndex = 0; ClientIndex < NumClients; ++ClientIndex)
+    Clients.emplace_back([&, ClientIndex] {
+      auto Client = Daemon.connect();
+      if (!Client) {
+        ++TransportErrors;
+        return;
+      }
+      for (unsigned Iter = 0; Iter < PerClient; ++Iter) {
+        const Program &P = Corpus[(ClientIndex + Iter) % NumPrograms];
+        ServiceRequest Request;
+        const unsigned Slot = Iter % 8;
+        if (Slot < 5) {
+          Request = executeRequest(P.Source.c_str(), P.Input);
+        } else if (Slot == 5) {
+          Request.Kind = RequestKind::Compile;
+          Request.Spec.Source = P.Source;
+        } else if (Slot == 6) {
+          const bool Merge = (ClientIndex + Iter) % 2;
+          Request.Kind =
+              Merge ? RequestKind::ProfileMerge : RequestKind::ProfileExport;
+          Request.ProgramKey = P.ProgramKey;
+          if (Merge)
+            Request.ProfileData = P.ProfileBlob;
+        } else {
+          Request.Kind = RequestKind::Stats;
+        }
+        ServiceResponse Response;
+        if (!Client->roundTrip(Request, Response)) {
+          ++TransportErrors;
+          return;
+        }
+        if (!Response.ok()) {
+          ++RequestErrors;
+          continue;
+        }
+        if (Request.Kind != RequestKind::Execute)
+          continue;
+        ++Executes;
+        if (Response.Output != P.Reference.Output ||
+            Response.ExitValue != P.Reference.ExitValue ||
+            Response.Trapped != P.Reference.Trapped ||
+            Response.TotalInsts != P.Reference.Counts.TotalInsts ||
+            Response.CondBranches != P.Reference.Counts.CondBranches)
+          ++Mismatches;
+      }
+    });
+  for (std::thread &T : Clients)
+    T.join();
+
+  EXPECT_EQ(TransportErrors, 0u);
+  EXPECT_EQ(RequestErrors, 0u);
+  EXPECT_EQ(Executes, NumClients * PerClient / 8 * 5);
+  EXPECT_EQ(Mismatches, 0u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -84,13 +84,19 @@ RunResult expectIdenticalRuns(const Module &M, std::string_view Input,
 TEST(DecodedDifferentialTest, AllWorkloadsAllHeuristicSets) {
   for (SwitchHeuristicSet Set :
        {SwitchHeuristicSet::SetI, SwitchHeuristicSet::SetII,
-        SwitchHeuristicSet::SetIII}) {
+        SwitchHeuristicSet::SetIII, SwitchHeuristicSet::SetIV}) {
     CompileOptions Options;
     Options.HeuristicSet = Set;
-    // Predict only under Set I to bound runtime; the predictor path is
-    // engine-independent apart from branch-id assignment, which Set I's
-    // jump tables, binary searches, and linear searches all exercise.
-    bool WithPredictor = Set == SwitchHeuristicSet::SetI;
+    // Predict only under Sets I and IV to bound runtime; the predictor
+    // path is engine-independent apart from branch-id assignment, which
+    // Set I's jump tables, binary searches, and linear searches all
+    // exercise.  Set IV (optimal trees, ext-TSP layout) is compiled
+    // misprediction-aware for the paper's predictor, the configuration
+    // perfbench's pgo-interp workload runs.
+    bool WithPredictor = Set == SwitchHeuristicSet::SetI ||
+                         Set == SwitchHeuristicSet::SetIV;
+    if (Set == SwitchHeuristicSet::SetIV)
+      Options.Predictor = "paper";
     for (const Workload &W : standardWorkloads()) {
       std::string Context =
           W.Name + "/set" + switchHeuristicSetName(Set);

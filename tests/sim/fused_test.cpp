@@ -328,7 +328,7 @@ TEST(FusedLayoutTest, MeasuredHotnessMovesHotSuccessorIntoFallThrough) {
   // Regression for the dead hot-first layout: the compiler's block
   // repositioning already makes the static likely successor the
   // fall-through, so layout without measured bias never moves anything
-  // (the committed BENCH_engine.json showed blocks_moved: 0).  When
+  // (until PR 4, suite-wide fuse statistics read blocks_moved: 0).  When
   // BranchHotness says the *taken* side is the hot one, the layout must
   // move it into fall-through position — and stay bit-identical.
   Module M;

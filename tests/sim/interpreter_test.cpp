@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+
 using namespace bropt;
 
 namespace {
@@ -117,17 +119,38 @@ TEST(InterpreterTest, InstructionLimitStopsRunaways) {
   EXPECT_NE(Result.TrapReason.find("limit"), std::string::npos);
 }
 
+/// Runs \p Body to completion on a thread with a 64 MB stack.  Reaching
+/// the call-depth limit nests one engine frame per guest call, and under
+/// AddressSanitizer those frames outgrow a default 8 MB main stack.
+void runOnLargeStack(void (*Body)()) {
+  pthread_attr_t Attr;
+  ASSERT_EQ(pthread_attr_init(&Attr), 0);
+  int Err = pthread_attr_setstacksize(&Attr, 64u << 20);
+  pthread_t Thread{};
+  auto Trampoline = [](void *Arg) -> void * {
+    (*static_cast<void (**)()>(Arg))();
+    return nullptr;
+  };
+  if (Err == 0)
+    Err = pthread_create(&Thread, &Attr, Trampoline, &Body);
+  pthread_attr_destroy(&Attr);
+  ASSERT_EQ(Err, 0);
+  pthread_join(Thread, nullptr);
+}
+
 TEST(InterpreterTest, CallDepthLimitTraps) {
-  Module M;
-  Function *F = M.createFunction("main", 0);
-  BasicBlock *Entry = F->createBlock();
-  unsigned Dest = F->newReg();
-  IRBuilder Builder(Entry);
-  Builder.emitCall(Dest, F, {}); // infinite recursion
-  Builder.emitRet(Operand::reg(Dest));
-  RunResult Result = Interpreter(M).run();
-  EXPECT_TRUE(Result.Trapped);
-  EXPECT_NE(Result.TrapReason.find("depth"), std::string::npos);
+  runOnLargeStack([] {
+    Module M;
+    Function *F = M.createFunction("main", 0);
+    BasicBlock *Entry = F->createBlock();
+    unsigned Dest = F->newReg();
+    IRBuilder Builder(Entry);
+    Builder.emitCall(Dest, F, {}); // infinite recursion
+    Builder.emitRet(Operand::reg(Dest));
+    RunResult Result = Interpreter(M).run();
+    EXPECT_TRUE(Result.Trapped);
+    EXPECT_NE(Result.TrapReason.find("depth"), std::string::npos);
+  });
 }
 
 TEST(InterpreterTest, ReadCharConsumesInputThenEOF) {
