@@ -133,14 +133,14 @@ CompileResult compileWithProfile(std::string_view Source,
                                  const ProfileDB &Profile,
                                  const CompileOptions &Options);
 
-/// Profile-guided layout from a fresh measurement: runs \p Result's module
-/// on \p Inputs with the edge callback installed, applies the ext-TSP
-/// layout from the measured weights (opt/Passes.h), exports the weights
-/// into \p Profile, and refreshes Result.ProfileText — so a saved profile
-/// reproduces the layout offline via compileWithProfile.  No-op (returns
-/// false) when Result already failed or layout is disabled in \p Options.
-/// compileWithReordering calls this itself; broptc calls it after a
-/// --train compile.
+/// Profile-guided layout from a fresh measurement: measures \p Result's
+/// edge weights on \p Inputs (exec/ExecBackend.h: collectEdgeWeights),
+/// applies the ext-TSP layout from them (opt/Passes.h), exports the
+/// weights into \p Profile, and refreshes Result.ProfileText — so a saved
+/// profile reproduces the layout offline via compileWithProfile.  No-op
+/// (returns false) when Result already failed or layout is disabled in
+/// \p Options.  compileWithReordering calls this itself; broptc calls it
+/// after a --train compile.
 bool applyMeasuredLayout(CompileResult &Result,
                          const std::vector<std::string_view> &Inputs,
                          ProfileDB &Profile, const CompileOptions &Options);

@@ -75,17 +75,26 @@ const char *execModeName(Interpreter::Mode Mode) {
 ModuleEdgeWeights collectEdgeWeights(const Module &M,
                                      const std::vector<std::string> &Inputs,
                                      uint64_t InstructionLimit) {
-  ModuleEdgeWeights Weights;
-  Interpreter Interp(M, Interpreter::Mode::Tree);
+  // Tier 0 alone: the unfused stream on the threaded loop, bumping one
+  // dense counter per executed (transfer, target) slot.
+  std::vector<EdgeSlot> Slots;
+  DecodedModule DM = DecodedModule::decode(M, &Slots);
+  std::vector<uint64_t> Counts(Slots.size(), 0);
+  Interpreter Interp(M, Interpreter::Mode::Adaptive);
+  Interp.setPreparedProgram(&DM);
+  Interp.setEdgeCounters(Counts.data());
   Interp.setInstructionLimit(InstructionLimit);
-  Interp.setEdgeCallback(
-      [&](const Function &F, unsigned FromBlock, unsigned ToBlock) {
-        Weights[F.getName()].add(FromBlock, ToBlock);
-      });
   for (const std::string &Input : Inputs) {
     Interp.setInput(Input);
     Interp.run();
   }
+  // Slots that name one edge (taken == fall-through, shared switch
+  // targets) merge under its key.
+  ModuleEdgeWeights Weights;
+  for (size_t Slot = 0; Slot < Slots.size(); ++Slot)
+    if (Counts[Slot])
+      Weights[DM.function(Slots[Slot].FuncIndex).Name].add(
+          Slots[Slot].From, Slots[Slot].To, Counts[Slot]);
   return Weights;
 }
 

@@ -70,11 +70,13 @@ RunResult executeModule(const Module &M, Interpreter::Mode Mode,
 /// Stable lowercase engine name for CLI flags and JSON keys.
 const char *execModeName(Interpreter::Mode Mode);
 
-/// Measures per-function CFG edge weights by running \p M's entry under
-/// the tree walker once per training input with the edge callback
-/// installed (sim/Interpreter.h: setEdgeCallback).  Runs that trap are
-/// still counted up to the trap — partial traffic is real traffic.  The
-/// measurement feeds the ext-TSP layout (opt/Passes.h:
+/// Measures per-function CFG edge weights, keyed by stable block ids, by
+/// running \p M's entry once per training input on the threaded loop over
+/// the unfused stream with dense edge counters attached
+/// (sim/Interpreter.h: setEdgeCounters).  The weights equal the block
+/// transfers the tree walker executes on the same inputs.  Runs that trap
+/// are still counted up to the trap — partial traffic is real traffic.
+/// The measurement feeds the ext-TSP layout (opt/Passes.h:
 /// applyProfileGuidedLayout) and exports through profile/EdgeProfile.h.
 ModuleEdgeWeights collectEdgeWeights(const Module &M,
                                      const std::vector<std::string> &Inputs,

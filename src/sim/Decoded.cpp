@@ -18,10 +18,12 @@ size_t decodedSize(const BasicBlock &Block) {
 }
 
 DecodedFunction
-decodeFunction(const Function &F,
+decodeFunction(const Function &F, uint32_t Index,
                const std::unordered_map<const Function *, uint32_t> &FuncIndex,
-               uint32_t &NextBranchId) {
+               uint32_t &NextBranchId, uint32_t &NextEdgeSlot,
+               std::vector<EdgeSlot> *Edges) {
   DecodedFunction DF;
+  DF.FuncIndex = Index;
   DF.Name = F.getName();
   DF.NumParams = F.getNumParams();
   DF.NumRegs = F.getNumRegs();
@@ -66,6 +68,12 @@ decodeFunction(const Function &F,
   // Pass 2: decode, in the same module/block/instruction order the tree
   // interpreter numbers branches in, so branch ids line up.
   for (const auto &Block : F) {
+    // Hands the next edge slot to a transfer from Block into \p Target.
+    auto edgeSlot = [&](const BasicBlock *Target) {
+      if (Edges)
+        Edges->push_back(EdgeSlot{Index, Block->getId(), Target->getId()});
+      return NextEdgeSlot++;
+    };
     for (const auto &Inst : *Block) {
       DecodedInst DI;
       switch (Inst->getKind()) {
@@ -167,6 +175,8 @@ decodeFunction(const Function &F,
         DI.Dest = NextBranchId++;
         DI.Target0 = startOf(Br->getTaken());
         DI.Target1 = startOf(Br->getFallThrough());
+        DI.Imm = edgeSlot(Br->getTaken());
+        edgeSlot(Br->getFallThrough());
         break;
       }
       case InstKind::Jump: {
@@ -174,6 +184,7 @@ decodeFunction(const Function &F,
         DI.Op = Jump->isFallThrough() ? DecodedOp::FallThrough
                                       : DecodedOp::Jump;
         DI.Target0 = startOf(Jump->getTarget());
+        DI.Imm = edgeSlot(Jump->getTarget());
         break;
       }
       case InstKind::Switch: {
@@ -183,8 +194,12 @@ decodeFunction(const Function &F,
         DI.Target0 = startOf(Sw->getDefault());
         DI.Extra = static_cast<uint32_t>(DF.Cases.size());
         DI.ExtraCount = static_cast<uint32_t>(Sw->getCases().size());
-        for (const SwitchInst::Case &Case : Sw->getCases())
+        DI.Imm = NextEdgeSlot;
+        for (const SwitchInst::Case &Case : Sw->getCases()) {
           DF.Cases.push_back(DecodedCase{Case.Value, startOf(Case.Target)});
+          edgeSlot(Case.Target);
+        }
+        edgeSlot(Sw->getDefault());
         break;
       }
       case InstKind::IndirectJump: {
@@ -193,8 +208,11 @@ decodeFunction(const Function &F,
         DI.A = decodeOperand(Ind->getIndex());
         DI.Extra = static_cast<uint32_t>(DF.JumpTables.size());
         DI.ExtraCount = static_cast<uint32_t>(Ind->getTable().size());
-        for (const BasicBlock *Target : Ind->getTable())
+        DI.Imm = NextEdgeSlot;
+        for (const BasicBlock *Target : Ind->getTable()) {
           DF.JumpTables.push_back(startOf(Target));
+          edgeSlot(Target);
+        }
         break;
       }
       case InstKind::Ret: {
@@ -222,7 +240,8 @@ decodeFunction(const Function &F,
 
 } // namespace
 
-DecodedModule DecodedModule::decode(const Module &M) {
+DecodedModule DecodedModule::decode(const Module &M,
+                                    std::vector<EdgeSlot> *Edges) {
   DecodedModule DM;
   std::unordered_map<const Function *, uint32_t> FuncIndex;
   uint32_t Next = 0;
@@ -230,13 +249,12 @@ DecodedModule DecodedModule::decode(const Module &M) {
     FuncIndex.emplace(F.get(), Next++);
 
   DM.Functions.reserve(FuncIndex.size());
-  uint32_t NextBranchId = 0;
+  uint32_t NextBranchId = 0, NextEdgeSlot = 0;
   for (const auto &F : M) {
-    DM.Index.emplace(F->getName(),
-                     static_cast<uint32_t>(DM.Functions.size()));
-    DM.Functions.push_back(decodeFunction(*F, FuncIndex, NextBranchId));
-    DM.Functions.back().FuncIndex =
-        static_cast<uint32_t>(DM.Functions.size() - 1);
+    const auto Index = static_cast<uint32_t>(DM.Functions.size());
+    DM.Index.emplace(F->getName(), Index);
+    DM.Functions.push_back(decodeFunction(*F, Index, FuncIndex, NextBranchId,
+                                          NextEdgeSlot, Edges));
   }
   DM.NumBranchIds = NextBranchId;
   return DM;

@@ -25,7 +25,12 @@
 ///    branch predictor;
 ///  * variable-length payloads (call arguments, jump tables, switch cases,
 ///    combination-profile conditions) live in per-function side tables
-///    addressed by (offset, count) slices.
+///    addressed by (offset, count) slices;
+///  * every control transfer owns a run of module-wide edge slots, one per
+///    target it can reach (a CondBr's taken and fall-through directions,
+///    each switch case plus its default, each jump-table entry), so an
+///    edge-counting run bumps one dense counter per executed transfer
+///    (Interpreter::setEdgeCounters, EdgeSlot).
 ///
 /// Decoding is a pure function of the Module: DynamicCounts, predictor
 /// behaviour, output bytes, and trap diagnostics of the decoded dispatch
@@ -170,11 +175,15 @@ struct FusedArm {
 ///   Profile      Dest = sequence id; A = value register
 ///   ComboProfile Dest = sequence id; Extra/ExtraCount = condition slice
 ///   CondBr       SubOp = CondCode; Dest = branch id; Target0 = taken,
-///                Target1 = fall-through (instruction indices)
-///   Jump         Target0
-///   FallThrough  Target0
-///   Switch       A = value; Target0 = default; Extra/ExtraCount = cases
-///   IndirectJump A = index; Extra/ExtraCount = jump-table slice
+///                Target1 = fall-through (instruction indices); Imm =
+///                taken edge slot, Imm + 1 the fall-through's
+///   Jump         Target0; Imm = edge slot
+///   FallThrough  Target0; Imm = edge slot
+///   Switch       A = value; Target0 = default; Extra/ExtraCount = cases;
+///                Imm + i = edge slot of case i, Imm + ExtraCount the
+///                default's
+///   IndirectJump A = index; Extra/ExtraCount = jump-table slice; Imm + j =
+///                edge slot of entry j
 ///   Ret          SubOp = 1 if a value is returned; A = value
 ///   TrapFellOff  Dest = index into the label side table
 ///   CmpBr        SubOp = CondCode; Dest = branch id; A, B = compare
@@ -277,14 +286,25 @@ struct DecodedFunction {
   std::vector<uint32_t> ArmExec;
 };
 
+/// The CFG edge one edge slot stands for: the function it lies in and the
+/// stable ids (BasicBlock::getId) of the block the transfer leaves and the
+/// block it enters.  Two slots may name one edge (a CondBr whose taken and
+/// fall-through targets coincide, switch cases sharing a target).
+struct EdgeSlot {
+  uint32_t FuncIndex;
+  unsigned From, To;
+};
+
 /// A fully decoded module.  Function order (and therefore branch-id
 /// assignment) matches module order, so ids agree with
 /// Interpreter::branchIdOf on the source Module.
 class DecodedModule {
 public:
   /// Flattens \p M.  Pure: does not mutate the module and depends only on
-  /// its current state; re-decode after any IR mutation.
-  static DecodedModule decode(const Module &M);
+  /// its current state; re-decode after any IR mutation.  When \p Edges
+  /// is given it receives the edge each slot stands for, indexed by slot.
+  static DecodedModule decode(const Module &M,
+                              std::vector<EdgeSlot> *Edges = nullptr);
 
   const DecodedFunction *getFunction(const std::string &Name) const {
     auto It = Index.find(Name);

@@ -18,40 +18,16 @@
 #include "ir/IRBuilder.h"
 #include "ir/Module.h"
 
+#include "../GoldenFile.h"
+
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <random>
 #include <sstream>
 
 using namespace bropt;
 
 namespace {
-
-std::string goldenPath(const char *Name) {
-  return std::string(BROPT_SOURCE_DIR) + "/tests/codegen/golden/" + Name;
-}
-
-/// Compares \p Actual against the golden file \p Name; with
-/// BROPT_UPDATE_GOLDEN set, rewrites the golden instead.
-void expectGolden(const std::string &Actual, const char *Name) {
-  std::string Path = goldenPath(Name);
-  if (std::getenv("BROPT_UPDATE_GOLDEN")) {
-    std::ofstream Out(Path, std::ios::trunc | std::ios::binary);
-    ASSERT_TRUE(Out.good()) << "cannot write " << Path;
-    Out << Actual;
-    return;
-  }
-  std::ifstream In(Path, std::ios::binary);
-  ASSERT_TRUE(In.good()) << "missing golden file " << Path
-                         << "; regenerate with BROPT_UPDATE_GOLDEN=1";
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  EXPECT_EQ(Buffer.str(), Actual)
-      << "emitted C drifted from " << Path
-      << "; review the diff, then regenerate with BROPT_UPDATE_GOLDEN=1";
-}
 
 /// A hand-laid module exercising every construct the emitter lowers:
 /// arithmetic and unary ops, compare/branch with an elided fall-through,
@@ -121,7 +97,7 @@ std::unique_ptr<Module> fixtureModule() {
 }
 
 TEST(CEmitterTest, GoldenFixtureModule) {
-  expectGolden(emitC(*fixtureModule()), "fixture.c");
+  expectGolden(emitC(*fixtureModule()), goldenPath("codegen", "fixture.c"));
 }
 
 TEST(CEmitterTest, LayoutSignatureNamesEveryFunction) {

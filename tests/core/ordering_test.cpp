@@ -127,10 +127,19 @@ TEST_F(OrderingTest, SingleTargetDegeneratesToNoTests) {
 // the same result over all their benchmarks).
 //===----------------------------------------------------------------------===//
 
+/// gtest names each case by a byte dump of its parameter, so the struct
+/// has no implicit padding: left to the compiler, the hole after `Seed`
+/// carried whatever the stack held, and one case's name changed between
+/// build trees.  `Tag` fills the hole; its values keep the names each case
+/// is listed under (seed 2 recorded the bytes 65-2F 72-65).  It takes no
+/// part in the check.
 struct RandomCaseParams {
   unsigned Seed;
+  uint32_t Tag;
   size_t NumRanges;
 };
+static_assert(sizeof(RandomCaseParams) == 16,
+              "RandomCaseParams must stay unpadded");
 
 class OrderingPropertyTest
     : public ::testing::TestWithParam<RandomCaseParams> {};
@@ -195,7 +204,8 @@ TEST_P(OrderingPropertyTest, GreedyMatchesExhaustive) {
 std::vector<RandomCaseParams> makeRandomCases() {
   std::vector<RandomCaseParams> Cases;
   for (unsigned Seed = 1; Seed <= 40; ++Seed)
-    Cases.push_back({Seed, 2 + Seed % 7}); // 2..8 ranges
+    Cases.push_back({Seed, Seed == 2 ? 0x65722F65u : 0u,
+                     2 + Seed % 7}); // 2..8 ranges
   return Cases;
 }
 

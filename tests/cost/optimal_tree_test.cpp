@@ -21,6 +21,12 @@
 //     >= the hot-first incumbent on every profiled module.
 //  4. The edge-weight profile plane round-trips through both ProfileDB
 //     formats and drops records that describe a different build.
+//  5. The edge collector (collectEdgeWeights) counts exactly the block
+//     transfers the tree walker executes: every transfer kind on
+//     hand-built IR, callees under their own names, several inputs, and
+//     runs that trap; and, on the 17 workloads, the `edges` records of
+//     compileWithReordering's profile reproduce a golden taken from the
+//     tree walker byte for byte.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,13 +34,17 @@
 
 #include "driver/Driver.h"
 #include "driver/Report.h"
+#include "exec/ExecBackend.h"
 #include "ir/IRBuilder.h"
 #include "ir/Printer.h"
 #include "ir/Verifier.h"
 #include "opt/Passes.h"
 #include "profile/EdgeProfile.h"
 #include "profile/ProfileDB.h"
+#include "support/Strings.h"
 #include "workloads/Workloads.h"
+
+#include "../GoldenFile.h"
 
 #include <gtest/gtest.h>
 
@@ -483,6 +493,228 @@ TEST(EdgeProfileTest, StaleRecordsAreDroppedWhole) {
   Stale = 0;
   EXPECT_TRUE(importEdgeWeights(DB, Unrelated, &Stale).empty());
   EXPECT_EQ(Stale, 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// 5. The edge collector
+//===----------------------------------------------------------------------===//
+
+/// Expected edges as (from, to, count) triples of blocks.
+using EdgeList = std::vector<std::tuple<BasicBlock *, BasicBlock *, uint64_t>>;
+
+/// The EdgeWeightMap::Counts that \p Edges stand for.
+std::map<uint64_t, uint64_t> counts(const EdgeList &Edges) {
+  EdgeWeightMap Map;
+  for (const auto &[From, To, Count] : Edges)
+    Map.add(From->getId(), To->getId(), Count);
+  return Map.Counts;
+}
+
+/// A read loop in `main`: head reads a character and branches to done at
+/// EOF, else to body.  Each test ends body with the transfer it checks;
+/// backEdge() adds blocks that jump back to head.
+struct ReadLoop {
+  Module M;
+  Function *F = nullptr;
+  BasicBlock *Head = nullptr, *Body = nullptr, *Done = nullptr;
+  unsigned Char = 0;
+  IRBuilder B;
+
+  ReadLoop() {
+    F = M.createFunction("main", 0);
+    Head = F->createBlock("head");
+    Body = F->createBlock("body");
+    Done = F->createBlock("done");
+    Char = F->newReg();
+    B.setInsertionPoint(Head);
+    B.emitReadChar(Char);
+    B.emitCmp(Operand::reg(Char), Operand::imm(-1));
+    B.emitCondBr(CondCode::EQ, Done, Body);
+    B.setInsertionPoint(Done);
+    B.emitRet(Operand::imm(0));
+    B.setInsertionPoint(Body);
+  }
+
+  /// A block that jumps back to head.
+  BasicBlock *backEdge(const std::string &Label) {
+    BasicBlock *Block = F->createBlock(Label);
+    IRBuilder(Block).emitJump(Head);
+    return Block;
+  }
+
+  ModuleEdgeWeights collect(std::vector<std::string> Inputs,
+                            uint64_t Limit = 2'000'000'000) {
+    return collectEdgeWeights(M, Inputs, Limit);
+  }
+};
+
+TEST(EdgeCollectorTest, CondBrCountsBothDirectionsUnderOneKeyWhenTheyMeet) {
+  // body's taken and fall-through targets coincide: two slots, one key.
+  ReadLoop L;
+  BasicBlock *Next = L.backEdge("next");
+  L.B.emitCmp(Operand::reg(L.Char), Operand::imm('a'));
+  L.B.emitCondBr(CondCode::EQ, Next, Next);
+
+  ModuleEdgeWeights W = L.collect({"ab"});
+  ASSERT_EQ(W.size(), 1u);
+  EXPECT_EQ(W["main"].Counts, counts({{L.Head, L.Done, 1},
+                                      {L.Head, L.Body, 2},
+                                      {L.Body, Next, 2},
+                                      {Next, L.Head, 2}}));
+}
+
+TEST(EdgeCollectorTest, CountsExplicitJumpsAndLayoutFallThroughs) {
+  ReadLoop L;
+  BasicBlock *Mid = L.backEdge("mid");
+  L.B.emitJump(Mid)->setIsFallThrough(true);
+
+  ModuleEdgeWeights W = L.collect({"xyz"});
+  EXPECT_EQ(W["main"].Counts, counts({{L.Head, L.Done, 1},
+                                      {L.Head, L.Body, 3},
+                                      {L.Body, Mid, 3},
+                                      {Mid, L.Head, 3}}));
+}
+
+TEST(EdgeCollectorTest, CountsSwitchCasesAndDefault) {
+  // 'c' shares the default's target, so its slot and the default's
+  // merge; the second 'a' case never fires, since the first match wins.
+  ReadLoop L;
+  BasicBlock *A = L.backEdge("a"), *Bee = L.backEdge("b"),
+             *Other = L.backEdge("other");
+  L.B.emitSwitch(Operand::reg(L.Char),
+                 {{'a', A}, {'b', Bee}, {'c', Other}, {'a', Bee}}, Other);
+
+  ModuleEdgeWeights W = L.collect({"aabxc"});
+  EXPECT_EQ(W["main"].Counts, counts({{L.Head, L.Done, 1},
+                                      {L.Head, L.Body, 5},
+                                      {L.Body, A, 2},
+                                      {L.Body, Bee, 1},
+                                      {L.Body, Other, 2},
+                                      {A, L.Head, 2},
+                                      {Bee, L.Head, 1},
+                                      {Other, L.Head, 2}}));
+}
+
+TEST(EdgeCollectorTest, CountsIndirectJumpTargets) {
+  // Entries 0 and 2 share a target: 'c' (99 % 3 == 0) and 'b' (98 % 3 ==
+  // 2) both reach Even through different slots.
+  ReadLoop L;
+  BasicBlock *Even = L.backEdge("even"), *Odd = L.backEdge("odd");
+  unsigned Index = L.F->newReg();
+  L.B.emitBinary(BinaryOp::Rem, Index, Operand::reg(L.Char), Operand::imm(3));
+  L.B.emitIndirectJump(Operand::reg(Index), {Even, Odd, Even});
+
+  ModuleEdgeWeights W = L.collect({"abca"});
+  EXPECT_EQ(W["main"].Counts, counts({{L.Head, L.Done, 1},
+                                      {L.Head, L.Body, 4},
+                                      {L.Body, Odd, 2},
+                                      {L.Body, Even, 2},
+                                      {Odd, L.Head, 2},
+                                      {Even, L.Head, 2}}));
+}
+
+TEST(EdgeCollectorTest, KeysCalleeEdgesUnderItsOwnName) {
+  Module M;
+  Function *Sign = M.createFunction("sign", 1);
+  BasicBlock *Test = Sign->createBlock("test");
+  BasicBlock *Pos = Sign->createBlock("pos");
+  BasicBlock *Neg = Sign->createBlock("neg");
+  IRBuilder B(Test);
+  B.emitCmp(Operand::reg(0), Operand::imm(0));
+  B.emitCondBr(CondCode::GT, Pos, Neg);
+  B.setInsertionPoint(Pos);
+  B.emitRet(Operand::imm(1));
+  B.setInsertionPoint(Neg);
+  B.emitRet(Operand::imm(-1));
+
+  Function *Main = M.createFunction("main", 0);
+  BasicBlock *Entry = Main->createBlock("entry");
+  BasicBlock *Exit = Main->createBlock("exit");
+  B.setInsertionPoint(Entry);
+  B.emitCall(std::nullopt, Sign, {Operand::imm(5)});
+  B.emitCall(std::nullopt, Sign, {Operand::imm(-5)});
+  B.emitCall(std::nullopt, Sign, {Operand::imm(7)});
+  B.emitJump(Exit);
+  B.setInsertionPoint(Exit);
+  B.emitRet(Operand::imm(0));
+
+  ModuleEdgeWeights W = collectEdgeWeights(M, {""});
+  ASSERT_EQ(W.size(), 2u);
+  EXPECT_EQ(W["sign"].Counts, counts({{Test, Pos, 2}, {Test, Neg, 1}}));
+  EXPECT_EQ(W["main"].Counts, counts({{Entry, Exit, 1}}));
+}
+
+TEST(EdgeCollectorTest, AccumulatesAcrossInputs) {
+  ReadLoop L;
+  BasicBlock *Next = L.backEdge("next");
+  L.B.emitJump(Next);
+
+  ModuleEdgeWeights W = L.collect({"ab", "", "c"});
+  EXPECT_EQ(W["main"].Counts, counts({{L.Head, L.Done, 3},
+                                      {L.Head, L.Body, 3},
+                                      {L.Body, Next, 3},
+                                      {Next, L.Head, 3}}));
+}
+
+TEST(EdgeCollectorTest, CountsUpToAMidRunTrap) {
+  // body divides by (c - 'x'): the third character traps inside body, so
+  // head -> body counts three times but body -> next only twice, and the
+  // characters after the trap never run.
+  ReadLoop L;
+  BasicBlock *Next = L.backEdge("next");
+  unsigned Diff = L.F->newReg(), Quot = L.F->newReg();
+  L.B.emitBinary(BinaryOp::Sub, Diff, Operand::reg(L.Char),
+                 Operand::imm('x'));
+  L.B.emitBinary(BinaryOp::Div, Quot, Operand::imm(100), Operand::reg(Diff));
+  L.B.emitJump(Next);
+
+  Interpreter Reference(L.M, Interpreter::Mode::Tree);
+  Reference.setInput("abxcd");
+  ASSERT_EQ(Reference.run().TrapReason, "division by zero");
+  ModuleEdgeWeights W = L.collect({"abxcd"});
+  EXPECT_EQ(W["main"].Counts, counts({{L.Head, L.Body, 3},
+                                      {L.Body, Next, 2},
+                                      {Next, L.Head, 2}}));
+}
+
+TEST(EdgeCollectorTest, CountsUpToAnInstructionLimitTrip) {
+  // One iteration costs four counted instructions (ReadChar, Cmp, CondBr
+  // and next's Jump) plus body's free fall-through.  At limit 10 the
+  // third CondBr is the eleventh instruction: it trips before its edge.
+  ReadLoop L;
+  BasicBlock *Next = L.backEdge("next");
+  L.B.emitJump(Next)->setIsFallThrough(true);
+
+  Interpreter Reference(L.M, Interpreter::Mode::Tree);
+  Reference.setInstructionLimit(10);
+  Reference.setInput("abcdef");
+  ASSERT_EQ(Reference.run().TrapReason, "instruction limit exceeded");
+  ModuleEdgeWeights W = L.collect({"abcdef"}, 10);
+  EXPECT_EQ(W["main"].Counts, counts({{L.Head, L.Body, 2},
+                                      {L.Body, Next, 2},
+                                      {Next, L.Head, 2}}));
+}
+
+/// The `edges` records of each workload's Set IV profile.  The golden was
+/// taken while the tree walker still measured edges, so it pins the
+/// collector to the reference's counts and to the layout ext-TSP builds
+/// from them.
+TEST(EdgeCollectorTest, ReproducesTheTreeWalkerGoldenOnAllWorkloads) {
+  CompileOptions Options;
+  Options.HeuristicSet = SwitchHeuristicSet::SetIV;
+  std::string Records;
+  for (const Workload &W : standardWorkloads()) {
+    CompileResult R =
+        compileWithReordering(W.Source, W.TrainingInput, Options);
+    ASSERT_TRUE(R.ok()) << W.Name << ": " << R.Error;
+    Records += "workload " + W.Name + "\n";
+    for (std::string_view Line : splitString(R.ProfileText, '\n'))
+      if (Line.starts_with("seq edges ")) {
+        Records += Line;
+        Records += '\n';
+      }
+  }
+  expectGolden(Records, goldenPath("cost", "workload_edges.txt"));
 }
 
 } // namespace
