@@ -16,7 +16,7 @@
 ///           profile -> restructure -> clean up and finalize layout
 ///
 /// compileBaseline() runs the same pipeline with reordering disabled; the
-/// benches diff the two against identical test inputs.
+/// Evaluator (driver/Evaluator.h) diffs the two on identical test inputs.
 ///
 //===----------------------------------------------------------------------===//
 

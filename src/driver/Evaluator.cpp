@@ -96,7 +96,7 @@ std::shared_ptr<const DecodedModule>
 Evaluator::preparedFor(const std::shared_ptr<const CompileResult> &Compiled,
                        const std::string *ProfileText, bool &Hit) {
   const Module *Key = Compiled->M.get();
-  if (Options.CacheCompiles) {
+  {
     std::lock_guard<std::mutex> Lock(CacheMutex);
     if (auto *Entry = DecodeCache.get(Key)) {
       Counters.DecodeHits.fetch_add(1, std::memory_order_relaxed);
@@ -115,15 +115,13 @@ Evaluator::preparedFor(const std::shared_ptr<const CompileResult> &Compiled,
   std::shared_ptr<const DecodedModule> Program =
       std::make_shared<DecodedModule>(decodeFused(*Key, FO));
   Hit = false;
-  if (Options.CacheCompiles) {
-    std::lock_guard<std::mutex> Lock(CacheMutex);
-    // Two threads can race to the first decode of one module; keep the
-    // winner so every caller shares a single prepared program.
-    if (auto *Entry = DecodeCache.get(Key))
-      return Entry->Program;
-    Counters.DecodeMisses.fetch_add(1, std::memory_order_relaxed);
-    DecodeCache.put(Key, PreparedEntry{Compiled, Program});
-  }
+  std::lock_guard<std::mutex> Lock(CacheMutex);
+  // Two threads can race to the first decode of one module; keep the
+  // winner so every caller shares a single prepared program.
+  if (auto *Entry = DecodeCache.get(Key))
+    return Entry->Program;
+  Counters.DecodeMisses.fetch_add(1, std::memory_order_relaxed);
+  DecodeCache.put(Key, PreparedEntry{Compiled, Program});
   return Program;
 }
 
@@ -131,7 +129,7 @@ std::shared_ptr<AdaptiveController>
 Evaluator::controllerFor(const std::shared_ptr<const CompileResult> &Compiled,
                          bool &Hit) {
   const Module *Key = Compiled->M.get();
-  if (Options.CacheCompiles) {
+  {
     std::lock_guard<std::mutex> Lock(CacheMutex);
     if (auto *Entry = AdaptiveCache.get(Key)) {
       Counters.AdaptiveHits.fetch_add(1, std::memory_order_relaxed);
@@ -142,20 +140,18 @@ Evaluator::controllerFor(const std::shared_ptr<const CompileResult> &Compiled,
   auto Controller =
       std::make_shared<AdaptiveController>(*Key, Options.Runtime);
   Hit = false;
-  if (Options.CacheCompiles) {
-    std::lock_guard<std::mutex> Lock(CacheMutex);
-    if (auto *Entry = AdaptiveCache.get(Key))
-      return Entry->Controller;
-    Counters.AdaptiveMisses.fetch_add(1, std::memory_order_relaxed);
-    if (auto Evicted = AdaptiveCache.put(Key, AdaptiveEntry{Compiled,
-                                                            Controller})) {
-      // Keep the evicted controller's re-fusion history in the aggregate
-      // counters; stats() can no longer walk it.
-      const RuntimeStats Runtime = Evicted->Controller->stats();
-      if (Runtime.Recompiles > 1)
-        Counters.AdaptiveReFusions.fetch_add(Runtime.Recompiles - 1,
-                                             std::memory_order_relaxed);
-    }
+  std::lock_guard<std::mutex> Lock(CacheMutex);
+  if (auto *Entry = AdaptiveCache.get(Key))
+    return Entry->Controller;
+  Counters.AdaptiveMisses.fetch_add(1, std::memory_order_relaxed);
+  if (auto Evicted =
+          AdaptiveCache.put(Key, AdaptiveEntry{Compiled, Controller})) {
+    // Keep the evicted controller's re-fusion history in the aggregate
+    // counters; stats() can no longer walk it.
+    const RuntimeStats Runtime = Evicted->Controller->stats();
+    if (Runtime.Recompiles > 1)
+      Counters.AdaptiveReFusions.fetch_add(Runtime.Recompiles - 1,
+                                           std::memory_order_relaxed);
   }
   return Controller;
 }
@@ -164,7 +160,7 @@ std::shared_ptr<const NativeProgram>
 Evaluator::nativeFor(const std::shared_ptr<const CompileResult> &Compiled,
                      bool &Hit, std::string &Error) {
   const Module *Key = Compiled->M.get();
-  if (Options.CacheCompiles) {
+  {
     std::lock_guard<std::mutex> Lock(CacheMutex);
     if (auto *Entry = NativeCache.get(Key)) {
       Counters.NativeHits.fetch_add(1, std::memory_order_relaxed);
@@ -180,22 +176,19 @@ Evaluator::nativeFor(const std::shared_ptr<const CompileResult> &Compiled,
     Error = "native compile failed: " + CompileError;
     return nullptr;
   }
-  if (Options.CacheCompiles) {
-    std::lock_guard<std::mutex> Lock(CacheMutex);
-    if (auto *Entry = NativeCache.get(Key))
-      return Entry->Program;
-    Counters.NativeMisses.fetch_add(1, std::memory_order_relaxed);
-    NativeCache.put(Key, NativeEntry{Compiled, Program});
-  }
+  std::lock_guard<std::mutex> Lock(CacheMutex);
+  if (auto *Entry = NativeCache.get(Key))
+    return Entry->Program;
+  Counters.NativeMisses.fetch_add(1, std::memory_order_relaxed);
+  NativeCache.put(Key, NativeEntry{Compiled, Program});
   return Program;
 }
 
 std::shared_ptr<const CompileResult>
 Evaluator::baselineFor(const Workload &W, const CompileOptions &CompileOpts,
                        bool &Hit) {
-  std::string Key;
-  if (Options.CacheCompiles) {
-    Key = baselineKey(W, CompileOpts);
+  std::string Key = baselineKey(W, CompileOpts);
+  {
     std::lock_guard<std::mutex> Lock(CacheMutex);
     auto It = BaselineCache.find(Key);
     if (It != BaselineCache.end()) {
@@ -207,20 +200,17 @@ Evaluator::baselineFor(const Workload &W, const CompileOptions &CompileOpts,
   auto Result = std::make_shared<CompileResult>(
       compileBaseline(W.Source, CompileOpts));
   Hit = false;
-  if (Options.CacheCompiles) {
-    std::lock_guard<std::mutex> Lock(CacheMutex);
-    Counters.BaselineMisses.fetch_add(1, std::memory_order_relaxed);
-    BaselineCache.emplace(std::move(Key), Result);
-  }
+  std::lock_guard<std::mutex> Lock(CacheMutex);
+  Counters.BaselineMisses.fetch_add(1, std::memory_order_relaxed);
+  BaselineCache.emplace(std::move(Key), Result);
   return Result;
 }
 
 std::shared_ptr<const CompileResult>
 Evaluator::reorderedFor(const Workload &W, const CompileOptions &CompileOpts,
                         bool &Hit) {
-  std::string Key;
-  if (Options.CacheCompiles) {
-    Key = reorderedKey(W, CompileOpts);
+  std::string Key = reorderedKey(W, CompileOpts);
+  {
     std::lock_guard<std::mutex> Lock(CacheMutex);
     auto It = ReorderedCache.find(Key);
     if (It != ReorderedCache.end()) {
@@ -232,11 +222,9 @@ Evaluator::reorderedFor(const Workload &W, const CompileOptions &CompileOpts,
   auto Result = std::make_shared<CompileResult>(
       compileWithReordering(W.Source, W.TrainingInput, CompileOpts));
   Hit = false;
-  if (Options.CacheCompiles) {
-    std::lock_guard<std::mutex> Lock(CacheMutex);
-    Counters.ReorderedMisses.fetch_add(1, std::memory_order_relaxed);
-    ReorderedCache.emplace(std::move(Key), Result);
-  }
+  std::lock_guard<std::mutex> Lock(CacheMutex);
+  Counters.ReorderedMisses.fetch_add(1, std::memory_order_relaxed);
+  ReorderedCache.emplace(std::move(Key), Result);
   return Result;
 }
 

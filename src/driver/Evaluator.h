@@ -6,21 +6,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The evaluation harness the bench binaries run on.  It wraps the
-/// per-workload pipeline of driver/Report.h with two additions:
+/// The workload evaluation harness: it compiles each workload's baseline
+/// and reordered builds and measures both through measureBuild
+/// (driver/Report.h).  The paper-tables golden and broptd's Evaluate
+/// requests run on it.  Two properties make it cheap to call in sweeps:
 ///
 ///  * workloads are compiled and interpreted concurrently on a ThreadPool
 ///    (one task per workload; compiled modules are immutable during
 ///    measurement, so concurrent interpretation is safe);
-///  * CompileResults are cached across evaluateSet() calls.  Baseline
-///    builds depend only on (source, heuristic set) and reordered builds
-///    on (source, training input, full options), so the predictor sweeps
-///    of Tables 5/6 — which re-evaluate identical builds under many
-///    predictor configurations — stop recompiling identical inputs.
+///  * CompileResults are cached across calls.  Baseline builds depend
+///    only on (source, heuristic set) and reordered builds on (source,
+///    training input, full options), so the predictor sweeps of Tables
+///    5/6 — which re-evaluate identical builds under many predictor
+///    configurations — stop recompiling identical inputs.
 ///
 /// DynamicCounts and PredictorStats never depend on wall clock or thread
 /// schedule: interpretation is deterministic, so the records produced here
-/// equal the serial path's bit for bit (see docs/SIM.md).
+/// are the same whatever the thread count (see docs/SIM.md).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,6 +33,7 @@
 #include "driver/Report.h"
 #include "support/LruCache.h"
 #include "support/ThreadPool.h"
+#include "workloads/Workloads.h"
 
 #include <atomic>
 #include <map>
@@ -43,17 +46,14 @@ namespace bropt {
 struct EvaluatorOptions {
   /// Worker threads; 0 means one per hardware thread.
   unsigned Threads = 0;
-  /// Cache CompileResults — and fused programs — across calls
-  /// (keyed by source + options, respectively by module identity).
-  bool CacheCompiles = true;
   /// Execution engine for every interpreter run.
   Interpreter::Mode Mode = Interpreter::Mode::Fused;
   /// Controller knobs for Mode::Adaptive (Runtime.NativeTier turns tier 2
   /// on); ignored by the other engines.
   RuntimeOptions Runtime;
   /// LRU bounds for the per-module caches (0 = unbounded).  Sized so the
-  /// full bench sweep — ~100 distinct modules live at once — fits, while
-  /// a long-running process (the ROADMAP's broptd) stays bounded.
+  /// paper-tables sweep — ~200 distinct modules live at once — fits,
+  /// while a long-running process (broptd) stays bounded.
   size_t DecodeCacheCapacity = 256;
   size_t AdaptiveCacheCapacity = 256;
   size_t NativeCacheCapacity = 128;
@@ -106,12 +106,14 @@ struct EvaluatorStats {
   uint64_t NativeEvictions = 0;
 };
 
-/// Compiles and evaluates workloads concurrently with compile caching.
-/// One Evaluator is meant to live for a whole bench process so the cache
-/// spans every sweep.  Concurrency contract: the caches are mutex-guarded
-/// and the stats counters are relaxed atomics, so evaluateWorkload() and
-/// stats() are safe from concurrent callers in the immutable-program
-/// modes (tree/fused/native) — broptd serves Evaluate requests from its
+/// Compiles and evaluates workloads concurrently with compile caching:
+/// CompileResults are keyed by source + options, and fused programs,
+/// controllers and shared objects by module identity.  One Evaluator is
+/// meant to live across sweeps so the cache spans them.  Concurrency
+/// contract: the caches are mutex-guarded and the stats counters are
+/// relaxed atomics, so evaluateWorkload() and stats() are safe from
+/// concurrent callers in the immutable-program modes
+/// (tree/fused/native) — broptd serves Evaluate requests from its
 /// worker pool this way.  The adaptive mode reuses *stateful*
 /// controllers across calls and one controller must not run two
 /// interpreters at once, so adaptive-mode evaluations sharing a module
@@ -134,8 +136,8 @@ public:
       const std::vector<Workload> &Workloads, const CompileOptions &Options,
       const std::optional<PredictorConfig> &Predictor = std::nullopt);
 
-  /// Drop-in replacement for evaluateAllWorkloads(): every standard
-  /// workload, concurrently, without the cache-hit records.
+  /// Every standard workload, concurrently, without the cache-hit
+  /// records.
   std::vector<WorkloadEvaluation> evaluateAll(
       const CompileOptions &Options,
       const std::optional<PredictorConfig> &Predictor = std::nullopt);

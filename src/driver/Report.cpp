@@ -1,4 +1,4 @@
-//===- driver/Report.cpp - Workload evaluation for the benches ------------===//
+//===- driver/Report.cpp - Per-build measurements -------------------------===//
 
 #include "driver/Report.h"
 
@@ -65,49 +65,4 @@ bropt::measureBuild(const Module &M, std::string_view TestInput,
     Predictor.emplace(*PredictorConfiguration);
   return measureBuild(M, TestInput, Predictor ? &*Predictor : nullptr,
                       Error, Mode, Prepared, Adaptive, Native);
-}
-
-WorkloadEvaluation
-bropt::evaluateWorkload(const Workload &W, const CompileOptions &Options,
-                        const std::optional<PredictorConfig> &Predictor) {
-  WorkloadEvaluation Eval;
-  Eval.Name = W.Name;
-
-  CompileResult Baseline = compileBaseline(W.Source, Options);
-  if (!Baseline.ok()) {
-    Eval.Error = W.Name + ": baseline compile failed: " + Baseline.Error;
-    return Eval;
-  }
-  CompileResult Reordered =
-      compileWithReordering(W.Source, W.TrainingInput, Options);
-  if (!Reordered.ok()) {
-    Eval.Error = W.Name + ": reordering compile failed: " + Reordered.Error;
-    return Eval;
-  }
-  Eval.Stats = Reordered.Stats;
-  Eval.SwitchStats = Reordered.SwitchStats;
-
-  Eval.Baseline = measureBuild(*Baseline.M, W.TestInput, Predictor,
-                               Eval.Error);
-  if (!Eval.ok())
-    return Eval;
-  Eval.Reordered = measureBuild(*Reordered.M, W.TestInput, Predictor,
-                                Eval.Error);
-  if (!Eval.ok())
-    return Eval;
-
-  Eval.OutputsMatch = Eval.Baseline.Output == Eval.Reordered.Output &&
-                      Eval.Baseline.ExitValue == Eval.Reordered.ExitValue;
-  if (!Eval.OutputsMatch)
-    Eval.Error = W.Name + ": baseline and reordered outputs differ";
-  return Eval;
-}
-
-std::vector<WorkloadEvaluation> bropt::evaluateAllWorkloads(
-    const CompileOptions &Options,
-    const std::optional<PredictorConfig> &Predictor) {
-  std::vector<WorkloadEvaluation> Evals;
-  for (const Workload &W : standardWorkloads())
-    Evals.push_back(evaluateWorkload(W, Options, Predictor));
-  return Evals;
 }

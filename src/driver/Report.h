@@ -1,4 +1,4 @@
-//===- driver/Report.h - Workload evaluation for the benches ----*- C++ -*-===//
+//===- driver/Report.h - Per-build measurements -----------------*- C++ -*-===//
 //
 // Part of the bropt project, a reproduction of "Improving Performance by
 // Branch Reordering" (Yang, Uh & Whalley, PLDI 1998).
@@ -6,12 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Runs one workload through baseline and reordered builds on its test
-/// input and gathers every quantity the paper's tables report: dynamic
-/// instructions and branches (Table 4), mispredictions under a configured
-/// predictor (Tables 5-6), model cycles under both machine models
-/// (Table 7's relative times), and static size / sequence statistics
-/// (Table 8, Figures 11-13).
+/// Measures one build of a workload on its test input and holds every
+/// quantity the paper's tables report: dynamic instructions and branches
+/// (Table 4), mispredictions under a configured predictor (Tables 5-6),
+/// model cycles under both machine models (Table 7's relative times), and
+/// static size / sequence statistics (Table 8, Figures 11-13).  The
+/// Evaluator (driver/Evaluator.h) pairs a baseline and a reordered
+/// measurement into a WorkloadEvaluation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,7 +24,6 @@
 #include "predict/BranchPredictor.h"
 #include "runtime/AdaptiveController.h"
 #include "sim/Interpreter.h"
-#include "workloads/Workloads.h"
 
 #include <optional>
 
@@ -98,19 +98,6 @@ measureBuild(const Module &M, std::string_view TestInput,
              const DecodedModule *Prepared = nullptr,
              AdaptiveController *Adaptive = nullptr,
              const NativeProgram *Native = nullptr);
-
-/// Evaluates \p W under \p Options; if \p Predictor is set, both builds
-/// also run through an (m,n) predictor of that configuration.
-WorkloadEvaluation evaluateWorkload(const Workload &W,
-                                    const CompileOptions &Options,
-                                    const std::optional<PredictorConfig>
-                                        &Predictor = std::nullopt);
-
-/// Evaluates every standard workload.
-std::vector<WorkloadEvaluation>
-evaluateAllWorkloads(const CompileOptions &Options,
-                     const std::optional<PredictorConfig> &Predictor =
-                         std::nullopt);
 
 } // namespace bropt
 

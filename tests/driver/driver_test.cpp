@@ -2,7 +2,7 @@
 
 #include "driver/Driver.h"
 
-#include "driver/Report.h"
+#include "driver/Evaluator.h"
 #include "ir/Printer.h"
 #include "predict/BranchPredictor.h"
 #include "sim/Interpreter.h"
@@ -139,7 +139,9 @@ TEST(DriverTest, EvaluationReportsConsistentMeasurements) {
   ASSERT_TRUE(W);
   CompileOptions Options;
   WorkloadEvaluation Eval =
-      evaluateWorkload(*W, Options, PredictorConfig::ultraSparc());
+      Evaluator()
+          .evaluateWorkload(*W, Options, PredictorConfig::ultraSparc())
+          .Eval;
   ASSERT_TRUE(Eval.ok()) << Eval.Error;
   EXPECT_TRUE(Eval.OutputsMatch);
   EXPECT_GT(Eval.Baseline.Counts.TotalInsts, 0u);

@@ -179,19 +179,6 @@ TEST(EvaluatorTest, ClearCacheForcesRecompilation) {
   EXPECT_EQ(Eval.stats().BaselineMisses, 2u);
 }
 
-TEST(EvaluatorTest, CachingCanBeDisabled) {
-  EvaluatorOptions Options;
-  Options.CacheCompiles = false;
-  Evaluator Eval(Options);
-  Workload W = tinyWorkload();
-  CompileOptions CompileOpts;
-  ASSERT_TRUE(Eval.evaluateWorkload(W, CompileOpts).Eval.ok());
-  WorkloadRecord Second = Eval.evaluateWorkload(W, CompileOpts);
-  EXPECT_FALSE(Second.BaselineCacheHit);
-  EXPECT_FALSE(Second.ReorderedCacheHit);
-  EXPECT_EQ(Eval.stats().BaselineHits, 0u);
-}
-
 TEST(EvaluatorTest, ParallelEvaluationPreservesOrderAndResults) {
   // The batched path must return records in input order with the same
   // measurements the serial path produces, regardless of thread count.

@@ -2,7 +2,7 @@
 
 #include "workloads/Workloads.h"
 
-#include "driver/Report.h"
+#include "driver/Evaluator.h"
 #include "predict/BranchPredictor.h"
 
 #include <gtest/gtest.h>
@@ -40,7 +40,7 @@ TEST_P(WorkloadPipelineTest, BaselineAndReorderedAgree) {
   ASSERT_TRUE(W);
   CompileOptions Options;
   Options.HeuristicSet = Set;
-  WorkloadEvaluation Eval = evaluateWorkload(*W, Options);
+  WorkloadEvaluation Eval = Evaluator().evaluateWorkload(*W, Options).Eval;
   ASSERT_TRUE(Eval.ok()) << Eval.Error;
   EXPECT_TRUE(Eval.OutputsMatch);
   EXPECT_GT(Eval.Stats.Detected, 0u)
@@ -76,8 +76,7 @@ TEST(WorkloadsTest, ReorderingReducesAverageInstructions) {
     Options.HeuristicSet = Set;
     double TotalDelta = 0.0;
     unsigned Count = 0;
-    for (const Workload &W : standardWorkloads()) {
-      WorkloadEvaluation Eval = evaluateWorkload(W, Options);
+    for (const WorkloadEvaluation &Eval : Evaluator().evaluateAll(Options)) {
       ASSERT_TRUE(Eval.ok()) << Eval.Error;
       TotalDelta += WorkloadEvaluation::deltaPercent(
           Eval.Baseline.Counts.TotalInsts, Eval.Reordered.Counts.TotalInsts);
@@ -96,8 +95,7 @@ TEST(WorkloadsTest, BranchReductionOutpacesInstructionReduction) {
   CompileOptions Options;
   double InstDelta = 0.0, BranchDelta = 0.0;
   unsigned Count = 0;
-  for (const Workload &W : standardWorkloads()) {
-    WorkloadEvaluation Eval = evaluateWorkload(W, Options);
+  for (const WorkloadEvaluation &Eval : Evaluator().evaluateAll(Options)) {
     ASSERT_TRUE(Eval.ok()) << Eval.Error;
     InstDelta += WorkloadEvaluation::deltaPercent(
         Eval.Baseline.Counts.TotalInsts, Eval.Reordered.Counts.TotalInsts);
@@ -115,7 +113,9 @@ TEST(WorkloadsTest, PredictorMeasurementsAreCollected) {
   const Workload *W = findWorkload("wc");
   ASSERT_TRUE(W);
   WorkloadEvaluation Eval =
-      evaluateWorkload(*W, Options, PredictorConfig::ultraSparc());
+      Evaluator()
+          .evaluateWorkload(*W, Options, PredictorConfig::ultraSparc())
+          .Eval;
   ASSERT_TRUE(Eval.ok()) << Eval.Error;
   EXPECT_GT(Eval.Baseline.Mispredictions, 0u);
   EXPECT_GT(Eval.Reordered.Mispredictions, 0u);
