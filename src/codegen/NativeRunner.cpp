@@ -32,27 +32,15 @@ namespace bropt {
 
 namespace {
 
-/// FNV-1a over the source text from an arbitrary offset basis.  The cache
-/// key uses the standard basis; hits are verified against a second,
-/// independently-seeded hash plus the source size instead of comparing
-/// the whole text (tier-2 hot swaps hit this path on every re-promotion).
-/// Setting BROPT_NATIVE_PARANOID restores the full-text compare.
-uint64_t fnv1a(const std::string &S,
-               uint64_t H = 1469598103934665603ull) {
+/// FNV-1a over the source text: the cache key.  A hit is confirmed by
+/// comparing the cached source with the new one.
+uint64_t fnv1a(const std::string &S) {
+  uint64_t H = 1469598103934665603ull;
   for (unsigned char Ch : S) {
     H ^= Ch;
     H *= 1099511628211ull;
   }
   return H;
-}
-
-/// Offset basis for NativeProgram::VerifyHash: the standard basis folded
-/// over an arbitrary tag so the two hashes never agree by construction.
-constexpr uint64_t VerifyBasis = 0x9e3779b97f4a7c15ull;
-
-bool paranoidVerify() {
-  const char *Env = std::getenv("BROPT_NATIVE_PARANOID");
-  return Env && *Env && std::string_view(Env) != "0";
 }
 
 std::string readFile(const std::string &Path) {
@@ -250,19 +238,8 @@ NativeRunner::compileLocked(const std::string &Source, std::string *Error,
 #else
   uint64_t Key = fnv1a(Source);
   if (auto *Hit = Cache.get(Key)) {
-    // Two independent 64-bit hashes plus the exact size make a collision
-    // practically impossible; the O(n) full-text compare only runs under
-    // BROPT_NATIVE_PARANOID (a mismatch costs a recompile, never a wrong
-    // body, so paranoia buys nothing but certainty).
-    bool Match;
-    if (paranoidVerify()) {
-      ++Stats.ParanoidVerifies;
-      Match = (*Hit)->source() == Source;
-    } else {
-      Match = (*Hit)->source().size() == Source.size() &&
-              (*Hit)->VerifyHash == fnv1a(Source, VerifyBasis);
-    }
-    if (Match) {
+    // The compare costs far less than the emitC that produced Source.
+    if ((*Hit)->source() == Source) {
       ++Stats.CacheHits;
       return *Hit;
     }
@@ -335,7 +312,6 @@ NativeRunner::compileLocked(const std::string &Source, std::string *Error,
   Program->RunFn = RunSym;
   Program->ReleaseFn = ReleaseSym;
   Program->Source = Source;
-  Program->VerifyHash = fnv1a(Source, VerifyBasis);
   // The layout comment is the third line of every emitted TU; recover it
   // for debug surfaces without re-walking a module.
   size_t LayoutPos = Source.find("/* layout ");

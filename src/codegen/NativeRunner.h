@@ -20,9 +20,11 @@
 ///
 /// The process-wide runner keeps an LRU cache of shared objects keyed by
 /// a hash of the emitted source text (which embodies the block-ordering
-/// signature — reordering changes the text, hence the key).  Compiles of
-/// the same module therefore cost one `fork`/`exec` ever; the Evaluator
-/// layers its own per-Module cache on top to skip even re-emission.
+/// signature — reordering changes the text, hence the key); a hit compares
+/// the cached text with the new one.  Compiles of the same module
+/// therefore cost one `fork`/`exec` ever; an Artifact (driver/Artifact.h)
+/// holds its native program in a slot on top, so a build that already
+/// has one skips even re-emission.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -85,10 +87,6 @@ private:
   void *ReleaseFn = nullptr; ///< NativeReleaseFn
   std::string Source;
   std::string Layout;
-  /// Independent second hash of Source (different FNV offset basis); the
-  /// cache hit path verifies (primary key, VerifyHash, size) instead of
-  /// comparing the whole text — see compileLocked.
-  uint64_t VerifyHash = 0;
 };
 
 /// Counters for the runner's shared-object cache.
@@ -97,9 +95,6 @@ struct NativeRunnerStats {
   uint64_t CacheHits = 0; ///< prepare() served from the LRU
   uint64_t Evictions = 0;
   double CompileSeconds = 0; ///< wall time spent in the host compiler
-  /// Cache hits that re-verified the full source text because
-  /// BROPT_NATIVE_PARANOID was set (otherwise hits verify by hash + size).
-  uint64_t ParanoidVerifies = 0;
   /// Compiles torn down through a NativeCompileControl (cancel or timeout).
   uint64_t CompilesCancelled = 0;
 };

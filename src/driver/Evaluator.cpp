@@ -3,8 +3,6 @@
 #include "driver/Evaluator.h"
 
 #include "predict/Zoo.h"
-#include "profile/ProfileDB.h"
-#include "sim/Fuse.h"
 #include "support/Strings.h"
 
 using namespace bropt;
@@ -45,187 +43,35 @@ std::string reorderedKey(const Workload &W, const CompileOptions &Options) {
 
 } // namespace
 
-Evaluator::Evaluator(EvaluatorOptions Options)
+Evaluator::Evaluator(EvaluatorOptions Options,
+                     std::shared_ptr<ArtifactCache> Shared)
     : Options(Options), Pool(Options.Threads),
-      DecodeCache(Options.DecodeCacheCapacity),
-      AdaptiveCache(Options.AdaptiveCacheCapacity),
-      NativeCache(Options.NativeCacheCapacity) {}
+      Cache(Shared ? std::move(Shared)
+                   : std::make_shared<ArtifactCache>(256)) {}
 
-EvaluatorStats Evaluator::stats() const {
-  EvaluatorStats S;
-  S.BaselineHits = Counters.BaselineHits.load(std::memory_order_relaxed);
-  S.BaselineMisses =
-      Counters.BaselineMisses.load(std::memory_order_relaxed);
-  S.ReorderedHits = Counters.ReorderedHits.load(std::memory_order_relaxed);
-  S.ReorderedMisses =
-      Counters.ReorderedMisses.load(std::memory_order_relaxed);
-  S.DecodeHits = Counters.DecodeHits.load(std::memory_order_relaxed);
-  S.DecodeMisses = Counters.DecodeMisses.load(std::memory_order_relaxed);
-  S.AdaptiveHits = Counters.AdaptiveHits.load(std::memory_order_relaxed);
-  S.AdaptiveMisses =
-      Counters.AdaptiveMisses.load(std::memory_order_relaxed);
-  S.AdaptiveReFusions =
-      Counters.AdaptiveReFusions.load(std::memory_order_relaxed);
-  S.NativeHits = Counters.NativeHits.load(std::memory_order_relaxed);
-  S.NativeMisses = Counters.NativeMisses.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> Lock(CacheMutex);
-  // Re-fusions live inside the controllers; count every optimized build
-  // beyond a controller's tier-up build as a re-fusion of its evolving
-  // profile.  Evicted controllers were folded into Counters already.
-  for (const auto &[Key, Entry] : AdaptiveCache) {
-    const RuntimeStats Runtime = Entry.Controller->stats();
-    if (Runtime.Recompiles > 1)
-      S.AdaptiveReFusions += Runtime.Recompiles - 1;
-  }
-  S.DecodeEvictions = DecodeCache.evictions();
-  S.AdaptiveEvictions = AdaptiveCache.evictions();
-  S.NativeEvictions = NativeCache.evictions();
-  return S;
-}
-
-void Evaluator::clearCache() {
-  std::lock_guard<std::mutex> Lock(CacheMutex);
-  BaselineCache.clear();
-  ReorderedCache.clear();
-  DecodeCache.clear();
-  AdaptiveCache.clear();
-  NativeCache.clear();
-}
-
-std::shared_ptr<const DecodedModule>
-Evaluator::preparedFor(const std::shared_ptr<const CompileResult> &Compiled,
-                       const std::string *ProfileText, bool &Hit) {
-  const Module *Key = Compiled->M.get();
-  {
-    std::lock_guard<std::mutex> Lock(CacheMutex);
-    if (auto *Entry = DecodeCache.get(Key)) {
-      Counters.DecodeHits.fetch_add(1, std::memory_order_relaxed);
-      Hit = true;
-      return Entry->Program;
+bool Evaluator::engineFor(Artifact &A, const ProfileDB *FuseProfile,
+                          Engine &E, bool &Hit, std::string &Error) {
+  std::lock_guard<std::mutex> Lock(A.BuildMutex);
+  switch (Options.Mode) {
+  case Interpreter::Mode::Tree:
+    break;
+  case Interpreter::Mode::Fused:
+    E.Prepared = &A.fused(FuseProfile, Hit);
+    break;
+  case Interpreter::Mode::Adaptive:
+    E.Controller = &A.controller(Options.Runtime, Hit);
+    break;
+  case Interpreter::Mode::Native: {
+    std::string CompileError;
+    E.Native = A.native(NativeRunner::shared(), CompileError, Hit);
+    if (!E.Native) {
+      Error = "native compile failed: " + CompileError;
+      return false;
     }
+    break;
   }
-  // The fused engine dogfoods the paper's own profile: arm execution
-  // order inside MultiCmp superinstructions follows the pass-1 counts when
-  // the caller has them (observables are unaffected either way).
-  FuseOptions FO;
-  ProfileDB Profile;
-  if (ProfileText && !ProfileText->empty() &&
-      Profile.deserialize(*ProfileText))
-    FO.Profile = &Profile;
-  std::shared_ptr<const DecodedModule> Program =
-      std::make_shared<DecodedModule>(decodeFused(*Key, FO));
-  Hit = false;
-  std::lock_guard<std::mutex> Lock(CacheMutex);
-  // Two threads can race to the first decode of one module; keep the
-  // winner so every caller shares a single prepared program.
-  if (auto *Entry = DecodeCache.get(Key))
-    return Entry->Program;
-  Counters.DecodeMisses.fetch_add(1, std::memory_order_relaxed);
-  DecodeCache.put(Key, PreparedEntry{Compiled, Program});
-  return Program;
-}
-
-std::shared_ptr<AdaptiveController>
-Evaluator::controllerFor(const std::shared_ptr<const CompileResult> &Compiled,
-                         bool &Hit) {
-  const Module *Key = Compiled->M.get();
-  {
-    std::lock_guard<std::mutex> Lock(CacheMutex);
-    if (auto *Entry = AdaptiveCache.get(Key)) {
-      Counters.AdaptiveHits.fetch_add(1, std::memory_order_relaxed);
-      Hit = true;
-      return Entry->Controller;
-    }
   }
-  auto Controller =
-      std::make_shared<AdaptiveController>(*Key, Options.Runtime);
-  Hit = false;
-  std::lock_guard<std::mutex> Lock(CacheMutex);
-  if (auto *Entry = AdaptiveCache.get(Key))
-    return Entry->Controller;
-  Counters.AdaptiveMisses.fetch_add(1, std::memory_order_relaxed);
-  if (auto Evicted =
-          AdaptiveCache.put(Key, AdaptiveEntry{Compiled, Controller})) {
-    // Keep the evicted controller's re-fusion history in the aggregate
-    // counters; stats() can no longer walk it.
-    const RuntimeStats Runtime = Evicted->Controller->stats();
-    if (Runtime.Recompiles > 1)
-      Counters.AdaptiveReFusions.fetch_add(Runtime.Recompiles - 1,
-                                           std::memory_order_relaxed);
-  }
-  return Controller;
-}
-
-std::shared_ptr<const NativeProgram>
-Evaluator::nativeFor(const std::shared_ptr<const CompileResult> &Compiled,
-                     bool &Hit, std::string &Error) {
-  const Module *Key = Compiled->M.get();
-  {
-    std::lock_guard<std::mutex> Lock(CacheMutex);
-    if (auto *Entry = NativeCache.get(Key)) {
-      Counters.NativeHits.fetch_add(1, std::memory_order_relaxed);
-      Hit = true;
-      return Entry->Program;
-    }
-  }
-  std::string CompileError;
-  std::shared_ptr<const NativeProgram> Program =
-      NativeRunner::shared().prepare(*Compiled->M, &CompileError);
-  Hit = false;
-  if (!Program) {
-    Error = "native compile failed: " + CompileError;
-    return nullptr;
-  }
-  std::lock_guard<std::mutex> Lock(CacheMutex);
-  if (auto *Entry = NativeCache.get(Key))
-    return Entry->Program;
-  Counters.NativeMisses.fetch_add(1, std::memory_order_relaxed);
-  NativeCache.put(Key, NativeEntry{Compiled, Program});
-  return Program;
-}
-
-std::shared_ptr<const CompileResult>
-Evaluator::baselineFor(const Workload &W, const CompileOptions &CompileOpts,
-                       bool &Hit) {
-  std::string Key = baselineKey(W, CompileOpts);
-  {
-    std::lock_guard<std::mutex> Lock(CacheMutex);
-    auto It = BaselineCache.find(Key);
-    if (It != BaselineCache.end()) {
-      Counters.BaselineHits.fetch_add(1, std::memory_order_relaxed);
-      Hit = true;
-      return It->second;
-    }
-  }
-  auto Result = std::make_shared<CompileResult>(
-      compileBaseline(W.Source, CompileOpts));
-  Hit = false;
-  std::lock_guard<std::mutex> Lock(CacheMutex);
-  Counters.BaselineMisses.fetch_add(1, std::memory_order_relaxed);
-  BaselineCache.emplace(std::move(Key), Result);
-  return Result;
-}
-
-std::shared_ptr<const CompileResult>
-Evaluator::reorderedFor(const Workload &W, const CompileOptions &CompileOpts,
-                        bool &Hit) {
-  std::string Key = reorderedKey(W, CompileOpts);
-  {
-    std::lock_guard<std::mutex> Lock(CacheMutex);
-    auto It = ReorderedCache.find(Key);
-    if (It != ReorderedCache.end()) {
-      Counters.ReorderedHits.fetch_add(1, std::memory_order_relaxed);
-      Hit = true;
-      return It->second;
-    }
-  }
-  auto Result = std::make_shared<CompileResult>(
-      compileWithReordering(W.Source, W.TrainingInput, CompileOpts));
-  Hit = false;
-  std::lock_guard<std::mutex> Lock(CacheMutex);
-  Counters.ReorderedMisses.fetch_add(1, std::memory_order_relaxed);
-  ReorderedCache.emplace(std::move(Key), Result);
-  return Result;
+  return true;
 }
 
 WorkloadRecord
@@ -236,83 +82,80 @@ Evaluator::evaluateWorkload(const Workload &W,
   WorkloadEvaluation &Eval = Record.Eval;
   Eval.Name = W.Name;
 
-  std::shared_ptr<const CompileResult> Baseline =
-      baselineFor(W, CompileOpts, Record.BaselineCacheHit);
-  if (!Baseline->ok()) {
-    Eval.Error = W.Name + ": baseline compile failed: " + Baseline->Error;
+  std::shared_ptr<Artifact> Baseline =
+      Cache->lookup(baselineKey(W, CompileOpts), Record.BaselineCacheHit);
+  {
+    std::lock_guard<std::mutex> Lock(Baseline->BuildMutex);
+    if (!Baseline->built())
+      Baseline->setBuilt(compileBaseline(W.Source, CompileOpts));
+  }
+  if (!Baseline->compiled().ok()) {
+    Eval.Error =
+        W.Name + ": baseline compile failed: " + Baseline->compiled().Error;
     return Record;
   }
-  std::shared_ptr<const CompileResult> Reordered =
-      reorderedFor(W, CompileOpts, Record.ReorderedCacheHit);
-  if (!Reordered->ok()) {
-    Eval.Error = W.Name + ": reordering compile failed: " + Reordered->Error;
+  std::shared_ptr<Artifact> Reordered =
+      Cache->lookup(reorderedKey(W, CompileOpts), Record.ReorderedCacheHit);
+  {
+    std::lock_guard<std::mutex> Lock(Reordered->BuildMutex);
+    if (!Reordered->built()) {
+      CompileResult Result =
+          compileWithReordering(W.Source, W.TrainingInput, CompileOpts);
+      std::optional<ProfileDB> Profile;
+      if (!Result.ProfileText.empty() &&
+          !Profile.emplace().deserialize(Result.ProfileText))
+        Profile.reset();
+      Reordered->setBuilt(std::move(Result), std::move(Profile));
+    }
+  }
+  const CompileResult &ReorderedBuild = Reordered->compiled();
+  if (!ReorderedBuild.ok()) {
+    Eval.Error =
+        W.Name + ": reordering compile failed: " + ReorderedBuild.Error;
     return Record;
   }
-  Eval.Stats = Reordered->Stats;
-  Eval.SwitchStats = Reordered->SwitchStats;
+  Eval.Stats = ReorderedBuild.Stats;
+  Eval.SwitchStats = ReorderedBuild.SwitchStats;
 
-  // Fuse each build once per module, not once per evaluation.  The
-  // baseline build is fused against the reordered compile's pass-1
-  // profile so even the unreordered code gets profile-guided arm ordering
-  // at the engine level (sequence ids line up because compilation is
-  // deterministic — the same property pass 2 relies on).
-  std::shared_ptr<const DecodedModule> BaselinePrepared, ReorderedPrepared;
-  if (Options.Mode == Interpreter::Mode::Fused) {
-    BaselinePrepared = preparedFor(Baseline, &Reordered->ProfileText,
-                                   Record.BaselineDecodeHit);
-    ReorderedPrepared =
-        preparedFor(Reordered, nullptr, Record.ReorderedDecodeHit);
-  }
-  // The adaptive engine carries its own evolving program versions inside a
-  // cached controller; the immutable DecodeCache is deliberately not used
-  // (it could only ever serve a stale fused stream).
-  std::shared_ptr<AdaptiveController> BaselineCtl, ReorderedCtl;
-  if (Options.Mode == Interpreter::Mode::Adaptive) {
-    BaselineCtl = controllerFor(Baseline, Record.BaselineAdaptiveHit);
-    ReorderedCtl = controllerFor(Reordered, Record.ReorderedAdaptiveHit);
-  }
-  // Native builds AOT-compile each module once; the cached `.so` is keyed
-  // by module identity and its source hash embodies the block ordering,
-  // so baseline and reordered builds always get distinct machine code.
-  std::shared_ptr<const NativeProgram> BaselineNative, ReorderedNative;
-  if (Options.Mode == Interpreter::Mode::Native) {
-    std::string NativeError;
-    BaselineNative =
-        nativeFor(Baseline, Record.BaselineNativeHit, NativeError);
-    if (!BaselineNative) {
-      Eval.Error = W.Name + ": " + NativeError;
-      return Record;
-    }
-    ReorderedNative =
-        nativeFor(Reordered, Record.ReorderedNativeHit, NativeError);
-    if (!ReorderedNative) {
-      Eval.Error = W.Name + ": " + NativeError;
-      return Record;
-    }
+  // The baseline build's fused program orders its chain arms by the
+  // reordered build's pass-1 profile, so even the unreordered code gets
+  // profile-guided arm ordering at the engine level (sequence ids line up
+  // because compilation is deterministic — the same property pass 2
+  // relies on).  Each mode uses only its own engine slot: the adaptive
+  // controller carries its own evolving program versions.
+  Engine BaselineEngine, ReorderedEngine;
+  std::string EngineError;
+  if (!engineFor(*Baseline, Reordered->profile(), BaselineEngine,
+                 Record.BaselineEngineHit, EngineError) ||
+      !engineFor(*Reordered, nullptr, ReorderedEngine,
+                 Record.ReorderedEngineHit, EngineError)) {
+    Eval.Error = W.Name + ": " + EngineError;
+    return Record;
   }
 
   // An explicit (m,n) config wins; otherwise a compile that targets a zoo
   // predictor is also *measured* under it.  One fresh instance per build:
   // cached modules are shared across evaluations, predictor state never is.
-  auto measure = [&](const Module &M, const DecodedModule *Prepared,
-                     AdaptiveController *Controller,
-                     const NativeProgram *Native) {
+  auto measure = [&](Artifact &A, const Engine &E) {
+    std::unique_lock<std::mutex> RunLock;
+    if (E.Controller)
+      RunLock = std::unique_lock<std::mutex>(A.RunMutex);
+    const Module &M = *A.compiled().M;
     if (!Predictor && !CompileOpts.Predictor.empty()) {
       std::unique_ptr<class Predictor> Zoo =
           makePredictor(CompileOpts.Predictor);
       if (Zoo)
         return measureBuild(M, W.TestInput, Zoo.get(), Eval.Error,
-                            Options.Mode, Prepared, Controller, Native);
+                            Options.Mode, E.Prepared, E.Controller,
+                            E.Native);
     }
-    return measureBuild(M, W.TestInput, Predictor, Eval.Error,
-                        Options.Mode, Prepared, Controller, Native);
+    return measureBuild(M, W.TestInput, Predictor, Eval.Error, Options.Mode,
+                        E.Prepared, E.Controller, E.Native);
   };
-  Eval.Baseline = measure(*Baseline->M, BaselinePrepared.get(),
-                          BaselineCtl.get(), BaselineNative.get());
+  Eval.Baseline = measure(*Baseline, BaselineEngine);
   if (!Eval.ok())
     return Record;
-  Eval.Reordered = measure(*Reordered->M, ReorderedPrepared.get(),
-                           ReorderedCtl.get(), ReorderedNative.get());
+  Eval.Reordered = measure(*Reordered, ReorderedEngine);
   if (!Eval.ok())
     return Record;
 

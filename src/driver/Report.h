@@ -64,15 +64,16 @@ struct WorkloadEvaluation {
 /// every per-build quantity the tables report.  On a trap, \p Error is
 /// filled and the measurement is partial.  Thread-safe for concurrent
 /// callers sharing one (immutable) module.  \p Prepared optionally
-/// supplies a pre-decoded program (Evaluator's decode cache) so the run
-/// skips re-decoding; it must have been produced from \p M under a format
+/// supplies a fused program (an artifact's fused slot) so the run skips
+/// re-decoding; it must have been produced from \p M under a format
 /// matching \p Mode and is ignored by the tree walker.  \p Adaptive routes
 /// the run through an adaptive controller instead (implies Mode::Adaptive
 /// and supersedes \p Prepared); the controller must have been built over
-/// \p M and its profile state persists across measureBuild calls — a
-/// second run of the same workload starts in the fused tier.  \p Native
+/// \p M, runs through it must not overlap, and its profile state persists
+/// across measureBuild calls — a second run of the same workload starts
+/// in the fused tier.  \p Native
 /// optionally supplies a pre-compiled shared object for Mode::Native
-/// (Evaluator's native cache); without one the exec backend compiles on
+/// (an artifact's native slot); without one the exec backend compiles on
 /// the fly.  Native runs report zero DynamicCounts, mispredictions, and
 /// model cycles — only the observables (Output, ExitValue) and wall
 /// clock are meaningful.  Dispatch goes through exec/ExecBackend.h, so

@@ -49,17 +49,18 @@ struct ExecRequest {
   /// Fed every executed CondBr (interpreter engines only; native code
   /// does not model prediction).  Any zoo member (predict/Zoo.h).
   Predictor *AttachedPredictor = nullptr;
-  /// Pre-decoded program for the threaded loop (Evaluator decode cache);
-  /// ignored elsewhere.
+  /// Fused program for the threaded loop, usually an artifact's fused
+  /// slot (driver/Artifact.h); ignored elsewhere.
   const DecodedModule *Prepared = nullptr;
   /// Adaptive-runtime controller for Mode::Adaptive; when set it owns
   /// engine attachment and Prepared is ignored.  With its
   /// RuntimeOptions::NativeTier on, beginRun() may hand the whole
-  /// activation to the controller's native body (tier 2).
+  /// activation to the controller's native body (tier 2).  One controller
+  /// runs one request at a time; an artifact's RunMutex serializes them.
   AdaptiveController *Adaptive = nullptr;
-  /// Pre-compiled shared object for Mode::Native (Evaluator native
-  /// cache).  When null the backend compiles on the fly — convenient for
-  /// tools, but callers in hot paths should prepare once.
+  /// Pre-compiled shared object for Mode::Native, usually an artifact's
+  /// native slot.  When null the backend compiles on the fly — convenient
+  /// for tools, but callers in hot paths should prepare once.
   const NativeProgram *Native = nullptr;
 };
 

@@ -65,8 +65,8 @@ RunResult runOne(const Module &M, Interpreter::Mode Mode,
   return Interp.run();
 }
 
-/// Runs the fused engine against a pre-built fused program, the way the
-/// driver's Evaluator injects its decode cache.
+/// Runs the fused engine against a pre-built fused program, the way runs
+/// of an artifact's fused slot do.
 RunResult runFused(const Module &M, const DecodedModule &DM,
                    const std::string &Input, uint64_t Limit) {
   Interpreter Interp(M, Interpreter::Mode::Fused);
@@ -403,9 +403,9 @@ OracleReport bropt::runOracle(std::string_view Source,
   if (!Report.ok())
     return Report;
 
-  // Fused programs are decode-time artifacts; build each module's once and
-  // reuse it across every held-out input, the way driver/Evaluator's decode
-  // cache does.  The baseline module fuses against the reordering compile's
+  // Fused programs are decode-time products; build each module's once and
+  // reuse it across every held-out input, the way an artifact's fused slot
+  // (driver/Artifact.h) is.  The baseline module fuses against the reordering compile's
   // pass-1 profile so profile-guided arm ordering gets differential
   // coverage, not just the unprofiled fusions.
   ProfileDB FuseProfile;

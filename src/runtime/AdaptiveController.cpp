@@ -454,7 +454,7 @@ void AdaptiveController::runJob(const JobInput &Job) {
     return;
   }
 
-  FuseOptions FO = Opts.Fuse;
+  FuseOptions FO;
   FO.Profile = AnyCounts ? &Live : nullptr;
   FO.Hotness = Job.Hotness.empty() ? nullptr : &Job.Hotness;
 

@@ -85,9 +85,6 @@ struct RuntimeOptions {
   /// default) runs them inline at the triggering sample, which makes swap
   /// timing deterministic — what the tests and the fuzz oracle need.
   bool Background = false;
-  /// Base fuser configuration; Profile and Hotness are overwritten per job
-  /// with the live snapshot.
-  FuseOptions Fuse;
   /// Optional tiering-event log sink.  With Background set the callback
   /// may be invoked from the worker thread.
   std::function<void(const std::string &)> Trace;

@@ -2,13 +2,9 @@
 
 #include "service/Service.h"
 
-#include "codegen/NativeRunner.h"
-#include "driver/Driver.h"
 #include "driver/Evaluator.h"
 #include "exec/ExecBackend.h"
 #include "predict/Zoo.h"
-#include "sim/Decoded.h"
-#include "sim/Fuse.h"
 #include "support/Strings.h"
 #include "workloads/Workloads.h"
 
@@ -22,45 +18,6 @@
 #include <unistd.h>
 
 using namespace bropt;
-
-namespace bropt {
-
-/// Everything the daemon caches for one artifact key: the compiled
-/// module, the profile that built it, lazily prepared per-engine
-/// programs, and the live adaptive controller.  BuildMutex guards the
-/// lazy pieces (first requester builds, the rest reuse); RunMutex
-/// serializes adaptive runs, because one controller's sampler is not
-/// reentrant.
-struct ServiceArtifact {
-  std::string ProgramKey;
-
-  std::mutex BuildMutex;
-  bool BuildDone = false;
-  std::string BuildError;
-  std::shared_ptr<const CompileResult> Compiled;
-  /// The pass-2 profile (explicit + training + shard aggregate); also
-  /// feeds the fused engine's arm ordering.
-  ProfileDB Profile;
-  bool HasProfile = false;
-  bool WarmStarted = false;
-  uint32_t SequencesReordered = 0;
-  uint64_t CodeSize = 0;
-
-  std::shared_ptr<const DecodedModule> Fused;
-  std::shared_ptr<const NativeProgram> Native;
-  std::string NativeError;
-  bool NativeTried = false;
-
-  std::mutex RunMutex;
-  /// Built from the daemon's RuntimeOptions, so its NativeTier
-  /// (`broptd --native-tier`) decides whether tier 2 can promote.
-  std::shared_ptr<AdaptiveController> Adaptive;
-  /// Deployed ordering signature at the last shard export; learned
-  /// profiles merge once per deployed version, never cumulatively.
-  std::string LastExportedSig;
-};
-
-} // namespace bropt
 
 namespace {
 
@@ -84,6 +41,23 @@ bool profileNonEmpty(const ProfileDB &DB) {
   return DB.numSequences() != 0 || !DB.hotness().empty();
 }
 
+/// Fills the build half of \p R from \p A, whose build lock the caller
+/// holds; false when the build failed.
+bool describeBuild(const Artifact &A, bool Hit, ServiceResponse &R) {
+  R.ProgramKey = A.ProgramKey;
+  R.CompileCacheHit = Hit;
+  const CompileResult &Build = A.compiled();
+  if (!Build.ok()) {
+    R.Status = ResponseStatus::Error;
+    R.Error = Build.Error;
+    return false;
+  }
+  R.WarmStarted = A.WarmStarted;
+  R.SequencesReordered = Build.Stats.Reordered;
+  R.CodeSize = Build.M->instructionCount();
+  return true;
+}
+
 } // namespace
 
 BroptService::Connection::~Connection() {
@@ -92,8 +66,9 @@ BroptService::Connection::~Connection() {
 }
 
 BroptService::BroptService(ServiceOptions Options)
-    : Opts(std::move(Options)), Shards(Opts.ProfileShardCount),
-      Artifacts(Opts.ArtifactCacheCapacity) {}
+    : Opts(std::move(Options)),
+      Cache(std::make_shared<ArtifactCache>(Opts.ArtifactCacheCapacity)),
+      Shards(Opts.ProfileShardCount) {}
 
 BroptService::~BroptService() {
   shutdown();
@@ -133,7 +108,7 @@ bool BroptService::start(std::string *Error) {
   Pool = std::make_unique<ThreadPool>(Opts.Threads);
   EvaluatorOptions EO;
   EO.Threads = 2; // evaluate requests are rare; keep the side pool small
-  Eval = std::make_unique<Evaluator>(EO);
+  Eval = std::make_unique<Evaluator>(EO, Cache);
   Started.store(true, std::memory_order_release);
   Acceptor = std::thread([this] { acceptLoop(); });
   log(formatString("broptd listening on %s (%u workers, high-water %zu)",
@@ -182,23 +157,21 @@ bool BroptService::shutdown() {
   // Drain every cached controller's background work within what is left
   // of the deadline; an in-flight tier-2 native compile that cannot
   // finish in time is cancelled (its compiler process group is killed).
-  std::vector<std::shared_ptr<ServiceArtifact>> Live;
-  {
-    std::lock_guard<std::mutex> Lock(ArtifactMutex);
-    for (auto &Entry : Artifacts)
-      Live.push_back(Entry.second);
-  }
-  for (const std::shared_ptr<ServiceArtifact> &A : Live) {
-    if (!A->Adaptive)
+  for (const std::shared_ptr<Artifact> &A : Cache->live()) {
+    // A build lock still held here belongs to a request the pool drain
+    // gave up on; its artifact is left to the cache's teardown.
+    std::unique_lock<std::mutex> Lock(A->BuildMutex, std::try_to_lock);
+    AdaptiveController *Ctl = Lock ? A->existingController() : nullptr;
+    if (!Ctl)
       continue;
+    Lock.unlock();
     double Remaining =
         std::max(Opts.DrainDeadlineSeconds - secondsSince(Start), 0.05);
-    bool Drained = A->Adaptive->drainBackgroundWork(Remaining);
+    bool Drained = Ctl->drainBackgroundWork(Remaining);
     Clean = Drained && Clean;
     // The pool is drained, so no run is in flight and stats() is safe.
-    C.TierTwoCancellations.fetch_add(
-        A->Adaptive->stats().NativeCompilesCancelled,
-        std::memory_order_relaxed);
+    C.TierTwoCancellations.fetch_add(Ctl->stats().NativeCompilesCancelled,
+                                     std::memory_order_relaxed);
   }
 
   {
@@ -245,10 +218,10 @@ ServiceStats BroptService::stats() const {
       C.QueueWaitMicrosTotal.load(std::memory_order_relaxed);
   S.QueueWaitMicrosMax =
       C.QueueWaitMicrosMax.load(std::memory_order_relaxed);
-  S.CompileHits = C.CompileHits.load(std::memory_order_relaxed);
-  S.CompileMisses = C.CompileMisses.load(std::memory_order_relaxed);
-  S.ArtifactEvictions =
-      C.ArtifactEvictions.load(std::memory_order_relaxed);
+  ArtifactCacheStats AS = Cache->stats();
+  S.CompileHits = AS.Hits;
+  S.CompileMisses = AS.Misses;
+  S.ArtifactEvictions = AS.Evictions;
   S.WarmStarts = C.WarmStarts.load(std::memory_order_relaxed);
   S.LearnedExports = C.LearnedExports.load(std::memory_order_relaxed);
   S.ActiveConnections =
@@ -487,53 +460,34 @@ ServiceResponse BroptService::process(const ServiceRequest &Request) {
 // Artifacts
 //===----------------------------------------------------------------------===//
 
-std::shared_ptr<ServiceArtifact>
-BroptService::artifactFor(const CompileSpec &Spec, bool &CacheHit) {
-  std::string Key = artifactKeyFor(Spec);
-  std::lock_guard<std::mutex> Lock(ArtifactMutex);
-  if (std::shared_ptr<ServiceArtifact> *Found = Artifacts.get(Key)) {
-    CacheHit = true;
-    C.CompileHits.fetch_add(1, std::memory_order_relaxed);
-    return *Found;
-  }
-  CacheHit = false;
-  C.CompileMisses.fetch_add(1, std::memory_order_relaxed);
-  auto A = std::make_shared<ServiceArtifact>();
-  A->ProgramKey = programKeyFor(Spec);
-  if (Artifacts.put(Key, A))
-    C.ArtifactEvictions.fetch_add(1, std::memory_order_relaxed);
-  return A;
-}
-
-void BroptService::buildArtifact(ServiceArtifact &A,
-                                 const CompileSpec &Spec) {
-  A.BuildDone = true; // even a failed build is final for this artifact
+void BroptService::buildArtifact(Artifact &A, const CompileSpec &Spec) {
+  A.ProgramKey = programKeyFor(Spec);
+  // Even a failed build is final for this artifact.
+  auto fail = [&](std::string Error) {
+    CompileResult Failed;
+    Failed.Error = std::move(Error);
+    A.setBuilt(std::move(Failed));
+  };
   CompileOptions O = compileOptionsFor(Spec);
   // Diagnose a bad zoo name up front: without training inputs nothing
   // downstream would validate it.
-  if (!Spec.Predictor.empty() && !makePredictor(Spec.Predictor)) {
-    A.BuildError = "unknown predictor '" + Spec.Predictor +
-                   "' (see docs/PREDICT.md for the zoo)";
-    return;
-  }
+  if (!Spec.Predictor.empty() && !makePredictor(Spec.Predictor))
+    return fail("unknown predictor '" + Spec.Predictor +
+                "' (see docs/PREDICT.md for the zoo)");
   ProfileDB Profile;
   bool HaveProfile = false;
   if (!Spec.ProfileData.empty()) {
     std::string Err;
-    if (!Profile.deserialize(Spec.ProfileData, &Err)) {
-      A.BuildError = "bad profile data: " + Err;
-      return;
-    }
+    if (!Profile.deserialize(Spec.ProfileData, &Err))
+      return fail("bad profile data: " + Err);
     HaveProfile = true;
   }
   if (!Spec.TrainingInputs.empty()) {
     std::vector<std::string_view> Views(Spec.TrainingInputs.begin(),
                                         Spec.TrainingInputs.end());
     Pass1Result P1 = runPass1(Spec.Source, Views, O);
-    if (!P1.ok()) {
-      A.BuildError = P1.Error;
-      return;
-    }
+    if (!P1.ok())
+      return fail(P1.Error);
     // Fresh training traffic feeds the cross-tenant store.
     Shards.merge(A.ProgramKey, P1.Profile);
     Profile.merge(P1.Profile);
@@ -548,18 +502,10 @@ void BroptService::buildArtifact(ServiceArtifact &A,
       HaveProfile = true;
     }
   }
-  CompileResult Result = HaveProfile
-                             ? compileWithProfile(Spec.Source, Profile, O)
-                             : compileBaseline(Spec.Source, O);
-  if (!Result.ok()) {
-    A.BuildError = Result.Error;
-    return;
-  }
-  A.SequencesReordered = Result.Stats.Reordered;
-  A.CodeSize = Result.M->instructionCount();
-  A.Compiled = std::make_shared<const CompileResult>(std::move(Result));
-  A.Profile = std::move(Profile);
-  A.HasProfile = HaveProfile;
+  if (!HaveProfile)
+    return A.setBuilt(compileBaseline(Spec.Source, O));
+  CompileResult Result = compileWithProfile(Spec.Source, Profile, O);
+  A.setBuilt(std::move(Result), std::move(Profile));
 }
 
 //===----------------------------------------------------------------------===//
@@ -569,20 +515,12 @@ void BroptService::buildArtifact(ServiceArtifact &A,
 void BroptService::handleCompile(const ServiceRequest &Request,
                                  ServiceResponse &R) {
   bool Hit = false;
-  std::shared_ptr<ServiceArtifact> A = artifactFor(Request.Spec, Hit);
+  std::shared_ptr<Artifact> A =
+      Cache->lookup(artifactKeyFor(Request.Spec), Hit);
   std::lock_guard<std::mutex> Lock(A->BuildMutex);
-  if (!A->BuildDone)
+  if (!A->built())
     buildArtifact(*A, Request.Spec);
-  R.ProgramKey = A->ProgramKey;
-  R.CompileCacheHit = Hit;
-  if (!A->BuildError.empty()) {
-    R.Status = ResponseStatus::Error;
-    R.Error = A->BuildError;
-    return;
-  }
-  R.WarmStarted = A->WarmStarted;
-  R.SequencesReordered = A->SequencesReordered;
-  R.CodeSize = A->CodeSize;
+  describeBuild(*A, Hit, R);
 }
 
 void BroptService::handleExecute(const ServiceRequest &Request,
@@ -603,7 +541,8 @@ void BroptService::handleExecute(const ServiceRequest &Request,
   }
 
   bool Hit = false;
-  std::shared_ptr<ServiceArtifact> A = artifactFor(Request.Spec, Hit);
+  std::shared_ptr<Artifact> A =
+      Cache->lookup(artifactKeyFor(Request.Spec), Hit);
   ExecRequest ER;
   ER.Input = Request.Input;
   ER.InstructionLimit = Request.InstructionLimit;
@@ -615,84 +554,66 @@ void BroptService::handleExecute(const ServiceRequest &Request,
     Measured = makePredictor(Request.Spec.Predictor);
     ER.AttachedPredictor = Measured.get();
   }
-  std::shared_ptr<AdaptiveController> Ctl;
+  AdaptiveController *Ctl = nullptr;
   {
     std::lock_guard<std::mutex> Lock(A->BuildMutex);
-    if (!A->BuildDone)
+    if (!A->built())
       buildArtifact(*A, Request.Spec);
-    R.ProgramKey = A->ProgramKey;
-    R.CompileCacheHit = Hit;
-    if (!A->BuildError.empty()) {
-      R.Status = ResponseStatus::Error;
-      R.Error = A->BuildError;
+    if (!describeBuild(*A, Hit, R))
       return;
-    }
-    R.WarmStarted = A->WarmStarted;
-    R.SequencesReordered = A->SequencesReordered;
-    R.CodeSize = A->CodeSize;
 
-    // Lazily prepare the engine this run needs, shared across clients.
-    const Module &M = *A->Compiled->M;
+    // The engine this run needs, built once and shared across clients.
+    bool EngineHit = false;
     switch (Mode) {
     case Interpreter::Mode::Tree:
       break;
-    case Interpreter::Mode::Fused: {
-      if (!A->Fused) {
-        FuseOptions FO = Opts.Runtime.Fuse;
-        FO.Profile = A->HasProfile ? &A->Profile : nullptr;
-        FO.Hotness = nullptr;
-        A->Fused =
-            std::make_shared<const DecodedModule>(decodeFused(M, FO));
-      }
-      ER.Prepared = A->Fused.get();
+    case Interpreter::Mode::Fused:
+      ER.Prepared = &A->fused(A->profile(), EngineHit);
       break;
-    }
     case Interpreter::Mode::Native: {
-      if (!A->NativeTried) {
-        A->NativeTried = true;
-        NativeRunner &Runner =
-            Opts.Runtime.Runner ? *Opts.Runtime.Runner
-                                : NativeRunner::shared();
-        A->Native = Runner.prepare(M, &A->NativeError);
-      }
-      if (!A->Native) {
+      std::string Error;
+      ER.Native = A->native(Opts.Runtime.Runner ? *Opts.Runtime.Runner
+                                                : NativeRunner::shared(),
+                            Error, EngineHit);
+      if (!ER.Native) {
         R.Status = ResponseStatus::Error;
-        R.Error = "native backend unavailable: " + A->NativeError;
+        R.Error = "native backend unavailable: " + Error;
         return;
       }
-      ER.Native = A->Native.get();
       break;
     }
     case Interpreter::Mode::Adaptive: {
-      if (!A->Adaptive) {
-        A->Adaptive = std::make_shared<AdaptiveController>(M, Opts.Runtime);
+      // Built from the daemon's RuntimeOptions, so its NativeTier
+      // (`broptd --native-tier`) decides whether tier 2 can promote.
+      Ctl = &A->controller(Opts.Runtime, EngineHit);
+      if (!EngineHit) {
         // Cross-tenant warm start: seed the controller with what the
         // shards already learned about this program, so the first run
         // can begin in the optimized tier.
         std::shared_ptr<const ProfileDB> Agg =
             Shards.aggregated(A->ProgramKey);
         if (Agg && profileNonEmpty(*Agg)) {
-          A->Adaptive->importProfile(*Agg);
+          Ctl->importProfile(*Agg);
           C.WarmStarts.fetch_add(1, std::memory_order_relaxed);
         }
       }
-      Ctl = A->Adaptive;
-      ER.Adaptive = Ctl.get();
+      ER.Adaptive = Ctl;
       break;
     }
     }
   }
 
   RunResult RR;
+  const Module &M = *A->compiled().M;
   if (Ctl) {
     // One controller's sampler is not reentrant; adaptive runs of one
     // artifact serialize here (the other engines run lock-free on
     // immutable programs).
     std::lock_guard<std::mutex> Lock(A->RunMutex);
-    RR = executeModule(*A->Compiled->M, Mode, ER);
+    RR = executeModule(M, Mode, ER);
     exportLearnedProfile(*A, *Ctl);
   } else {
-    RR = executeModule(*A->Compiled->M, Mode, ER);
+    RR = executeModule(M, Mode, ER);
   }
   R.Trapped = RR.Trapped;
   R.TrapReason = RR.TrapReason;
@@ -712,7 +633,7 @@ void BroptService::handleExecute(const ServiceRequest &Request,
   }
 }
 
-void BroptService::exportLearnedProfile(ServiceArtifact &A,
+void BroptService::exportLearnedProfile(Artifact &A,
                                         AdaptiveController &Ctl) {
   if (!Ctl.tiered())
     return;

@@ -14,10 +14,11 @@
 ///  * requests are admitted onto a ThreadPool behind a bounded queue;
 ///    past the high-water mark new work is rejected with a retry-after
 ///    hint instead of queueing without bound (backpressure),
-///  * compiled artifacts — module, fused/decoded programs, native body,
-///    adaptive controller — are shared across clients through an LRU
-///    cache keyed by artifact key (module hash + ordering signature), so
-///    one client's hot compile serves the next client's request,
+///  * compiled artifacts — module, fused program, native body, adaptive
+///    controller — are shared across clients through one ArtifactCache
+///    (driver/Artifact.h) keyed by artifact key (module hash + ordering
+///    signature), so one client's hot compile serves the next client's
+///    request; Evaluate requests keep their builds in the same cache,
 ///  * profiles learned from live traffic (pass-1 training runs, client
 ///    merges, adaptive-runtime exports) aggregate in ProfileShards and
 ///    warm-start later compiles of the same program, across clients,
@@ -40,7 +41,6 @@
 #include "runtime/AdaptiveController.h"
 #include "service/Protocol.h"
 #include "service/ProfileShards.h"
-#include "support/LruCache.h"
 #include "support/ThreadPool.h"
 
 #include <array>
@@ -57,8 +57,9 @@
 
 namespace bropt {
 
+class Artifact;
+class ArtifactCache;
 class Evaluator;
-struct ServiceArtifact;
 
 /// Daemon knobs; every one surfaces as a broptd flag (docs/SERVICE.md).
 struct ServiceOptions {
@@ -72,7 +73,7 @@ struct ServiceOptions {
   /// Shards in the cross-tenant profile store.
   unsigned ProfileShardCount = 16;
   /// Artifacts (compiled module + prepared engines + controller) kept in
-  /// the LRU cache.
+  /// the daemon's one artifact cache, Evaluate builds included.
   size_t ArtifactCacheCapacity = 64;
   /// Wall-clock budget for graceful shutdown: pool drain plus controller
   /// background-work drain share it; on expiry in-flight tier-2 native
@@ -83,8 +84,8 @@ struct ServiceOptions {
   /// Per-frame size cap, enforced before allocation.
   uint32_t MaxFrameBytes = MaxServiceFrameBytes;
   /// Adaptive-runtime knobs for adaptive Execute requests — NativeTier
-  /// (`--native-tier`) is the daemon's only tier-2 switch — and the
-  /// FuseOptions base for fused-engine preparation.
+  /// (`--native-tier`) is the daemon's only tier-2 switch.  Runtime.Runner
+  /// also prepares native Execute requests.
   RuntimeOptions Runtime;
   /// Optional log sink (startup, shutdown, per-connection events).
   std::function<void(const std::string &)> Log;
@@ -153,12 +154,10 @@ private:
   void sendOrDrop(const std::shared_ptr<Connection> &Conn,
                   const ServiceResponse &Response);
 
-  std::shared_ptr<ServiceArtifact> artifactFor(const CompileSpec &Spec,
-                                               bool &CacheHit);
   /// Compiles under the artifact's build lock (first caller builds,
   /// later callers reuse); assembles the pass-2 profile from explicit
   /// data, training runs, and — with WarmStart — the shard aggregate.
-  void buildArtifact(ServiceArtifact &A, const CompileSpec &Spec);
+  void buildArtifact(Artifact &A, const CompileSpec &Spec);
   void handleCompile(const ServiceRequest &Request, ServiceResponse &R);
   void handleExecute(const ServiceRequest &Request, ServiceResponse &R);
   void handleEvaluate(const ServiceRequest &Request, ServiceResponse &R);
@@ -167,7 +166,7 @@ private:
   void handleProfileMerge(const ServiceRequest &Request, ServiceResponse &R);
   /// After an adaptive run: exports the controller's learned profile into
   /// the shards when the deployed ordering signature moved.
-  void exportLearnedProfile(ServiceArtifact &A, AdaptiveController &Ctl);
+  void exportLearnedProfile(Artifact &A, AdaptiveController &Ctl);
 
   void log(const std::string &Message) const {
     if (Opts.Log)
@@ -178,14 +177,12 @@ private:
   int ListenFd = -1;
   std::thread Acceptor;
   std::unique_ptr<ThreadPool> Pool;
+  std::shared_ptr<ArtifactCache> Cache;
   std::unique_ptr<Evaluator> Eval;
   ProfileShards Shards;
 
   mutable std::mutex ConnMutex;
   std::vector<std::shared_ptr<Connection>> Connections;
-
-  mutable std::mutex ArtifactMutex;
-  LruCache<std::string, std::shared_ptr<ServiceArtifact>> Artifacts;
 
   std::atomic<bool> Started{false};
   std::atomic<bool> Stopping{false};
@@ -207,9 +204,6 @@ private:
     std::atomic<uint64_t> QueueHighWaterSeen{0};
     std::atomic<uint64_t> QueueWaitMicrosTotal{0};
     std::atomic<uint64_t> QueueWaitMicrosMax{0};
-    std::atomic<uint64_t> CompileHits{0};
-    std::atomic<uint64_t> CompileMisses{0};
-    std::atomic<uint64_t> ArtifactEvictions{0};
     std::atomic<uint64_t> WarmStarts{0};
     std::atomic<uint64_t> LearnedExports{0};
     std::atomic<uint64_t> ActiveConnections{0};

@@ -288,14 +288,15 @@ bool layoutHotFirst(DecodedFunction &DF, std::vector<uint32_t> &StartOf,
   return true;
 }
 
+/// Longest chain a single MultiCmp may swallow.
+constexpr unsigned MaxChainArms = 24;
+
 /// Rewrites [Cmp; CondBr] pairs and ladders of them into CmpBr / MultiCmp
 /// macro-ops.  Every ladder suffix that is independently reachable gets its
 /// own macro-op, so jumps into the middle of a chain stay valid.
 void fuseFunction(DecodedFunction &DF, const CmpCountMap &CmpCount,
-                  const FuseOptions &Opts, FuseStats &Stats) {
+                  FuseStats &Stats) {
   const uint32_t NumInsts = static_cast<uint32_t>(DF.Insts.size());
-  const unsigned MaxArms =
-      Opts.FuseChains ? std::max(1u, Opts.MaxChainArms) : 1u;
 
   // Fall-through transfers are free and their targets are block starts, so
   // resolving through them is unobservable.  The hop cap guards pathological
@@ -326,7 +327,7 @@ void fuseFunction(DecodedFunction &DF, const CmpCountMap &CmpCount,
     // fall-throughs resolved) must land directly on the next pair.
     uint32_t Cur = Head;
     uint32_t DefaultTarget = 0;
-    while (ChainArms.size() < MaxArms && Cur + 1 < NumInsts &&
+    while (ChainArms.size() < MaxChainArms && Cur + 1 < NumInsts &&
            DF.Insts[Cur].Op == DecodedOp::Cmp &&
            DF.Insts[Cur + 1].Op == DecodedOp::CondBr &&
            Visited.insert(Cur).second) {
@@ -349,8 +350,6 @@ void fuseFunction(DecodedFunction &DF, const CmpCountMap &CmpCount,
     const uint32_t NumArms = static_cast<uint32_t>(ChainArms.size());
 
     if (NumArms == 1) {
-      if (!Opts.FusePairs)
-        continue;
       const FusedArm &Arm = ChainArms.front();
       DecodedInst MacroOp;
       MacroOp.Op = DecodedOp::CmpBr;
@@ -886,8 +885,7 @@ DecodedModule bropt::decodeFused(const Module &M, const FuseOptions &Opts,
     if (Swap)
       PlainStartOf = StartOf;
 
-    if (Opts.HotLayout)
-      layoutHotFirst(DF, StartOf, Sizes, Opts.Hotness, Stats);
+    layoutHotFirst(DF, StartOf, Sizes, Opts.Hotness, Stats);
 
     // Profile weights on final compare indices: a condition block ends in
     // [cmp; condbr], so its compare sits two before the block's end.
@@ -904,14 +902,10 @@ DecodedModule bropt::decodeFused(const Module &M, const FuseOptions &Opts,
       }
     }
 
-    if (Opts.FusePairs || Opts.FuseChains)
-      fuseFunction(DF, CmpCount, Opts, Stats);
-    if (Opts.FusePairs && Opts.FusePreOps)
-      fusePreOps(DF, StartOf, Sizes);
-    if (Opts.FuseJumps)
-      fuseJumps(DF, StartOf, Sizes);
-    if (Opts.FuseStraightPairs)
-      fuseStraightPairs(DF, StartOf, Sizes);
+    fuseFunction(DF, CmpCount, Stats);
+    fusePreOps(DF, StartOf, Sizes);
+    fuseJumps(DF, StartOf, Sizes);
+    fuseStraightPairs(DF, StartOf, Sizes);
     // Always last: the straight-line macro-op handlers assume a compacted
     // stream (they advance one slot, not past stale ones).
     std::vector<uint32_t> FinalIndex;

@@ -63,7 +63,8 @@ struct BranchHotness {
   }
 };
 
-/// Tuning knobs for decodeFused().  Defaults enable everything.
+/// What decodeFused() orders by.  Every rewrite always runs: hot-first
+/// layout, pair and chain fusion, pre-op, jump and straight-line folding.
 struct FuseOptions {
   /// Profile counts used to order fused chain arms hottest-first.  Bin
   /// counts are matched to compare instructions through the same sequence
@@ -74,33 +75,6 @@ struct FuseOptions {
   /// Measured branch bias for the hot-first layout; may be null (layout
   /// then falls back to static likely-successor guesses).
   const BranchHotness *Hotness = nullptr;
-
-  /// Reorder blocks hot-first along likely fall-through edges.
-  bool HotLayout = true;
-
-  /// Fuse [Cmp; CondBr] pairs into CmpBr macro-ops.
-  bool FusePairs = true;
-
-  /// Fuse compare/branch ladders into MultiCmp superinstructions.
-  bool FuseChains = true;
-
-  /// Fold the straight-line instruction before a fused CmpBr into it
-  /// (MoveCmpBr / BinCmpBr / LoadCmpBr / ReadCharCmpBr) when it is in the
-  /// same block and its fields fit the packed encodings.  Requires
-  /// FusePairs (pre-ops attach to CmpBr macro-ops).
-  bool FusePreOps = true;
-
-  /// Fold the straight-line instruction at the end of a block into the
-  /// unconditional Jump that terminates it (MoveJump / BinJump / LoadJump
-  /// / StoreJump).
-  bool FuseJumps = true;
-
-  /// Fuse adjacent straight-line instruction pairs (LoadBin / Bin2 /
-  /// BinStore) and Binary + StoreJump triples (BinStoreJump).
-  bool FuseStraightPairs = true;
-
-  /// Longest chain a single MultiCmp may swallow.
-  unsigned MaxChainArms = 24;
 };
 
 /// What the fuser did, for tests and perfbench's traced run.
@@ -131,7 +105,7 @@ struct SwapMap {
 };
 
 /// Decodes \p M like DecodedModule::decode and then applies layout and
-/// fusion per \p Opts.  Pure with respect to \p M.  Branch ids, constant
+/// fusion, guided by \p Opts.  Pure with respect to \p M.  Branch ids, constant
 /// pools, and side-table contents for unfused ops are unchanged;
 /// DecodedInst indices generally are not (layout moves blocks).  When
 /// \p Swap is non-null it is filled with the plain-to-fused block map.

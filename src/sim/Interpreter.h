@@ -151,8 +151,8 @@ public:
   void setInstructionLimit(uint64_t Limit) { InstructionLimit = Limit; }
 
   /// Supplies a pre-decoded program, fused or unfused, for run() to
-  /// execute instead of re-decoding the module every run (the Evaluator's
-  /// decode cache uses this).  The caller must keep \p DM alive and
+  /// execute instead of re-decoding the module every run (an artifact's
+  /// fused slot, driver/Artifact.h, is run this way).  The caller must keep \p DM alive and
   /// consistent with the module.  Ignored by the tree walker; pass null to
   /// revert to per-run decoding.
   void setPreparedProgram(const DecodedModule *DM) { Prepared = DM; }

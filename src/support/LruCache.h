@@ -7,13 +7,11 @@
 ///
 /// \file
 /// A small capacity-bounded map evicting the least-recently-used entry.
-/// The Evaluator's decode/fuse, adaptive-controller, and native `.so`
-/// caches sit on this so long-running processes (the future broptd, long
-/// fuzz campaigns) stop growing without bound; the eviction count is
-/// surfaced through EvaluatorStats so benches can see cache pressure.
+/// Long-running processes sit their caches on it so they stop growing
+/// without bound: the artifact cache (driver/Artifact.h) that the
+/// Evaluator and broptd share, and NativeRunner's shared objects.
 ///
-/// Not thread-safe; callers hold their own lock (the Evaluator already
-/// serializes cache access under CacheMutex).
+/// Not thread-safe; callers hold their own lock.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,11 +34,7 @@ public:
   explicit LruCache(size_t Capacity = 0) : Capacity(Capacity) {}
 
   size_t size() const { return Entries.size(); }
-  size_t capacity() const { return Capacity; }
   uint64_t evictions() const { return Evictions; }
-
-  /// Rebounds the cache; an over-full cache only shrinks on the next put().
-  void setCapacity(size_t NewCapacity) { Capacity = NewCapacity; }
 
   /// \returns the value for \p K (refreshing its recency), or null.
   Value *get(const Key &K) {
@@ -80,8 +74,7 @@ public:
     Index.clear();
   }
 
-  /// Iteration in recency order (most recent first); stats collectors use
-  /// this to walk live entries.
+  /// Iteration in recency order (most recent first).
   auto begin() { return Entries.begin(); }
   auto end() { return Entries.end(); }
   auto begin() const { return Entries.begin(); }

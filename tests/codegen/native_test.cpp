@@ -235,19 +235,19 @@ TEST(NativeRunnerTest, EvaluatorNativeModeCachesAndEvicts) {
   EvaluatorOptions Opts;
   Opts.Threads = 1;
   Opts.Mode = Interpreter::Mode::Native;
-  Opts.NativeCacheCapacity = 2; // baseline + reordered of one workload
-  Evaluator Eval(Opts);
+  // Room for the baseline and reordered builds of one workload.
+  Evaluator Eval(Opts, std::make_shared<ArtifactCache>(2));
 
   WorkloadRecord First = Eval.evaluateWorkload(Suite[0], {});
   ASSERT_TRUE(First.Eval.ok()) << First.Eval.Error;
   EXPECT_TRUE(First.Eval.OutputsMatch);
-  EXPECT_FALSE(First.BaselineNativeHit);
+  EXPECT_FALSE(First.BaselineEngineHit);
 
   const NativeRunnerStats Before = NativeRunner::shared().stats();
   WorkloadRecord Again = Eval.evaluateWorkload(Suite[0], {});
   ASSERT_TRUE(Again.Eval.ok()) << Again.Eval.Error;
-  EXPECT_TRUE(Again.BaselineNativeHit);
-  EXPECT_TRUE(Again.ReorderedNativeHit);
+  EXPECT_TRUE(Again.BaselineEngineHit);
+  EXPECT_TRUE(Again.ReorderedEngineHit);
   // The hits reuse the shared objects: nothing is emitted or compiled.
   EXPECT_EQ(NativeRunner::shared().stats().Compiles, Before.Compiles);
   EXPECT_EQ(NativeRunner::shared().stats().CacheHits, Before.CacheHits);
@@ -255,10 +255,13 @@ TEST(NativeRunnerTest, EvaluatorNativeModeCachesAndEvicts) {
   // A different workload's two builds displace the cached pair.
   WorkloadRecord Other = Eval.evaluateWorkload(Suite[1], {});
   ASSERT_TRUE(Other.Eval.ok()) << Other.Eval.Error;
-  EvaluatorStats Stats = Eval.stats();
-  EXPECT_GE(Stats.NativeEvictions, 2u);
-  EXPECT_GE(Stats.NativeHits, 2u);
-  EXPECT_GE(Stats.NativeMisses, 4u);
+  EXPECT_FALSE(Other.BaselineEngineHit);
+  EXPECT_FALSE(Other.ReorderedEngineHit);
+  ArtifactCacheStats Stats = Eval.cache().stats();
+  EXPECT_GE(Stats.Evictions, 2u);
+  EXPECT_GE(Stats.Hits, 2u);
+  EXPECT_GE(Stats.Misses, 4u);
+  EXPECT_GE(Stats.EngineBuilds, 4u);
 }
 
 } // namespace

@@ -1,11 +1,11 @@
 //===- tests/driver/evaluator_stress_test.cpp - Concurrent Evaluator ------===//
 //
-// The Evaluator's concurrency contract (driver/Evaluator.h): in the
-// immutable-program modes, evaluateWorkload() and stats() are safe from
+// The Evaluator's concurrency contract (driver/Evaluator.h):
+// evaluateWorkload() and the artifact cache's stats() are safe from
 // concurrent callers — broptd serves Evaluate requests from its worker
 // pool exactly this way.  These tests hammer one Evaluator from many
 // threads and require (a) every evaluation bit-identical to a serial
-// reference and (b) the relaxed-atomic counters to add up exactly.
+// reference and (b) the cache's counters to add up exactly.
 //
 //===----------------------------------------------------------------------===//
 
@@ -41,11 +41,13 @@ TEST(EvaluatorStress, ConcurrentCallersShareOneEvaluator) {
     WorkloadRecord Record = Eval.evaluateWorkload(*W, Compile);
     ASSERT_TRUE(Record.Eval.ok()) << Record.Eval.Error;
     ASSERT_TRUE(Record.Eval.OutputsMatch) << Name;
+    EXPECT_FALSE(Record.BaselineCacheHit) << Name;
+    EXPECT_FALSE(Record.ReorderedCacheHit) << Name;
     Reference[Name] = Record.Eval.Reordered.Counts;
   }
 
   constexpr unsigned NumThreads = 8, Rounds = 3;
-  std::atomic<unsigned> Mismatches{0}, Errors{0};
+  std::atomic<unsigned> Mismatches{0}, Errors{0}, ColdLookups{0};
   std::vector<std::thread> Threads;
   for (unsigned Index = 0; Index < NumThreads; ++Index)
     Threads.emplace_back([&, Index] {
@@ -60,6 +62,8 @@ TEST(EvaluatorStress, ConcurrentCallersShareOneEvaluator) {
             ++Errors;
             continue;
           }
+          ColdLookups += !Record.BaselineCacheHit;
+          ColdLookups += !Record.ReorderedCacheHit;
           const DynamicCounts &Ref = Reference[Name];
           const DynamicCounts &Got = Record.Eval.Reordered.Counts;
           if (Got.TotalInsts != Ref.TotalInsts ||
@@ -77,11 +81,10 @@ TEST(EvaluatorStress, ConcurrentCallersShareOneEvaluator) {
   // Counter exactness: every evaluation is one baseline and one
   // reordered lookup, and after the serial warm-up every one was a hit.
   const uint64_t Total = Names.size() * (1 + NumThreads * Rounds);
-  EvaluatorStats Stats = Eval.stats();
-  EXPECT_EQ(Stats.BaselineHits + Stats.BaselineMisses, Total);
-  EXPECT_EQ(Stats.ReorderedHits + Stats.ReorderedMisses, Total);
-  EXPECT_EQ(Stats.BaselineMisses, Names.size());
-  EXPECT_EQ(Stats.ReorderedMisses, Names.size());
+  ArtifactCacheStats Stats = Eval.cache().stats();
+  EXPECT_EQ(ColdLookups, 0u);
+  EXPECT_EQ(Stats.Hits + Stats.Misses, 2 * Total);
+  EXPECT_EQ(Stats.Misses, 2 * Names.size());
 }
 
 TEST(EvaluatorStress, StatsSnapshotsNeverTearUnderLoad) {
@@ -93,14 +96,14 @@ TEST(EvaluatorStress, StatsSnapshotsNeverTearUnderLoad) {
   ASSERT_NE(W, nullptr);
 
   std::atomic<bool> Stop{false};
-  // One thread polls stats() while workers evaluate: hits+misses must
-  // never exceed the number of lookups that could have started, and
-  // never decrease between snapshots (monotonic counters).
+  // One thread polls the cache's stats() while workers evaluate:
+  // hits+misses must never decrease between snapshots (monotonic
+  // counters).
   std::thread Poller([&] {
     uint64_t LastSum = 0;
     while (!Stop.load(std::memory_order_acquire)) {
-      EvaluatorStats Stats = Eval.stats();
-      const uint64_t Sum = Stats.BaselineHits + Stats.BaselineMisses;
+      ArtifactCacheStats Stats = Eval.cache().stats();
+      const uint64_t Sum = Stats.Hits + Stats.Misses;
       EXPECT_GE(Sum, LastSum);
       LastSum = Sum;
     }
@@ -122,9 +125,9 @@ TEST(EvaluatorStress, StatsSnapshotsNeverTearUnderLoad) {
   Poller.join();
 
   EXPECT_EQ(Errors, 0u);
-  EvaluatorStats Stats = Eval.stats();
-  EXPECT_EQ(Stats.BaselineHits + Stats.BaselineMisses,
-            (uint64_t)NumThreads * Rounds);
+  ArtifactCacheStats Stats = Eval.cache().stats();
+  EXPECT_EQ(Stats.Hits + Stats.Misses, 2 * (uint64_t)NumThreads * Rounds);
+  EXPECT_EQ(Stats.Misses, 2u);
 }
 
 } // namespace

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 using namespace bropt;
 
 namespace {
@@ -56,18 +58,15 @@ TEST(EvaluatorTest, CachesBaselineAndReorderedCompiles) {
   ASSERT_TRUE(First.Eval.ok()) << First.Eval.Error;
   EXPECT_FALSE(First.BaselineCacheHit);
   EXPECT_FALSE(First.ReorderedCacheHit);
-  EXPECT_EQ(Eval.stats().BaselineMisses, 1u);
-  EXPECT_EQ(Eval.stats().BaselineHits, 0u);
-  EXPECT_EQ(Eval.stats().ReorderedMisses, 1u);
+  EXPECT_EQ(Eval.cache().stats().Misses, 2u);
+  EXPECT_EQ(Eval.cache().stats().Hits, 0u);
 
   WorkloadRecord Second = Eval.evaluateWorkload(W, Options);
   ASSERT_TRUE(Second.Eval.ok()) << Second.Eval.Error;
   EXPECT_TRUE(Second.BaselineCacheHit);
   EXPECT_TRUE(Second.ReorderedCacheHit);
-  EXPECT_EQ(Eval.stats().BaselineHits, 1u);
-  EXPECT_EQ(Eval.stats().BaselineMisses, 1u);
-  EXPECT_EQ(Eval.stats().ReorderedHits, 1u);
-  EXPECT_EQ(Eval.stats().ReorderedMisses, 1u);
+  EXPECT_EQ(Eval.cache().stats().Hits, 2u);
+  EXPECT_EQ(Eval.cache().stats().Misses, 2u);
 
   // Cached compiles must yield identical measurements.
   expectSameMeasurement(First.Eval.Baseline, Second.Eval.Baseline);
@@ -115,12 +114,15 @@ TEST(EvaluatorTest, OptionChangesMissTheCache) {
   CompileOptions SetIII;
   SetIII.HeuristicSet = SwitchHeuristicSet::SetIII;
 
-  ASSERT_TRUE(Eval.evaluateWorkload(W, SetI).Eval.ok());
+  WorkloadRecord First = Eval.evaluateWorkload(W, SetI);
+  ASSERT_TRUE(First.Eval.ok()) << First.Eval.Error;
+  EXPECT_FALSE(First.BaselineCacheHit);
   WorkloadRecord Other = Eval.evaluateWorkload(W, SetIII);
   ASSERT_TRUE(Other.Eval.ok()) << Other.Eval.Error;
   EXPECT_FALSE(Other.BaselineCacheHit);
   EXPECT_FALSE(Other.ReorderedCacheHit);
-  EXPECT_EQ(Eval.stats().BaselineMisses, 2u);
+  // Two baseline and two reordered builds.
+  EXPECT_EQ(Eval.cache().stats().Misses, 4u);
 
   // Reorder-option changes invalidate reordered builds but reuse the
   // baseline, which does not depend on them.
@@ -139,31 +141,30 @@ TEST(EvaluatorTest, DecodeCacheReusesPreparedPrograms) {
 
   WorkloadRecord First = Eval.evaluateWorkload(W, Options);
   ASSERT_TRUE(First.Eval.ok()) << First.Eval.Error;
-  EXPECT_FALSE(First.BaselineDecodeHit);
-  EXPECT_FALSE(First.ReorderedDecodeHit);
-  EXPECT_EQ(Eval.stats().DecodeMisses, 2u);
-  EXPECT_EQ(Eval.stats().DecodeHits, 0u);
+  EXPECT_FALSE(First.BaselineEngineHit);
+  EXPECT_FALSE(First.ReorderedEngineHit);
+  EXPECT_EQ(Eval.cache().stats().EngineBuilds, 2u);
 
   WorkloadRecord Second = Eval.evaluateWorkload(W, Options);
   ASSERT_TRUE(Second.Eval.ok()) << Second.Eval.Error;
-  EXPECT_TRUE(Second.BaselineDecodeHit);
-  EXPECT_TRUE(Second.ReorderedDecodeHit);
-  EXPECT_EQ(Eval.stats().DecodeHits, 2u);
-  EXPECT_EQ(Eval.stats().DecodeMisses, 2u);
+  EXPECT_TRUE(Second.BaselineEngineHit);
+  EXPECT_TRUE(Second.ReorderedEngineHit);
+  EXPECT_EQ(Eval.cache().stats().EngineBuilds, 2u);
 
   // Cached fused programs must yield identical measurements.
   expectSameMeasurement(First.Eval.Baseline, Second.Eval.Baseline);
   expectSameMeasurement(First.Eval.Reordered, Second.Eval.Reordered);
 
-  // The tree walker never touches the fuse cache — it is the uncached
+  // The tree walker never builds an engine — it is the unprepared
   // comparison baseline.
   EvaluatorOptions TreeMode;
   TreeMode.Mode = Interpreter::Mode::Tree;
   Evaluator Tree(TreeMode);
   WorkloadRecord Reference = Tree.evaluateWorkload(W, Options);
   ASSERT_TRUE(Reference.Eval.ok()) << Reference.Eval.Error;
-  EXPECT_EQ(Tree.stats().DecodeHits, 0u);
-  EXPECT_EQ(Tree.stats().DecodeMisses, 0u);
+  EXPECT_FALSE(Reference.BaselineEngineHit);
+  EXPECT_FALSE(Reference.ReorderedEngineHit);
+  EXPECT_EQ(Tree.cache().stats().EngineBuilds, 0u);
   expectSameMeasurement(First.Eval.Baseline, Reference.Eval.Baseline);
   expectSameMeasurement(First.Eval.Reordered, Reference.Eval.Reordered);
 }
@@ -173,10 +174,11 @@ TEST(EvaluatorTest, ClearCacheForcesRecompilation) {
   Workload W = tinyWorkload();
   CompileOptions Options;
   ASSERT_TRUE(Eval.evaluateWorkload(W, Options).Eval.ok());
-  Eval.clearCache();
+  Eval.cache().clear();
   WorkloadRecord Record = Eval.evaluateWorkload(W, Options);
   EXPECT_FALSE(Record.BaselineCacheHit);
-  EXPECT_EQ(Eval.stats().BaselineMisses, 2u);
+  EXPECT_FALSE(Record.ReorderedCacheHit);
+  EXPECT_EQ(Eval.cache().stats().Misses, 4u);
 }
 
 TEST(EvaluatorTest, ParallelEvaluationPreservesOrderAndResults) {
@@ -237,24 +239,22 @@ TEST(EvaluatorTest, AdaptiveControllersAreCachedAndStateful) {
 
   WorkloadRecord First = Eval.evaluateWorkload(W, Options);
   ASSERT_TRUE(First.Eval.ok()) << First.Eval.Error;
-  EXPECT_FALSE(First.BaselineAdaptiveHit);
-  EXPECT_FALSE(First.ReorderedAdaptiveHit);
-  EXPECT_EQ(Eval.stats().AdaptiveMisses, 2u);
-  EXPECT_EQ(Eval.stats().AdaptiveHits, 0u);
+  EXPECT_FALSE(First.BaselineEngineHit);
+  EXPECT_FALSE(First.ReorderedEngineHit);
+  EXPECT_EQ(Eval.cache().stats().EngineBuilds, 2u);
   EXPECT_GT(First.Eval.Baseline.Runtime.SamplesTaken, 0u);
   EXPECT_GT(First.Eval.Baseline.Runtime.TierUps, 0u);
   EXPECT_GT(First.Eval.Baseline.Runtime.Swaps, 0u);
 
   // The second evaluation re-enters the cached controllers: no fresh
   // tier-up (the profile state carried over), but a new entry swap —
-  // evolving state, which is exactly what distinguishes an adaptive hit
-  // from a DecodeCache hit on an immutable program.
+  // evolving state, which is exactly what distinguishes a controller hit
+  // from a fused-program hit on an immutable program.
   WorkloadRecord Second = Eval.evaluateWorkload(W, Options);
   ASSERT_TRUE(Second.Eval.ok()) << Second.Eval.Error;
-  EXPECT_TRUE(Second.BaselineAdaptiveHit);
-  EXPECT_TRUE(Second.ReorderedAdaptiveHit);
-  EXPECT_EQ(Eval.stats().AdaptiveHits, 2u);
-  EXPECT_EQ(Eval.stats().AdaptiveMisses, 2u);
+  EXPECT_TRUE(Second.BaselineEngineHit);
+  EXPECT_TRUE(Second.ReorderedEngineHit);
+  EXPECT_EQ(Eval.cache().stats().EngineBuilds, 2u);
   EXPECT_EQ(Second.Eval.Baseline.Runtime.TierUps,
             First.Eval.Baseline.Runtime.TierUps);
   EXPECT_GT(Second.Eval.Baseline.Runtime.Swaps,
@@ -326,7 +326,7 @@ TEST(EvaluatorTest, CachedAdaptiveSweepsMatchTreeWalkerOnAllWorkloads) {
 }
 
 TEST(EvaluatorTest, ClearCacheDropsAdaptiveControllers) {
-  // After clearCache the evolving profile is gone: re-evaluation builds
+  // After a cache clear the evolving profile is gone: re-evaluation builds
   // fresh controllers that re-tier from scratch and — determinism check —
   // observe exactly the sample trajectory of the first cold run.
   Evaluator Eval(adaptiveOptions());
@@ -338,12 +338,12 @@ TEST(EvaluatorTest, ClearCacheDropsAdaptiveControllers) {
 
   WorkloadRecord Cold = Eval.evaluateWorkload(W, Options);
   ASSERT_TRUE(Cold.Eval.ok()) << Cold.Eval.Error;
-  Eval.clearCache();
+  Eval.cache().clear();
   WorkloadRecord Fresh = Eval.evaluateWorkload(W, Options);
   ASSERT_TRUE(Fresh.Eval.ok()) << Fresh.Eval.Error;
-  EXPECT_FALSE(Fresh.BaselineAdaptiveHit);
-  EXPECT_FALSE(Fresh.ReorderedAdaptiveHit);
-  EXPECT_EQ(Eval.stats().AdaptiveMisses, 4u);
+  EXPECT_FALSE(Fresh.BaselineEngineHit);
+  EXPECT_FALSE(Fresh.ReorderedEngineHit);
+  EXPECT_EQ(Eval.cache().stats().EngineBuilds, 4u);
   EXPECT_EQ(Fresh.Eval.Baseline.Runtime.SamplesTaken,
             Cold.Eval.Baseline.Runtime.SamplesTaken);
   EXPECT_EQ(Fresh.Eval.Baseline.Runtime.TierUps,
@@ -353,8 +353,8 @@ TEST(EvaluatorTest, ClearCacheDropsAdaptiveControllers) {
 
 TEST(EvaluatorTest, AdaptiveReFusionsCountDriftRebuilds) {
   // A phase-shift input makes a cached controller rebuild *after* its
-  // tier-up build; stats must attribute that to AdaptiveReFusions, not
-  // bury it among plain cache hits.
+  // tier-up build: the record's runtime counters must show the drift and
+  // the re-fusion beyond the tier-up build.
   Evaluator Eval(adaptiveOptions());
   Workload W = tinyWorkload();
   W.TestInput.assign(800, 'a');
@@ -364,7 +364,44 @@ TEST(EvaluatorTest, AdaptiveReFusionsCountDriftRebuilds) {
   ASSERT_TRUE(Record.Eval.ok()) << Record.Eval.Error;
   EXPECT_GT(Record.Eval.Baseline.Runtime.DriftEvents, 0u);
   EXPECT_GE(Record.Eval.Baseline.Runtime.Recompiles, 2u);
-  EXPECT_GT(Eval.stats().AdaptiveReFusions, 0u);
+}
+
+TEST(EvaluatorTest, ConcurrentAdaptiveEvaluationsTakeTurnsOnOneController) {
+  // Four threads evaluate one workload at once on one adaptive Evaluator,
+  // so every run of a build goes through the same cached controller.  Its
+  // run lock makes them take turns: each record equals the tree walker's.
+  Evaluator Eval(adaptiveOptions());
+  Workload W = tinyWorkload();
+  W.TestInput.clear();
+  for (int Index = 0; Index < 100; ++Index)
+    W.TestInput += "aababab bab";
+  CompileOptions Options;
+
+  constexpr unsigned NumThreads = 4, Rounds = 3;
+  std::vector<WorkloadRecord> Records(NumThreads * Rounds);
+  std::vector<std::thread> Threads;
+  for (unsigned Index = 0; Index < NumThreads; ++Index)
+    Threads.emplace_back([&, Index] {
+      for (unsigned Round = 0; Round < Rounds; ++Round)
+        Records[Index * Rounds + Round] = Eval.evaluateWorkload(W, Options);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+
+  EvaluatorOptions TreeMode;
+  TreeMode.Mode = Interpreter::Mode::Tree;
+  WorkloadRecord Reference = Evaluator(TreeMode).evaluateWorkload(W, Options);
+  ASSERT_TRUE(Reference.Eval.ok()) << Reference.Eval.Error;
+  uint64_t TierUps = 0;
+  for (const WorkloadRecord &Record : Records) {
+    ASSERT_TRUE(Record.Eval.ok()) << Record.Eval.Error;
+    expectSameMeasurement(Record.Eval.Baseline, Reference.Eval.Baseline);
+    expectSameMeasurement(Record.Eval.Reordered, Reference.Eval.Reordered);
+    TierUps += Record.Eval.Baseline.Runtime.TierUps;
+  }
+  EXPECT_GT(TierUps, 0u) << "the shared controller never tiered up";
+  // One controller per build, whichever thread got there first.
+  EXPECT_EQ(Eval.cache().stats().EngineBuilds, 2u);
 }
 
 TEST(EvaluatorTest, FrontEndErrorsAreReported) {

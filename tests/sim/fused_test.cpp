@@ -2,10 +2,10 @@
 //
 // Targeted tests for engine v2 (sim/Fuse.h + sim/Threaded.cpp): the
 // decode-time fuser must produce the documented superinstruction shapes,
-// the compaction pass must leave a dense reachable stream, and every
-// fusion configuration — including profile-ordered chains — must stay
-// observationally identical to the tree-walking reference, even when an
-// instruction limit cuts execution mid-macro-op.  Whole-corpus engine
+// the compaction pass must leave a dense reachable stream, and fused
+// programs — including profile-ordered chains and measured layouts — must
+// stay observationally identical to the tree-walking reference, even when
+// an instruction limit cuts execution mid-macro-op.  Whole-corpus engine
 // agreement is covered by decoded_test.cpp; this file pins down the
 // fusion-specific machinery.
 //
@@ -262,37 +262,6 @@ TEST(FusedLimitTest, LimitMidMacroOpCountsPartially) {
   }
 }
 
-TEST(FusedConfigTest, EveryTogglePreservesBehaviorOnAllWorkloads) {
-  // Differential sweep over the fuser's own configuration space: layout
-  // off, each fusion family off, and everything off must all still be
-  // bit-identical to the tree walker on every workload.
-  FuseOptions Configs[7];
-  Configs[0].HotLayout = Configs[0].FusePairs = Configs[0].FuseChains =
-      Configs[0].FusePreOps = Configs[0].FuseJumps =
-          Configs[0].FuseStraightPairs = false;
-  Configs[1].HotLayout = false;
-  Configs[2].FusePairs = false;
-  Configs[3].FuseChains = false;
-  Configs[4].FusePreOps = false;
-  Configs[5].FuseJumps = false;
-  Configs[6].FuseStraightPairs = false;
-  for (const Workload &W : standardWorkloads()) {
-    CompileOptions Options;
-    CompileResult Baseline = compileBaseline(W.Source, Options);
-    ASSERT_TRUE(Baseline.ok()) << Baseline.Error;
-    Interpreter Tree(*Baseline.M, Interpreter::Mode::Tree);
-    Tree.setInput(W.TestInput);
-    RunResult TreeResult = Tree.run();
-    for (size_t Index = 0; Index < 7; ++Index) {
-      SCOPED_TRACE(W.Name + "/config" + std::to_string(Index));
-      DecodedModule DM = decodeFused(*Baseline.M, Configs[Index]);
-      RunResult FusedRun = runEngine(*Baseline.M, Interpreter::Mode::Fused,
-                                     &DM, W.TestInput);
-      expectSameObservables(TreeResult, FusedRun);
-    }
-  }
-}
-
 TEST(FusedProfileTest, ProfileOrderedChainsStayEquivalent) {
   // Mirror the Evaluator's hot path: fuse each baseline module with the
   // profile collected by pass 1, which reorders disjoint chain arms
@@ -409,7 +378,7 @@ TEST(FusedLayoutTest, WorkloadHotnessProducesNonzeroLayoutStats) {
 }
 
 TEST(FusedPreparedTest, PreparedProgramIsReusableAcrossRuns) {
-  // The Evaluator caches fused programs and runs them repeatedly,
+  // An artifact's fused slot is built once and run repeatedly,
   // including concurrently from the thread pool; a prepared program must
   // be read-only at run time and give identical results every run.
   Module M;

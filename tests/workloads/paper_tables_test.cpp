@@ -457,7 +457,7 @@ std::string renderFutureWork(Evaluator &Eval) {
 TEST(PaperTablesTest, MatchGolden) {
   // One Evaluator for every section: the sweeps revisit the same builds
   // (Table 4's Set I is Table 7's, the figures' and the ablations'), and
-  // its compile cache serves each of them once.
+  // its artifact cache compiles and fuses each of them once.
   Evaluator Eval;
   const std::string Separator = std::string(78, '=') + "\n";
   std::string Report = renderTable4(Eval) + Separator + renderTable5(Eval) +
@@ -467,6 +467,11 @@ TEST(PaperTablesTest, MatchGolden) {
                        renderAblations(Eval) + Separator +
                        renderFutureWork(Eval);
   expectGolden(Report, goldenPath("workloads", "paper_tables.txt"));
+  // 51 distinct baseline and 153 distinct reordered builds.
+  ArtifactCacheStats Stats = Eval.cache().stats();
+  EXPECT_EQ(Stats.Misses, 204u);
+  EXPECT_EQ(Stats.EngineBuilds, 204u);
+  EXPECT_EQ(Stats.Evictions, 0u);
 }
 
 } // namespace
