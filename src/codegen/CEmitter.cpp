@@ -46,6 +46,9 @@ namespace bropt {
 
 namespace {
 
+/// The function bropt_native_run invokes.
+const char *const EntryName = "main";
+
 /// Escapes \p S for inclusion in a C string literal.
 std::string escapeC(const std::string &S) {
   std::string Out;
@@ -539,7 +542,6 @@ void emitMemoryInit(std::string &Out, const Module &M) {
 }
 
 void emitEntryPoints(std::string &Out, const Module &M,
-                     const CEmitterOptions &Opts,
                      const std::map<const Function *, unsigned> &Ids) {
   Out += formatString("unsigned bropt_native_abi(void) { return %uu; }\n\n",
                       NativeABIVersion);
@@ -567,11 +569,11 @@ void emitEntryPoints(std::string &Out, const Module &M,
          "  if (setjmp(C->trap_jmp) == 0) {\n"
          "    bropt_init_mem(C);\n";
 
-  const Function *Entry = M.getFunction(Opts.EntryName);
+  const Function *Entry = M.getFunction(EntryName);
   if (!Entry) {
     Out += formatString(
         "    bropt_trap(C, \"entry function '%s' not found\");\n",
-        escapeC(Opts.EntryName).c_str());
+        EntryName);
   } else {
     Out += formatString(
         "    if (num_args != %uull)\n"
@@ -623,7 +625,7 @@ std::string emitC(const Module &M, const CEmitterOptions &Opts) {
   std::set<const Function *> Reachable;
   if (Opts.OnlyReachable) {
     std::vector<const Function *> Work;
-    if (const Function *Entry = M.getFunction(Opts.EntryName)) {
+    if (const Function *Entry = M.getFunction(EntryName)) {
       Reachable.insert(Entry);
       Work.push_back(Entry);
     }
@@ -670,7 +672,7 @@ std::string emitC(const Module &M, const CEmitterOptions &Opts) {
   std::string Out;
   Out += "/* Generated by bropt CEmitter; do not edit. */\n";
   Out += formatString("/* abi %u; entry \"%s\" */\n", NativeABIVersion,
-                      escapeC(Opts.EntryName).c_str());
+                      EntryName);
   Out += formatString("/* layout %s */\n\n", escapeC(Sig).c_str());
   Out += Preamble;
 
@@ -684,7 +686,7 @@ std::string emitC(const Module &M, const CEmitterOptions &Opts) {
     if (Emits(F.get()))
       FunctionEmitter(Out, *F, Ids).emit();
 
-  emitEntryPoints(Out, M, Opts, Ids);
+  emitEntryPoints(Out, M, Ids);
   return Out;
 }
 

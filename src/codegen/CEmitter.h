@@ -39,14 +39,12 @@ namespace bropt {
 
 class Module;
 
-/// Knobs for emission.
+/// Knobs for emission.  The generated `bropt_native_run` invokes `main`,
+/// as the interpreters do; a module without it still emits a valid TU
+/// whose run traps with the interpreter's "entry function 'main' not
+/// found" message.
 struct CEmitterOptions {
-  /// Function the generated `bropt_native_run` invokes.  A module without
-  /// it still emits a valid TU whose run traps with the interpreter's
-  /// "entry function '<name>' not found" message.
-  std::string EntryName = "main";
-
-  /// Emit only EntryName's call closure instead of every function.  The
+  /// Emit only `main`'s call closure instead of every function.  The
   /// tier-2 JIT compiles one hot entry at a time; skipping unreachable
   /// bodies keeps the host compiler's work (and the source-hash cache
   /// key) proportional to what actually runs.  All calls are direct

@@ -67,7 +67,6 @@ public:
       : F(F), NextId(FirstId), Claimed(ClaimedBlocks) {}
 
   std::vector<CommonSuccessorSequence> run() {
-    F.recomputePredecessors();
     std::vector<CommonSuccessorSequence> Groups;
     for (size_t Index = 0; Index < F.size(); ++Index) {
       BasicBlock *Head = F.getBlock(Index);

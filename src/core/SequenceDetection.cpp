@@ -2,6 +2,7 @@
 
 #include "core/SequenceDetection.h"
 
+#include "ir/CFG.h"
 #include "support/Debug.h"
 #include "support/Strings.h"
 
@@ -47,7 +48,8 @@ struct CondParse {
 /// A block may carry its own compare, or — like the direction blocks of a
 /// lowered binary search, and chains after redundant-compare elimination —
 /// reuse condition codes set identically at the tail of every predecessor.
-std::optional<BranchShape> parseBranchShape(BasicBlock *B) {
+std::optional<BranchShape> parseBranchShape(const BasicBlock *B,
+                                            const PredecessorMap &Preds) {
   const auto *Br = dyn_cast_or_null<CondBrInst>(B->getTerminator());
   if (!Br)
     return std::nullopt;
@@ -61,10 +63,11 @@ std::optional<BranchShape> parseBranchShape(BasicBlock *B) {
   }
   if (!Cmp) {
     // Look for an identical compare at the tail of every predecessor.
-    if (B->predecessors().empty())
+    const std::vector<BasicBlock *> &BPreds = Preds.at(B);
+    if (BPreds.empty())
       return std::nullopt;
     const CmpInst *Shared = nullptr;
-    for (const BasicBlock *Pred : B->predecessors()) {
+    for (const BasicBlock *Pred : BPreds) {
       if (Pred->size() < 2)
         return std::nullopt;
       const auto *PredCmp =
@@ -170,20 +173,20 @@ bool prefixMovable(const BasicBlock *B, const BranchShape &Shape) {
 /// The sequence detector for one function (paper Figure 4).
 class Detector {
 public:
-  Detector(Function &F, unsigned FirstId) : F(F), NextId(FirstId) {}
+  Detector(const Function &F, unsigned FirstId)
+      : F(F), Preds(predecessorMap(F)), NextId(FirstId) {}
 
   std::vector<RangeSequence> run() {
-    F.recomputePredecessors();
     std::vector<RangeSequence> Sequences;
-    for (size_t Index = 0; Index < F.size(); ++Index) {
-      BasicBlock *Head = F.getBlock(Index);
+    for (const auto &Candidate : F) {
+      BasicBlock *Head = Candidate.get();
       if (Marked.count(Head))
         continue;
       RangeSequence Seq;
       if (!findSequence(Head, Seq))
         continue;
       Seq.Id = NextId++;
-      Seq.F = &F;
+      Seq.F = Head->getParent();
       Seq.DefaultRanges = computeDefaultRanges(explicitRanges(Seq));
       for (const RangeConditionDesc &Cond : Seq.Conds)
         for (BasicBlock *Block : Cond.Blocks)
@@ -209,7 +212,7 @@ private:
   std::vector<CondParse> parseCondition(BasicBlock *B, bool IsHead,
                                         unsigned KnownReg) {
     std::vector<CondParse> Result;
-    auto Shape = parseBranchShape(B);
+    auto Shape = parseBranchShape(B, Preds);
     if (!Shape)
       return Result;
     if (!IsHead && Shape->Reg != KnownReg)
@@ -260,7 +263,7 @@ private:
       BasicBlock *Other = ViaTaken ? Shape->Fall : Shape->Taken;
       if (S == B || Marked.count(S) || S->size() != 2)
         continue;
-      auto SShape = parseBranchShape(S);
+      auto SShape = parseBranchShape(S, Preds);
       if (!SShape || !SShape->OwnCmp || SShape->Reg != Shape->Reg ||
           !isRelational(SShape->Pred))
         continue;
@@ -365,19 +368,20 @@ private:
     return false;
   }
 
-  Function &F;
+  const Function &F;
+  const PredecessorMap Preds;
   unsigned NextId;
   std::unordered_set<BasicBlock *> Marked;
 };
 
 } // namespace
 
-std::vector<RangeSequence> bropt::detectSequences(Function &F,
+std::vector<RangeSequence> bropt::detectSequences(const Function &F,
                                                   unsigned FirstId) {
   return Detector(F, FirstId).run();
 }
 
-std::vector<RangeSequence> bropt::detectSequences(Module &M) {
+std::vector<RangeSequence> bropt::detectSequences(const Module &M) {
   std::vector<RangeSequence> All;
   unsigned NextId = 0;
   for (auto &F : M) {

@@ -87,10 +87,13 @@ struct RangeSequence {
 
 /// Runs detection over every function of \p M.  Blocks join at most one
 /// sequence.  Deterministic: iterates functions and blocks in layout order.
-std::vector<RangeSequence> detectSequences(Module &M);
+/// Only reads \p M, so threads sharing a finished module may detect on it
+/// at once; the results point into it for a later pass 2 to rewrite.
+std::vector<RangeSequence> detectSequences(const Module &M);
 
 /// Detection over a single function; \p FirstId numbers the results.
-std::vector<RangeSequence> detectSequences(Function &F, unsigned FirstId = 0);
+std::vector<RangeSequence> detectSequences(const Function &F,
+                                           unsigned FirstId = 0);
 
 } // namespace bropt
 

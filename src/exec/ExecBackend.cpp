@@ -19,9 +19,7 @@ RunResult runNative(const Module &M, const ExecRequest &Req) {
   std::shared_ptr<const NativeProgram> Local;
   if (!Program) {
     std::string Error;
-    CEmitterOptions Opts;
-    Opts.EntryName = Req.EntryName;
-    Local = NativeRunner::shared().prepare(M, &Error, Opts);
+    Local = NativeRunner::shared().prepare(M, &Error);
     if (!Local) {
       RunResult Result;
       Result.Trapped = true;
@@ -30,7 +28,7 @@ RunResult runNative(const Module &M, const ExecRequest &Req) {
     }
     Program = Local.get();
   }
-  return Program->run(Req.Input, Req.Args, Req.InstructionLimit);
+  return Program->run(Req.Input, {}, Req.InstructionLimit);
 }
 
 } // namespace
@@ -45,7 +43,7 @@ RunResult executeModule(const Module &M, Interpreter::Mode Mode,
   // a drift recheck).
   if (Mode == Interpreter::Mode::Adaptive && Req.Adaptive)
     if (std::shared_ptr<const NativeProgram> Native = Req.Adaptive->beginRun())
-      return Native->run(Req.Input, Req.Args, Req.InstructionLimit);
+      return Native->run(Req.Input, {}, Req.InstructionLimit);
   Interpreter Interp(M, Mode);
   if (Req.Adaptive)
     Req.Adaptive->attach(Interp); // installs tier-0 program and hooks
@@ -55,7 +53,7 @@ RunResult executeModule(const Module &M, Interpreter::Mode Mode,
   Interp.setInstructionLimit(Req.InstructionLimit);
   if (Req.AttachedPredictor)
     Interp.attachPredictor(Req.AttachedPredictor);
-  return Interp.run(Req.EntryName, Req.Args);
+  return Interp.run();
 }
 
 const char *execModeName(Interpreter::Mode Mode) {

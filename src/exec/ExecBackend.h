@@ -40,10 +40,9 @@ class Module;
 class NativeProgram;
 class Predictor;
 
-/// One run's inputs and optional attachments.
+/// One run's inputs and optional attachments.  Every engine runs `main`
+/// with no arguments.
 struct ExecRequest {
-  std::string EntryName = "main";
-  std::vector<int64_t> Args;
   std::string_view Input;
   uint64_t InstructionLimit = 2'000'000'000;
   /// Fed every executed CondBr (interpreter engines only; native code

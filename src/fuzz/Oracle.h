@@ -19,7 +19,8 @@
 ///     half of the bar — trap, exit value, output — since native code
 ///     collects no dynamic counters.
 ///  3. Verification: the IR verifier passes after every individual pass
-///     (observed through the pass-observer hook).
+///     of the oracle's own compiles (observed through the pass-observer
+///     hook, which is per thread).
 ///  4. Cost: for every sequence the transformation reordered, the selected
 ///     ordering's expected cost under the measured profile (Equations 1-4)
 ///     is no worse than the original ordering's.
@@ -198,8 +199,10 @@ struct OracleReport {
 
 /// Runs the full oracle over \p Source.  \p TrainingInputs feed the pass-1
 /// profile; \p HeldOutInputs are what the behavior and engine oracles
-/// compare on.  Installs a pass observer for the duration (not
-/// thread-safe; see setPassObserver).
+/// compare on.  Installs a pass observer on the calling thread for the
+/// duration, so only the compiles run on that thread are verified after
+/// every pass; the in-process daemon's workers (CheckServiceEngine)
+/// compile unobserved (see setPassObserver).
 OracleReport runOracle(std::string_view Source,
                        const std::vector<std::string> &TrainingInputs,
                        const std::vector<std::string> &HeldOutInputs,

@@ -93,15 +93,9 @@ public:
   // CFG
   //===--------------------------------------------------------------------===//
 
-  /// Successor blocks in terminator order (empty for incomplete blocks).
+  /// Successor blocks in terminator order (empty for incomplete blocks);
+  /// predecessorMap (ir/CFG.h) gives the other direction.
   std::vector<BasicBlock *> successors() const;
-
-  /// Predecessors as of the last Function::recomputePredecessors() call.
-  const std::vector<BasicBlock *> &predecessors() const { return Preds; }
-
-  /// Used by Function::recomputePredecessors().
-  void clearPredecessors() { Preds.clear(); }
-  void addPredecessor(BasicBlock *B) { Preds.push_back(B); }
 
   /// Renders the block as text.
   std::string toString() const;
@@ -111,7 +105,6 @@ private:
   unsigned Id;
   std::string Name;
   std::vector<std::unique_ptr<Instruction>> Insts;
-  std::vector<BasicBlock *> Preds;
 };
 
 } // namespace bropt

@@ -2,6 +2,7 @@
 
 #include "ir/CFG.h"
 
+#include "ir/Module.h"
 #include "support/Debug.h"
 
 #include <algorithm>
@@ -62,6 +63,30 @@ std::vector<BasicBlock *> bropt::reversePostOrder(Function &F) {
   postOrderVisit(&F.getEntryBlock(), Visited, Order);
   std::reverse(Order.begin(), Order.end());
   return Order;
+}
+
+PredecessorMap bropt::predecessorMap(const Function &F) {
+  PredecessorMap Preds;
+  for (const auto &Block : F)
+    Preds[Block.get()];
+  for (const auto &Block : F)
+    for (const BasicBlock *Succ : Block->successors())
+      Preds[Succ].push_back(Block.get());
+  return Preds;
+}
+
+BranchNumbering bropt::numberBranches(const Module &M) {
+  BranchNumbering Numbering;
+  uint32_t NextId = 0;
+  for (const auto &F : M) {
+    Numbering.FirstId.push_back(NextId);
+    for (const auto &Block : *F)
+      for (const auto &Inst : *Block)
+        if (Inst->getKind() == InstKind::CondBr)
+          Numbering.IdOf.emplace(Inst.get(), NextId++);
+  }
+  Numbering.FirstId.push_back(NextId);
+  return Numbering;
 }
 
 std::unordered_map<BasicBlock *, BasicBlock *>

@@ -76,14 +76,6 @@ void Function::eraseBlock(BasicBlock *B) {
   Blocks.erase(Blocks.begin() + static_cast<ptrdiff_t>(Index));
 }
 
-void Function::recomputePredecessors() {
-  for (auto &Block : Blocks)
-    Block->clearPredecessors();
-  for (auto &Block : Blocks)
-    for (BasicBlock *Succ : Block->successors())
-      Succ->addPredecessor(Block.get());
-}
-
 size_t Function::instructionCount() const {
   size_t Count = 0;
   for (const auto &Block : Blocks)

@@ -77,6 +77,10 @@ public:
     assert(Index < Blocks.size() && "block index out of range");
     return Blocks[Index].get();
   }
+  const BasicBlock *getBlock(size_t Index) const {
+    assert(Index < Blocks.size() && "block index out of range");
+    return Blocks[Index].get();
+  }
 
   /// Appends a new block at the end of the layout.
   BasicBlock *createBlock(std::string BlockName = "");
@@ -105,10 +109,6 @@ public:
   /// Removes \p B from the function.  The caller guarantees no other block
   /// branches to \p B.
   void eraseBlock(BasicBlock *B);
-
-  /// Recomputes every block's predecessor list from the terminators.
-  /// Passes call this after mutating the CFG.
-  void recomputePredecessors();
 
   /// \returns the number of instructions across all blocks.
   size_t instructionCount() const;

@@ -263,7 +263,6 @@ public:
       if (!parseInstruction(LineNo, Line, *Current))
         return false;
     }
-    F.recomputePredecessors();
     return true;
   }
 

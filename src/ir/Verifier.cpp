@@ -82,7 +82,7 @@ private:
     std::unordered_map<const BasicBlock *, bool> CCAtExit;
     for (const auto &Block : F)
       CCAtExit[Block.get()] = true; // optimistic for the fixpoint
-    const_cast<Function &>(F).recomputePredecessors();
+    const PredecessorMap Preds = predecessorMap(F);
 
     // Entry state of a reachable block: it has at least one reachable
     // predecessor and all of them provide CC.
@@ -91,7 +91,7 @@ private:
         return false;
       bool AnyPred = false;
       bool Entry = true;
-      for (const BasicBlock *Pred : Block.predecessors()) {
+      for (const BasicBlock *Pred : Preds.at(&Block)) {
         if (!Reachable.count(Pred))
           continue;
         AnyPred = true;

@@ -53,7 +53,6 @@ private:
     lowerStmt(Decl.Body.get());
     if (!Builder.atTerminator())
       Builder.emitRet(Operand::imm(0));
-    F->recomputePredecessors();
   }
 
   /// Starts a fresh insertion block (used after emitting a terminator when

@@ -27,14 +27,15 @@ BasicBlock *ultimateTarget(BasicBlock *Block) {
 
 /// Merges \p Succ into \p Block when Block ends in an unconditional jump to
 /// Succ and Succ has no other predecessors.
-bool mergeIntoPredecessor(Function &F, BasicBlock *Block) {
+bool mergeIntoPredecessor(Function &F, BasicBlock *Block,
+                          const PredecessorMap &Preds) {
   auto *Jump = dyn_cast<JumpInst>(Block->getTerminator());
   if (!Jump)
     return false;
   BasicBlock *Succ = Jump->getTarget();
   if (Succ == Block || Succ == &F.getEntryBlock())
     return false;
-  if (Succ->predecessors().size() != 1)
+  if (Preds.at(Succ).size() != 1)
     return false;
   // Splice Succ's instructions into Block.
   size_t JumpIndex = Block->indexOf(Jump);
@@ -53,7 +54,6 @@ bool bropt::chainBranches(Function &F) {
   bool LocalChange = true;
   while (LocalChange) {
     LocalChange = false;
-    F.recomputePredecessors();
 
     // Retarget edges that point at jump-only blocks.
     for (auto &Block : F) {
@@ -87,18 +87,16 @@ bool bropt::chainBranches(Function &F) {
     }
 
     // Merge single-predecessor jump targets.
-    F.recomputePredecessors();
+    const PredecessorMap Preds = predecessorMap(F);
     for (auto &Block : F) {
       if (!Block->hasTerminator())
         continue;
-      if (mergeIntoPredecessor(F, Block.get())) {
+      if (mergeIntoPredecessor(F, Block.get(), Preds)) {
         LocalChange = true;
         Changed = true;
-        break; // block list mutated; restart the scan
+        break; // blocks and edges changed; restart with a new map
       }
     }
   }
-  if (Changed)
-    F.recomputePredecessors();
   return Changed;
 }

@@ -147,7 +147,5 @@ bool bropt::foldConstants(Function &F) {
     Block->insertAt(TermIndex, std::make_unique<JumpInst>(Target));
     Changed = true;
   }
-  if (Changed)
-    F.recomputePredecessors();
   return Changed;
 }

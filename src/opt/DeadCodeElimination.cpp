@@ -7,7 +7,6 @@
 using namespace bropt;
 
 bool bropt::eliminateDeadCode(Function &F) {
-  F.recomputePredecessors();
   LivenessInfo Info = computeLiveness(F);
   bool Changed = false;
 
@@ -56,6 +55,5 @@ bool bropt::removeUnreachableBlocks(Function &F) {
     return false;
   for (BasicBlock *Block : ToErase)
     F.eraseBlock(Block);
-  F.recomputePredecessors();
   return true;
 }

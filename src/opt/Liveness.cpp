@@ -41,8 +41,7 @@ LivenessInfo bropt::computeLiveness(const Function &F) {
     // Iterate in reverse layout order: a decent approximation of reverse
     // topological order that converges quickly on structured CFGs.
     for (size_t Index = F.size(); Index-- > 0;) {
-      const BasicBlock *Block =
-          const_cast<Function &>(F).getBlock(Index);
+      const BasicBlock *Block = F.getBlock(Index);
       std::vector<bool> Out(NumRegs, false);
       bool CCOut = false;
       for (const BasicBlock *Succ : Block->successors()) {

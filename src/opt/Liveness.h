@@ -35,8 +35,7 @@ struct LivenessInfo {
   std::unordered_map<const BasicBlock *, bool> CCLiveOut;
 };
 
-/// Computes liveness for \p F.  Call recomputePredecessors() first if the
-/// CFG changed.
+/// Computes liveness for \p F.
 LivenessInfo computeLiveness(const Function &F);
 
 } // namespace bropt

@@ -9,7 +9,7 @@ using namespace bropt;
 namespace {
 
 PassObserver &observer() {
-  static PassObserver Observer;
+  thread_local PassObserver Observer;
   return Observer;
 }
 

@@ -30,13 +30,14 @@ namespace bropt {
 /// harness installs a verifier here so structural damage is pinned to the
 /// exact pass that caused it instead of surfacing at the pipeline end.
 ///
-/// There is one process-wide observer and it is not synchronized: install
-/// only from single-threaded test/tool code, never while the parallel
-/// evaluation harness is compiling.
+/// Each thread has its own observer, so it sees exactly the passes of the
+/// compiles that thread runs: compiles on other threads (a daemon's
+/// workers, the parallel evaluation harness) are neither observed by it
+/// nor disturbed when it is installed or removed.
 using PassObserver = std::function<void(const char *PassName, Function &F)>;
 
-/// Installs \p Observer (replacing any previous one); pass an empty
-/// function to remove it.
+/// Installs \p Observer on the calling thread (replacing any previous one);
+/// pass an empty function to remove it.
 void setPassObserver(PassObserver Observer);
 
 /// Invokes the installed observer, if any.  Pass implementations and the

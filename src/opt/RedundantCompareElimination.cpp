@@ -15,6 +15,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ir/CFG.h"
 #include "opt/Passes.h"
 
 using namespace bropt;
@@ -91,7 +92,8 @@ bool reencodeTrailingCompare(BasicBlock &Pred, int64_t WantedConst,
 } // namespace
 
 bool bropt::eliminateRedundantCompares(Function &F) {
-  F.recomputePredecessors();
+  // Neither case changes an edge, so one map serves the whole walk.
+  const PredecessorMap Preds = predecessorMap(F);
   bool Changed = false;
 
   for (auto &Block : F) {
@@ -123,7 +125,8 @@ bool bropt::eliminateRedundantCompares(Function &F) {
     if (Block->empty() || Block.get() == &F.getEntryBlock())
       continue;
     auto *LeadCmp = dyn_cast<CmpInst>(&Block->front());
-    if (!LeadCmp || Block->predecessors().empty())
+    const std::vector<BasicBlock *> &BlockPreds = Preds.at(Block.get());
+    if (!LeadCmp || BlockPreds.empty())
       continue;
 
     // Figure 9 re-encoding: when a predecessor's trailing compare tests
@@ -131,7 +134,7 @@ bool bropt::eliminateRedundantCompares(Function &F) {
     // branch) to test this block's constant, making this block's compare
     // redundant.  All predecessors must end up identical.
     if (LeadCmp->getLhs().isReg() && LeadCmp->getRhs().isImm()) {
-      for (BasicBlock *Pred : Block->predecessors()) {
+      for (BasicBlock *Pred : BlockPreds) {
         const CmpInst *PredCmp = trailingCompare(*Pred);
         if (!PredCmp || PredCmp->isIdenticalTo(*LeadCmp))
           continue;
@@ -145,7 +148,7 @@ bool bropt::eliminateRedundantCompares(Function &F) {
 
     // Removal: every predecessor provides identical condition codes.
     bool AllPredsProvide = true;
-    for (const BasicBlock *Pred : Block->predecessors()) {
+    for (const BasicBlock *Pred : BlockPreds) {
       const CmpInst *PredCmp = trailingCompare(*Pred);
       if (!PredCmp || !PredCmp->isIdenticalTo(*LeadCmp)) {
         AllPredsProvide = false;

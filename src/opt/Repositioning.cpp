@@ -113,7 +113,6 @@ bool materializeFallThroughs(Function &F) {
       Changed = true;
     }
   }
-  F.recomputePredecessors();
   return Changed;
 }
 

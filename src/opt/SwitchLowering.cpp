@@ -73,8 +73,6 @@ public:
       expand(Block);
       Changed = true;
     }
-    if (Changed)
-      F.recomputePredecessors();
     return Changed;
   }
 

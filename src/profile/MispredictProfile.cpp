@@ -2,6 +2,7 @@
 
 #include "profile/MispredictProfile.h"
 
+#include "ir/CFG.h"
 #include "ir/Module.h"
 #include "predict/Predictor.h"
 #include "profile/ProfileDB.h"
@@ -21,19 +22,15 @@ double MispredictSummary::quality() const {
   return std::clamp(Quality, 0.0, 4.0);
 }
 
-/// Walks \p M's conditional branches in the engines' id order (layout
-/// order across the module — sim/Interpreter.h assigns ids with exactly
-/// this walk) and hands \p Fn each function's half-open id range.
+/// Hands \p Fn each function of \p M with the half-open range of its
+/// branch ids in the engines' numbering (ir/CFG.h: numberBranches).
 template <typename Callback>
 static void forEachFunctionBranchRange(const Module &M, Callback Fn) {
-  uint32_t NextId = 0;
+  const std::vector<uint32_t> FirstId = numberBranches(M).FirstId;
+  size_t FuncIndex = 0;
   for (const auto &F : M) {
-    uint32_t First = NextId;
-    for (const auto &Block : *F)
-      for (const auto &Inst : *Block)
-        if (Inst->getKind() == InstKind::CondBr)
-          ++NextId;
-    Fn(*F, First, NextId);
+    Fn(*F, FirstId[FuncIndex], FirstId[FuncIndex + 1]);
+    ++FuncIndex;
   }
 }
 

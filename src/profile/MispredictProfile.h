@@ -9,7 +9,7 @@
 /// The fifth profile plane: per-static-branch misprediction counts
 /// measured under one named predictor of the zoo (predict/Zoo.h).  The
 /// engines number conditional branches in layout order across the module
-/// (sim/Interpreter.h: branchIdOf); this plane slices those module-wide
+/// (ir/CFG.h: numberBranches); this plane slices those module-wide
 /// records per function so they survive in the ProfileDB next to the other
 /// planes and round-trip through text, binary, and the conflict-checked
 /// merge unchanged.

@@ -6,6 +6,7 @@
 #include "codegen/CEmitter.h"
 #include "codegen/NativeRunner.h"
 #include "core/Reorder.h"
+#include "ir/CFG.h"
 #include "ir/IRParser.h"
 #include "ir/Printer.h"
 #include "profile/MispredictProfile.h"
@@ -14,6 +15,12 @@
 #include <chrono>
 
 using namespace bropt;
+
+/// Normalized histogram distance in [0, 1] above which a drift window
+/// counts as drift.
+static constexpr double DriftThreshold = 0.35;
+/// drainBackgroundWork()'s deadline when the caller names none.
+static constexpr double DefaultDrainSeconds = 60.0;
 
 static RuntimeOptions sanitized(RuntimeOptions O) {
   if (!O.SampleInterval)
@@ -48,19 +55,11 @@ AdaptiveController::AdaptiveController(const Module &Mod,
   Sampler.init(Tier0.numBranchIds(), Tier0.size());
   FuncTiered.assign(Tier0.size(), false);
 
-  // detectSequences only reads the module (same const_cast precedent as
-  // the fuser's profile matching in sim/Fuse.cpp).
-  Detected = detectSequences(const_cast<Module &>(Mod));
+  Detected = detectSequences(Mod);
 
-  // Mirror the branch-id numbering the decoders use: one id per CondBr in
-  // module layout order.
-  std::unordered_map<const Instruction *, uint32_t> BranchIdOf;
-  uint32_t NextId = 0;
-  for (const auto &F : Mod)
-    for (const auto &Block : *F)
-      for (const auto &Inst : *Block)
-        if (Inst->getKind() == InstKind::CondBr)
-          BranchIdOf.emplace(Inst.get(), NextId++);
+  // The branch ids samples arrive with.
+  const std::unordered_map<const Instruction *, uint32_t> BranchIdOf =
+      numberBranches(Mod).IdOf;
 
   Sequences.reserve(Detected.size());
   for (size_t I = 0; I < Detected.size(); ++I) {
@@ -96,7 +95,7 @@ AdaptiveController::AdaptiveController(const Module &Mod,
       State.Bins.push_back(R);
     State.Counts.assign(State.Bins.size(), 0);
     State.Drift =
-        DriftDetector(State.Bins.size(), Opts.DriftWindow, Opts.DriftThreshold);
+        DriftDetector(State.Bins.size(), Opts.DriftWindow, DriftThreshold);
     Sequences.push_back(std::move(State));
   }
 
@@ -121,7 +120,7 @@ void AdaptiveController::attach(Interpreter &I) {
 
 bool AdaptiveController::drainBackgroundWork(double DeadlineSeconds) {
   if (DeadlineSeconds < 0)
-    DeadlineSeconds = Opts.DrainTimeoutSeconds;
+    DeadlineSeconds = DefaultDrainSeconds;
 
   bool Clean = true;
   if (Pool) {
@@ -271,16 +270,13 @@ void AdaptiveController::importProfile(const ProfileDB &DB) {
   // function the saved profile already shows past the threshold, so the
   // first run starts optimized instead of re-learning.
   bool TieredUp = false;
-  size_t FuncIndex = 0, FirstId = 0;
+  const std::vector<uint32_t> FirstId = numberBranches(M).FirstId;
+  size_t FuncIndex = 0;
   for (const auto &F : M) {
-    size_t Branches = 0;
-    for (const auto &Block : *F)
-      for (const auto &Inst : *Block)
-        if (Inst->getKind() == InstKind::CondBr)
-          ++Branches;
     uint64_t FuncTotal = 0;
-    for (size_t Id = 0; Id < Branches && FirstId + Id < H.Total.size(); ++Id)
-      FuncTotal += H.Total[FirstId + Id] / Scale;
+    for (size_t Id = FirstId[FuncIndex];
+         Id < FirstId[FuncIndex + 1] && Id < H.Total.size(); ++Id)
+      FuncTotal += H.Total[Id] / Scale;
     if (FuncIndex < Sampler.FuncSamples.size() && FuncTotal) {
       Sampler.FuncSamples[FuncIndex] += FuncTotal;
       if (!FuncTiered[FuncIndex] &&
@@ -293,7 +289,6 @@ void AdaptiveController::importProfile(const ProfileDB &DB) {
           trace("tier-up: function " + F->getName() + " from imported profile");
       }
     }
-    FirstId += Branches;
     ++FuncIndex;
   }
   if (TieredUp && !tiered())
@@ -564,7 +559,7 @@ void AdaptiveController::pollNative(bool Block) {
       RunsSinceRecheck = 0;
       ++ExecStats.NativeTierUps;
       if (Opts.Trace)
-        trace("native: promoted entry '" + Opts.EntryName + "' (" +
+        trace("native: promoted entry 'main' (" +
               std::to_string(Job->seconds()) + "s compile)");
     } else if (Opts.Trace) {
       trace("native: build finished for a stale layout; cached only");
@@ -654,7 +649,6 @@ void AdaptiveController::deoptimizeNative(const char *Why) {
 
 std::string AdaptiveController::emitNativeSource() {
   CEmitterOptions CO;
-  CO.EntryName = Opts.EntryName;
   CO.OnlyReachable = true;
 
   // The interpreter's fused tier reorders at decode time and leaves M
@@ -685,8 +679,7 @@ std::string AdaptiveController::emitNativeSource() {
 
 std::string bropt::orderingSignaturesFromProfile(const Module &Mod,
                                                  const ProfileDB &DB) {
-  std::vector<RangeSequence> Seqs =
-      detectSequences(const_cast<Module &>(Mod));
+  std::vector<RangeSequence> Seqs = detectSequences(Mod);
   SequenceKeyer Keyer;
   std::string Sig;
   for (const RangeSequence &Seq : Seqs) {

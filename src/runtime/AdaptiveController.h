@@ -71,11 +71,10 @@ struct RuntimeOptions {
   uint64_t HotThreshold = 50'000;
   /// Conditional branches between samples; 1 samples every branch.
   uint32_t SampleInterval = 64;
-  /// Samples per sequence in one drift-detection window.
+  /// Samples per sequence in one drift-detection window.  A window whose
+  /// normalized histogram distance from the deployed one exceeds 0.35
+  /// counts as drift.
   uint32_t DriftWindow = 256;
-  /// Normalized histogram distance in [0, 1] above which a window counts
-  /// as drift.
-  double DriftThreshold = 0.35;
   /// Total optimized builds (tier-up included) one controller may run.
   unsigned MaxRecompiles = 8;
   /// Hysteresis: samples that must pass after a build before drift may
@@ -120,11 +119,6 @@ struct RuntimeOptions {
   /// expiry the compiler's process group is killed and the controller
   /// falls back to the fused tier for good.
   double NativeCompileTimeout = 0;
-  /// Default deadline for drainBackgroundWork(); 0 waits forever.
-  double DrainTimeoutSeconds = 60.0;
-  /// Entry function the emitted native body exposes (and the only call
-  /// closure it contains).
-  std::string EntryName = "main";
   /// Compiles go through this runner; null uses NativeRunner::shared().
   /// Tests point it at a private runner to fault-inject a hung compiler
   /// without wedging the process-wide cache.
@@ -210,7 +204,7 @@ public:
 
   /// Blocks until any in-flight background optimization — fused rebuilds
   /// and native compiles alike — has finished.  \p DeadlineSeconds bounds
-  /// the wait (negative uses Opts.DrainTimeoutSeconds; 0 waits forever);
+  /// the wait (negative waits up to 60 s; 0 waits forever);
   /// on expiry the in-flight native compile is cancelled (its compiler
   /// process group is killed) so a hung `$BROPT_CC` cannot wedge the
   /// caller.  \returns true when everything drained cleanly, false when

@@ -2,70 +2,48 @@
 
 #include "runtime/HotnessSampler.h"
 
+#include "ir/CFG.h"
 #include "ir/Module.h"
 #include "sim/Interpreter.h"
 
 using namespace bropt;
 
-namespace {
-
-/// One (name, conditional-branch count) pair per function, in module
-/// layout order — the branch-id spans DecodedModule::decode assigns.
-std::vector<std::pair<const Function *, size_t>>
-branchSpans(const Module &M) {
-  std::vector<std::pair<const Function *, size_t>> Spans;
-  for (const auto &F : M) {
-    size_t Branches = 0;
-    for (const auto &Block : *F)
-      for (const auto &Inst : *Block)
-        if (Inst->getKind() == InstKind::CondBr)
-          ++Branches;
-    Spans.emplace_back(F.get(), Branches);
-  }
-  return Spans;
-}
-
-} // namespace
-
 void bropt::exportHotnessToProfile(const Module &M, const BranchHotness &H,
                                    ProfileDB &DB, uint64_t Scale) {
-  size_t FirstId = 0;
-  for (const auto &[F, Branches] : branchSpans(M)) {
-    if (Branches) {
-      FunctionHotness &Record = DB.functionHotness(F->getName(), Branches);
-      for (size_t Id = 0; Id < Branches; ++Id) {
-        const size_t Global = FirstId + Id;
-        if (Global >= H.Total.size())
-          break;
-        Record.Taken[Id] += H.Taken[Global] * Scale;
-        Record.Total[Id] += H.Total[Global] * Scale;
-      }
+  const std::vector<uint32_t> FirstId = numberBranches(M).FirstId;
+  size_t FuncIndex = 0;
+  for (const auto &F : M) {
+    const size_t First = FirstId[FuncIndex];
+    const size_t Branches = FirstId[++FuncIndex] - First;
+    if (!Branches)
+      continue;
+    FunctionHotness &Record = DB.functionHotness(F->getName(), Branches);
+    for (size_t Id = 0; Id < Branches && First + Id < H.Total.size(); ++Id) {
+      Record.Taken[Id] += H.Taken[First + Id] * Scale;
+      Record.Total[Id] += H.Total[First + Id] * Scale;
     }
-    FirstId += Branches;
   }
 }
 
 size_t bropt::importHotnessFromProfile(const Module &M, const ProfileDB &DB,
                                        BranchHotness &H) {
-  std::vector<std::pair<const Function *, size_t>> Spans = branchSpans(M);
-  size_t NumBranchIds = 0;
-  for (const auto &[F, Branches] : Spans)
-    NumBranchIds += Branches;
-  H.Taken.assign(NumBranchIds, 0);
-  H.Total.assign(NumBranchIds, 0);
+  const std::vector<uint32_t> FirstId = numberBranches(M).FirstId;
+  H.Taken.assign(FirstId.back(), 0);
+  H.Total.assign(FirstId.back(), 0);
 
   size_t Imported = 0;
-  size_t FirstId = 0;
-  for (const auto &[F, Branches] : Spans) {
+  size_t FuncIndex = 0;
+  for (const auto &F : M) {
+    const size_t First = FirstId[FuncIndex];
+    const size_t Branches = FirstId[++FuncIndex] - First;
     const FunctionHotness *Record = DB.findFunctionHotness(F->getName());
     if (Record && Record->Total.size() == Branches && Branches) {
       for (size_t Id = 0; Id < Branches; ++Id) {
-        H.Taken[FirstId + Id] = Record->Taken[Id];
-        H.Total[FirstId + Id] = Record->Total[Id];
+        H.Taken[First + Id] = Record->Taken[Id];
+        H.Total[First + Id] = Record->Total[Id];
       }
       ++Imported;
     }
-    FirstId += Branches;
   }
   return Imported;
 }

@@ -296,8 +296,8 @@ struct EdgeSlot {
 };
 
 /// A fully decoded module.  Function order (and therefore branch-id
-/// assignment) matches module order, so ids agree with
-/// Interpreter::branchIdOf on the source Module.
+/// assignment) matches module order, so ids agree with numberBranches
+/// (ir/CFG.h) and Interpreter::branchIdOf on the source Module.
 class DecodedModule {
 public:
   /// Flattens \p M.  Pure: does not mutate the module and depends only on

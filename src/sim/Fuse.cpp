@@ -837,14 +837,12 @@ DecodedModule bropt::decodeFused(const Module &M, const FuseOptions &Opts,
 
   // Match profile records to condition blocks through the same detector and
   // signature check pass 2 uses; each condition block's trailing compare
-  // gets its bin's hit count as ordering weight.  detectSequences only
-  // reads the module, so the const_cast is safe (and the decode above has
-  // already fixed the output).
+  // gets its bin's hit count as ordering weight.
   std::unordered_map<const Function *,
                      std::vector<std::pair<const BasicBlock *, uint64_t>>>
       ProfiledBlocks;
   if (Opts.Profile && Opts.Profile->numSequences()) {
-    std::vector<RangeSequence> Seqs = detectSequences(const_cast<Module &>(M));
+    std::vector<RangeSequence> Seqs = detectSequences(M);
     SequenceKeyer Keyer;
     for (const RangeSequence &Seq : Seqs) {
       const ProfileEntry *Prof = Opts.Profile->lookupSequence(

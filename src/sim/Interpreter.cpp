@@ -2,6 +2,7 @@
 
 #include "sim/Interpreter.h"
 
+#include "ir/CFG.h"
 #include "sim/Fuse.h"
 #include "support/Debug.h"
 #include "support/Strings.h"
@@ -11,16 +12,8 @@
 using namespace bropt;
 
 Interpreter::Interpreter(const Module &M, Mode ExecMode)
-    : M(M), ExecutionMode(ExecMode) {
-  // Number every static conditional branch in layout order; the id stands
-  // in for the branch's address when indexing the predictor table.
-  uint32_t NextId = 0;
-  for (const auto &F : M)
-    for (const auto &Block : *F)
-      for (const auto &Inst : *Block)
-        if (Inst->getKind() == InstKind::CondBr)
-          BranchIds.emplace(Inst.get(), NextId++);
-}
+    : M(M), ExecutionMode(ExecMode),
+      BranchIds(numberBranches(M).IdOf) {}
 
 uint32_t Interpreter::branchIdOf(const Instruction *I) const {
   auto It = BranchIds.find(I);

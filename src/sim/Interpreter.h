@@ -167,8 +167,8 @@ public:
                 const std::vector<int64_t> &Args = {});
 
   /// \returns a stable id for each static CondBr, in layout order across
-  /// the module.  Exposed so tests can correlate predictor behaviour with
-  /// specific branches.
+  /// the module (ir/CFG.h: numberBranches).  Exposed so tests can
+  /// correlate predictor behaviour with specific branches.
   uint32_t branchIdOf(const Instruction *I) const;
 
 private:

@@ -279,7 +279,6 @@ struct DiamondCFG {
     B.emitJump(Join);
     B.setInsertionPoint(Join);
     B.emitRet(Operand::imm(0));
-    F->recomputePredecessors();
 
     Weights.add(Entry->getId(), Right->getId(), 90);
     Weights.add(Entry->getId(), Left->getId(), 10);
@@ -342,7 +341,6 @@ TEST(ExtTspLayoutTest, LoopBodyJoinsHeaderChain) {
   B.emitJump(Header);
   B.setInsertionPoint(Exit);
   B.emitRet(Operand::imm(0));
-  F->recomputePredecessors();
 
   EdgeWeightMap W;
   W.add(Entry->getId(), Header->getId(), 1);
@@ -385,7 +383,6 @@ TEST(ExtTspLayoutTest, ColdErrorPathSinksToBottom) {
   B.emitJump(RetB);
   B.setInsertionPoint(RetB);
   B.emitRet(Operand::imm(0));
-  F->recomputePredecessors();
 
   EdgeWeightMap W;
   W.add(Entry->getId(), Ok->getId(), 100);
@@ -478,7 +475,6 @@ TEST(EdgeProfileTest, StaleRecordsAreDroppedWhole) {
   B.emitJump(Done);
   B.setInsertionPoint(Done);
   B.emitRet(Operand::imm(0));
-  F->recomputePredecessors();
 
   unsigned Stale = 0;
   ModuleEdgeWeights In = importEdgeWeights(DB, Other, &Stale);

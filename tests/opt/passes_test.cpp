@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 using namespace bropt;
 
 namespace {
@@ -336,7 +339,6 @@ TEST(PassesTest, Figure9ReencodingBlockedByCCConsumingSuccessor) {
   Builder.emitRet(Operand::imm(1));
   Builder.setInsertionPoint(L2);
   Builder.emitRet(Operand::imm(2));
-  F->recomputePredecessors();
 
   int64_t Before = runOK(*M).ExitValue;
   eliminateRedundantCompares(*F);
@@ -356,7 +358,6 @@ TEST(PassesTest, LivenessTracksAcrossBlocks) {
   )");
   ASSERT_TRUE(M);
   Function *F = M->getFunction("main");
-  F->recomputePredecessors();
   LivenessInfo Info = computeLiveness(*F);
   // Registers live out of the entry block include those returned later.
   const BasicBlock *Entry = &F->getEntryBlock();
@@ -379,6 +380,32 @@ TEST(PassesTest, CopyPropagationEnablesFolding) {
   runCleanupPipeline(*F);
   EXPECT_EQ(runOK(*M).ExitValue, 40);
   EXPECT_LE(F->instructionCount(), 2u) << printFunction(*F);
+}
+
+TEST(PassesTest, PassObserverSeesOnlyItsOwnThread) {
+  // A daemon compiles on many workers while a fuzz oracle observes its own
+  // compiles: an observer installed on one thread must neither see nor
+  // disturb the passes another thread runs.
+  const char *Source = R"(
+    int main() {
+      int x = 2 + 3;
+      if (x > 4) return x * 1;
+      return 0;
+    }
+  )";
+  std::atomic<unsigned> Seen{0};
+  PassObserverScope Scope(
+      [&Seen](const char *, Function &) { Seen.fetch_add(1); });
+  std::thread Other([Source] {
+    auto M = compileOrDie(Source);
+    optimizeModule(*M);
+  });
+  Other.join();
+  EXPECT_EQ(Seen.load(), 0u) << "observed another thread's compile";
+
+  auto M = compileOrDie(Source);
+  optimizeModule(*M);
+  EXPECT_GT(Seen.load(), 0u) << "missed this thread's own compile";
 }
 
 } // namespace

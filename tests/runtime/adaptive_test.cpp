@@ -18,10 +18,12 @@
 #include "runtime/DriftDetector.h"
 #include "runtime/HotnessSampler.h"
 #include "runtime/SwapPoint.h"
+#include "sim/Fuse.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 #include <optional>
+#include <thread>
 
 using namespace bropt;
 
@@ -287,6 +289,58 @@ TEST(AdaptiveRuntimeTest, TraceReportsTieringEvents) {
   }
   EXPECT_TRUE(SawTierUp);
   EXPECT_TRUE(SawSwap);
+}
+
+TEST(AdaptiveRuntimeTest, FusedDecodesAndTierUpsShareOneModule) {
+  // broptd's pair on one artifact: a fused execute builds the fused slot
+  // (decodeFused with the build's profile) under the build lock while an
+  // adaptive execute re-decodes the same module in runJob under the run
+  // lock.  No lock is common to both, so decoding, and the sequence
+  // detection inside it, must only read the module; ThreadSanitizer
+  // builds report any write.
+  const Workload *W = findWorkload("grep");
+  ASSERT_NE(W, nullptr);
+  CompileResult Keep =
+      compileWithReordering(W->Source, W->TrainingInput, CompileOptions());
+  ASSERT_TRUE(Keep.ok()) << Keep.Error;
+  ProfileDB Profile;
+  ASSERT_TRUE(Profile.deserialize(Keep.ProfileText));
+  const Module &M = *Keep.M;
+  const RunResult Tree = runTree(M, W->TestInput);
+
+  RuntimeOptions Opts;
+  Opts.HotThreshold = 64;
+  Opts.SampleInterval = 1;
+  Opts.MinSamplesBetweenRecompiles = 16;
+  Opts.DriftWindow = 16;
+  AdaptiveController Controller(M, Opts);
+
+  constexpr int Decodes = 20;
+  std::vector<RunResult> FusedRuns, AdaptiveRuns;
+  std::thread Fuser([&] {
+    FuseOptions FO;
+    FO.Profile = &Profile;
+    for (int I = 0; I < Decodes; ++I) {
+      const DecodedModule DM = decodeFused(M, FO);
+      Interpreter Interp(M, Interpreter::Mode::Fused);
+      Interp.setPreparedProgram(&DM);
+      Interp.setInput(W->TestInput);
+      FusedRuns.push_back(Interp.run());
+    }
+  });
+  std::thread Adaptive([&] {
+    for (int I = 0; I < 4; ++I)
+      AdaptiveRuns.push_back(runAdaptive(M, Controller, W->TestInput));
+  });
+  Fuser.join();
+  Adaptive.join();
+
+  for (const RunResult &Run : FusedRuns)
+    expectSameObservables(Tree, Run);
+  for (const RunResult &Run : AdaptiveRuns)
+    expectSameObservables(Tree, Run);
+  EXPECT_GE(Controller.stats().Recompiles, 2u)
+      << "the adaptive runs never re-decoded the module";
 }
 
 //===----------------------------------------------------------------------===//
