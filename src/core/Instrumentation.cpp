@@ -20,15 +20,16 @@ void ProfileBinner::addSequence(const RangeSequence &Seq) {
             [](const auto &A, const auto &B) {
               return A.first.lo() < B.first.lo();
             });
-  auto [It, Inserted] = Tables.emplace(Seq.Id, std::move(Table));
-  (void)It;
-  assert(Inserted && "sequence instrumented twice");
+  if (Seq.Id >= Tables.size())
+    Tables.resize(Seq.Id + 1);
+  assert(Tables[Seq.Id].NumBins == 0 && "sequence instrumented twice");
+  Tables[Seq.Id] = std::move(Table);
 }
 
 size_t ProfileBinner::binFor(unsigned SequenceId, int64_t Value) const {
-  auto It = Tables.find(SequenceId);
-  assert(It != Tables.end() && "unknown sequence id");
-  const auto &Bins = It->second.SortedBins;
+  assert(SequenceId < Tables.size() && Tables[SequenceId].NumBins &&
+         "unknown sequence id");
+  const auto &Bins = Tables[SequenceId].SortedBins;
   // Binary search for the last range with lo <= Value.
   size_t Lo = 0, Hi = Bins.size();
   while (Lo < Hi) {
@@ -45,9 +46,9 @@ size_t ProfileBinner::binFor(unsigned SequenceId, int64_t Value) const {
 }
 
 size_t ProfileBinner::numBins(unsigned SequenceId) const {
-  auto It = Tables.find(SequenceId);
-  assert(It != Tables.end() && "unknown sequence id");
-  return It->second.NumBins;
+  assert(SequenceId < Tables.size() && Tables[SequenceId].NumBins &&
+         "unknown sequence id");
+  return Tables[SequenceId].NumBins;
 }
 
 std::function<void(unsigned, int64_t)>

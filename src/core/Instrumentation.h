@@ -23,7 +23,7 @@
 #include "profile/ProfileDB.h"
 
 #include <functional>
-#include <unordered_map>
+#include <vector>
 
 namespace bropt {
 
@@ -49,7 +49,10 @@ private:
     std::vector<std::pair<Range, size_t>> SortedBins;
     size_t NumBins = 0;
   };
-  std::unordered_map<unsigned, BinTable> Tables;
+  /// Indexed by sequence id: the detector numbers sequences densely from
+  /// 0, so a hook finds its table without hashing.  Ids never registered
+  /// hold an empty table.
+  std::vector<BinTable> Tables;
 };
 
 /// Inserts a Profile hook at the head of every sequence (directly before

@@ -7,6 +7,7 @@
 #include "exec/ExecBackend.h"
 #include "ir/Verifier.h"
 #include "opt/Passes.h"
+#include "predict/Zoo.h"
 #include "profile/ProfileDB.h"
 #include "runtime/AdaptiveController.h"
 #include "service/Client.h"
@@ -57,9 +58,22 @@ bool countsEqual(const DynamicCounts &A, const DynamicCounts &B) {
          A.ProfileHooks == B.ProfileHooks;
 }
 
+/// The predictors invariant 2 attaches, a fresh one per run: the paper's
+/// (m,n) table on the baseline module and TAGE on the reordered one, so
+/// every campaign drives both of the threaded loop's predictor feeds (the
+/// table stepped in loop locals, any other scheme through the virtual
+/// Predictor::observe).
+constexpr const char *BaselineScheme = "paper";
+constexpr const char *ReorderedScheme = "tage";
+
+/// Runs \p M under \p Mode, with a fresh \p Scheme predictor attached
+/// unless \p Scheme is null.
 RunResult runOne(const Module &M, Interpreter::Mode Mode,
-                 const std::string &Input, uint64_t Limit) {
+                 const std::string &Input, uint64_t Limit,
+                 const char *Scheme = nullptr) {
+  std::unique_ptr<Predictor> P = Scheme ? makePredictor(Scheme) : nullptr;
   Interpreter Interp(M, Mode);
+  Interp.attachPredictor(P.get());
   Interp.setInput(Input);
   Interp.setInstructionLimit(Limit);
   return Interp.run();
@@ -68,9 +82,12 @@ RunResult runOne(const Module &M, Interpreter::Mode Mode,
 /// Runs the fused engine against a pre-built fused program, the way runs
 /// of an artifact's fused slot do.
 RunResult runFused(const Module &M, const DecodedModule &DM,
-                   const std::string &Input, uint64_t Limit) {
+                   const std::string &Input, uint64_t Limit,
+                   const char *Scheme) {
+  std::unique_ptr<Predictor> P = makePredictor(Scheme);
   Interpreter Interp(M, Interpreter::Mode::Fused);
   Interp.setPreparedProgram(&DM);
+  Interp.attachPredictor(P.get());
   Interp.setInput(Input);
   Interp.setInstructionLimit(Limit);
   return Interp.run();
@@ -82,11 +99,14 @@ RunResult runFused(const Module &M, const DecodedModule &DM,
 /// on this is the full tier ladder: beginRun() decides per activation
 /// whether the hot-swapped native body or the interpreter executes it.
 RunResult runAdaptive(const Module &M, AdaptiveController &Controller,
-                      const std::string &Input, uint64_t Limit) {
+                      const std::string &Input, uint64_t Limit,
+                      const char *Scheme = nullptr) {
+  std::unique_ptr<Predictor> P = Scheme ? makePredictor(Scheme) : nullptr;
   ExecRequest Req;
   Req.Input = Input;
   Req.InstructionLimit = Limit;
   Req.Adaptive = &Controller;
+  Req.AttachedPredictor = P.get();
   return executeModule(M, Interpreter::Mode::Adaptive, Req);
 }
 
@@ -97,8 +117,9 @@ std::string describeRun(const RunResult &R) {
                       R.Output.size());
 }
 
-/// Invariant 2: the engines must agree on everything, counters included.
-/// \p Label names the non-tree engine in diagnostics.
+/// Invariant 2: the engines must agree on everything, counters and the
+/// attached predictor's statistics included.  \p Label names the
+/// non-tree engine in diagnostics.
 bool enginesAgree(const RunResult &Tree, const RunResult &Other,
                   const char *Label, std::string &Detail) {
   if (Tree.Trapped != Other.Trapped ||
@@ -116,6 +137,17 @@ bool enginesAgree(const RunResult &Tree, const RunResult &Other,
         (unsigned long long)Tree.Counts.CondBranches, Label,
         (unsigned long long)Other.Counts.TotalInsts,
         (unsigned long long)Other.Counts.CondBranches);
+    return false;
+  }
+  if (Tree.Prediction.Branches != Other.Prediction.Branches ||
+      Tree.Prediction.Mispredictions != Other.Prediction.Mispredictions) {
+    Detail = formatString(
+        "predictor statistics diverge: tree %llu branches / %llu "
+        "mispredictions, %s %llu branches / %llu mispredictions",
+        (unsigned long long)Tree.Prediction.Branches,
+        (unsigned long long)Tree.Prediction.Mispredictions, Label,
+        (unsigned long long)Other.Prediction.Branches,
+        (unsigned long long)Other.Prediction.Mispredictions);
     return false;
   }
   return true;
@@ -582,16 +614,18 @@ OracleReport bropt::runOracle(std::string_view Source,
   for (size_t InputIndex = 0; InputIndex < HeldOutInputs.size();
        ++InputIndex) {
     const std::string &Input = HeldOutInputs[InputIndex];
-    RunResult BaseTree =
-        runOne(*Base.M, Interpreter::Mode::Tree, Input, Opts.InstructionLimit);
+    RunResult BaseTree = runOne(*Base.M, Interpreter::Mode::Tree, Input,
+                                Opts.InstructionLimit, BaselineScheme);
     // Adaptive with no controller is tier 0 alone: the unfused stream on
     // the threaded loop.  Checked on every program, whatever the options.
-    RunResult BaseUnfused = runOne(*Base.M, Interpreter::Mode::Adaptive,
-                                   Input, Opts.InstructionLimit);
+    RunResult BaseUnfused =
+        runOne(*Base.M, Interpreter::Mode::Adaptive, Input,
+               Opts.InstructionLimit, BaselineScheme);
     RunResult OptTree = runOne(*Optimized.M, Interpreter::Mode::Tree, Input,
-                               Opts.InstructionLimit);
-    RunResult OptUnfused = runOne(*Optimized.M, Interpreter::Mode::Adaptive,
-                                  Input, Opts.InstructionLimit);
+                               Opts.InstructionLimit, ReorderedScheme);
+    RunResult OptUnfused =
+        runOne(*Optimized.M, Interpreter::Mode::Adaptive, Input,
+               Opts.InstructionLimit, ReorderedScheme);
 
     std::string Detail;
     if (!enginesAgree(BaseTree, BaseUnfused, "unfused", Detail)) {
@@ -609,10 +643,11 @@ OracleReport bropt::runOracle(std::string_view Source,
       return Report;
     }
     if (Opts.CheckFusedEngine) {
-      RunResult BaseFusedRun =
-          runFused(*Base.M, BaseFused, Input, Opts.InstructionLimit);
+      RunResult BaseFusedRun = runFused(*Base.M, BaseFused, Input,
+                                        Opts.InstructionLimit, BaselineScheme);
       RunResult OptFusedRun =
-          runFused(*Optimized.M, OptFused, Input, Opts.InstructionLimit);
+          runFused(*Optimized.M, OptFused, Input, Opts.InstructionLimit,
+                   ReorderedScheme);
       if (!enginesAgree(BaseTree, BaseFusedRun, "fused", Detail)) {
         Report.Kind = ViolationKind::EngineMismatch;
         Report.Detail = formatString("baseline module, held-out input %zu: ",
@@ -629,10 +664,12 @@ OracleReport bropt::runOracle(std::string_view Source,
       }
     }
     if (Opts.CheckAdaptiveEngine) {
-      RunResult BaseAdaptiveRun = runAdaptive(*Base.M, *BaseAdaptive, Input,
-                                              Opts.InstructionLimit);
-      RunResult OptAdaptiveRun = runAdaptive(*Optimized.M, *OptAdaptive,
-                                             Input, Opts.InstructionLimit);
+      RunResult BaseAdaptiveRun =
+          runAdaptive(*Base.M, *BaseAdaptive, Input, Opts.InstructionLimit,
+                      BaselineScheme);
+      RunResult OptAdaptiveRun =
+          runAdaptive(*Optimized.M, *OptAdaptive, Input,
+                      Opts.InstructionLimit, ReorderedScheme);
       if (!enginesAgree(BaseTree, BaseAdaptiveRun, "adaptive", Detail)) {
         Report.Kind = ViolationKind::EngineMismatch;
         Report.Detail = formatString("baseline module, held-out input %zu: ",
@@ -709,9 +746,9 @@ OracleReport bropt::runOracle(std::string_view Source,
       // Aware selection: identical observables to the baseline, and the
       // engine tiers must agree on the aware module exactly (counters
       // included) — the repriced orderings are just another module to
-      // them.
+      // them.  Its runs attach the predictor it is priced for.
       RunResult AwareTree = runOne(*AwareIV.M, Interpreter::Mode::Tree,
-                                   Input, Opts.InstructionLimit);
+                                   Input, Opts.InstructionLimit, "paper");
       if (!behaviorsAgree(BaseTree, AwareTree, Detail)) {
         Report.Kind = ViolationKind::LoweringSuboptimal;
         Report.Detail =
@@ -720,8 +757,9 @@ OracleReport bropt::runOracle(std::string_view Source,
             Detail;
         return Report;
       }
-      RunResult AwareUnfused = runOne(*AwareIV.M, Interpreter::Mode::Adaptive,
-                                      Input, Opts.InstructionLimit);
+      RunResult AwareUnfused =
+          runOne(*AwareIV.M, Interpreter::Mode::Adaptive, Input,
+                 Opts.InstructionLimit, "paper");
       if (!enginesAgree(AwareTree, AwareUnfused, "unfused", Detail)) {
         Report.Kind = ViolationKind::EngineMismatch;
         Report.Detail =
@@ -732,7 +770,8 @@ OracleReport bropt::runOracle(std::string_view Source,
       }
       if (Opts.CheckFusedEngine) {
         RunResult AwareFusedRun =
-            runFused(*AwareIV.M, AwareFused, Input, Opts.InstructionLimit);
+            runFused(*AwareIV.M, AwareFused, Input, Opts.InstructionLimit,
+                     "paper");
         if (!enginesAgree(AwareTree, AwareFusedRun, "fused", Detail)) {
           Report.Kind = ViolationKind::EngineMismatch;
           Report.Detail =

@@ -14,10 +14,12 @@
 ///  2. Engines: the tree walker, the threaded loop over the unfused stream
 ///     (adaptive tier 0 alone) and over the fused stream, and the adaptive
 ///     (online-tiering) runtime agree on every artifact of every run,
-///     dynamic counters included.  The AOT-native engine and the adaptive
-///     runtime with its native tier (tier-2 JIT) join on the observables
-///     half of the bar — trap, exit value, output — since native code
-///     collects no dynamic counters.
+///     dynamic counters included, and so do the statistics of the fresh
+///     predictor each of those runs attaches (`paper` on the baseline
+///     module, `tage` on the reordered one).  The AOT-native engine and
+///     the adaptive runtime with its native tier (tier-2 JIT) join on the
+///     observables half of the bar — trap, exit value, output — since
+///     native code collects no dynamic counters.
 ///  3. Verification: the IR verifier passes after every individual pass
 ///     of the oracle's own compiles (observed through the pass-observer
 ///     hook, which is per thread).

@@ -41,8 +41,42 @@ struct PredictorConfig {
   static PredictorConfig ultraSparc() { return {0, 2, 2048}; }
 };
 
-/// Simulates one (m,n) predictor.
-class BranchPredictor : public Predictor {
+/// The whole state one (m,n) prediction step reads and writes, as a small
+/// value: the counter table (updated in place through the pointer), the
+/// global history, and the constants derived from the configuration.
+/// BranchPredictor steps one per observed branch, and the threaded loop
+/// (sim/Threaded.cpp) keeps one in locals for a whole activation and
+/// writes the history back, so the update rule below is its only copy.
+struct TableState {
+  uint8_t *Counters = nullptr;
+  uint32_t History = 0;
+  uint32_t HistoryMask = 0;
+  uint32_t IndexMask = 0;
+  uint8_t CounterMax = 0;
+  uint8_t NotTakenThreshold = 0;
+
+  /// Predicts branch \p BranchId, trains on the actual \p Taken outcome,
+  /// and \returns the direction that was predicted.
+  bool predictAndTrain(uint32_t BranchId, bool Taken) {
+    // Branch ids stand in for instruction addresses.  Real branches are
+    // scattered through the text segment, so small tables see conflicts;
+    // a multiplicative (Fibonacci) hash reproduces that aliasing behaviour
+    // instead of letting dense ids map conflict-free into any table.
+    uint32_t Spread = BranchId * 2654435761u;
+    uint8_t &Counter =
+        Counters[((Spread >> 16) ^ (History & HistoryMask)) & IndexMask];
+    bool Predicted = Counter >= NotTakenThreshold;
+
+    int Delta = Taken ? (Counter < CounterMax) : -(Counter > 0);
+    Counter = static_cast<uint8_t>(Counter + Delta);
+    History = (History << 1) | (Taken ? 1u : 0u);
+    return Predicted;
+  }
+};
+
+/// Simulates one (m,n) predictor.  Final, so the engines that hold one by
+/// its own type call its step without a virtual hop.
+class BranchPredictor final : public Predictor {
 public:
   /// \p Name is the zoo-registry name reported by name(); the default
   /// covers direct construction outside the registry.
@@ -52,34 +86,30 @@ public:
   const PredictorConfig &getConfig() const { return Config; }
   const char *name() const override { return SchemeName; }
 
+  /// The current state, for an engine that steps it in locals; its
+  /// Counters point into this predictor's table.  Hand the stepped value
+  /// back with storeState() before anything else observes or reads this
+  /// predictor.
+  TableState state() {
+    uint32_t HistoryMask = Config.HistoryBits >= 32
+                               ? ~0u
+                               : ((1u << Config.HistoryBits) - 1);
+    return {Counters.data(), History, HistoryMask, Config.NumEntries - 1,
+            CounterMax, NotTakenThreshold};
+  }
+  void storeState(const TableState &S) { History = S.History; }
+
 protected:
   bool predictAndTrain(uint32_t BranchId, bool Taken) override {
-    unsigned Index = indexFor(BranchId);
-    uint8_t &Counter = Counters[Index];
-    bool Predicted = Counter >= NotTakenThreshold;
-
-    int Delta = Taken ? (Counter < CounterMax) : -(Counter > 0);
-    Counter = static_cast<uint8_t>(Counter + Delta);
-    History = (History << 1) | (Taken ? 1u : 0u);
+    TableState S = state();
+    bool Predicted = S.predictAndTrain(BranchId, Taken);
+    storeState(S);
     return Predicted;
   }
 
   void resetState() override;
 
 private:
-  unsigned indexFor(uint32_t BranchId) const {
-    // Branch ids stand in for instruction addresses.  Real branches are
-    // scattered through the text segment, so small tables see conflicts;
-    // a multiplicative (Fibonacci) hash reproduces that aliasing behaviour
-    // instead of letting dense ids map conflict-free into any table.
-    uint32_t Spread = BranchId * 2654435761u;
-    uint32_t HistoryMask = (Config.HistoryBits >= 32)
-                               ? ~0u
-                               : ((1u << Config.HistoryBits) - 1);
-    uint32_t Index = (Spread >> 16) ^ (History & HistoryMask);
-    return Index & (Config.NumEntries - 1);
-  }
-
   PredictorConfig Config;
   const char *SchemeName;
   std::vector<uint8_t> Counters;

@@ -11,6 +11,9 @@
 /// observe(), which handles the bookkeeping every scheme shares — running
 /// statistics plus optional per-branch misprediction records — and defers
 /// the actual predict-and-train step to the scheme via one virtual call.
+/// The threaded loop skips observe() for the (m,n) table scheme
+/// (predict/BranchPredictor.h): it steps that scheme's state in its own
+/// locals and hands the totals back through addStats() and recordsFor().
 ///
 /// Per-branch records are the raw material of the Misprediction profile
 /// plane (profile/MispredictProfile.h): (mispredicts, taken, executions)
@@ -42,12 +45,19 @@ struct PredictorStats {
   }
 };
 
-/// Per-static-branch outcome record, indexed by the engine's stable branch
-/// id (sim/Interpreter.h: branchIdOf).
+/// Per-static-branch outcome record, indexed by the engines' stable branch
+/// id (ir/CFG.h: numberBranches).
 struct BranchRecord {
   uint64_t Mispredicts = 0;
   uint64_t Taken = 0;
   uint64_t Executions = 0;
+
+  /// Counts one execution of the branch.
+  void count(bool WasTaken, bool Correct) {
+    ++Executions;
+    Taken += WasTaken;
+    Mispredicts += !Correct;
+  }
 };
 
 /// Abstract branch predictor.  Concrete schemes implement predictAndTrain
@@ -65,7 +75,8 @@ public:
   /// \p BranchId identifies the static branch (stands in for its address).
   /// \returns true if the prediction was correct.
   ///
-  /// Defined inline: the interpreter calls this once per executed branch,
+  /// Defined inline: the tree walker calls this once per executed branch,
+  /// and so does the threaded loop for every scheme but the (m,n) table,
   /// which makes an extra out-of-line hop measurable on branchy programs;
   /// only the scheme-specific step pays a virtual call.
   bool observe(uint32_t BranchId, bool Taken) {
@@ -75,10 +86,7 @@ public:
     if (Recording) {
       if (BranchId >= Records.size())
         Records.resize(BranchId + 1);
-      BranchRecord &R = Records[BranchId];
-      ++R.Executions;
-      R.Taken += Taken;
-      R.Mispredicts += !Correct;
+      Records[BranchId].count(Taken, Correct);
     }
     return Correct;
   }
@@ -88,10 +96,32 @@ public:
   /// Turns on per-branch record keeping (profile passes only).
   void enableBranchRecords() { Recording = true; }
 
-  /// The per-branch records collected so far; indexed by branch id, and
-  /// only as long as the highest id observed.  Empty unless
-  /// enableBranchRecords() was called.
+  /// The per-branch records collected so far, indexed by branch id.
+  /// observe() grows them to the highest id observed; a threaded-loop run
+  /// of a BranchPredictor sizes them to the program's branch count
+  /// (sim/Decoded.h: numBranchIds) up front.  Ids past the end were never
+  /// executed and read as zero.  Empty unless enableBranchRecords() was
+  /// called.
   const std::vector<BranchRecord> &branchRecords() const { return Records; }
+
+  /// For an engine that steps a scheme outside observe() (the threaded
+  /// loop keeps a BranchPredictor's state in locals): adds \p Branches
+  /// observations, \p Mispredictions of them wrong, to the statistics.
+  void addStats(uint64_t Branches, uint64_t Mispredictions) {
+    Stats.Branches += Branches;
+    Stats.Mispredictions += Mispredictions;
+  }
+
+  /// For the same engines: the records grown to at least \p NumIds
+  /// entries, or null when recording is off.  The pointer stays valid
+  /// until the records grow again or reset() runs.
+  BranchRecord *recordsFor(uint32_t NumIds) {
+    if (!Recording)
+      return nullptr;
+    if (Records.size() < NumIds)
+      Records.resize(NumIds);
+    return Records.data();
+  }
 
   /// Clears all learned state, history, statistics, and records.  After a
   /// reset the predictor is indistinguishable from a newly constructed

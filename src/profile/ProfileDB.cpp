@@ -89,7 +89,9 @@ ProfileEntry &ProfileDB::registerSequence(ProfileKind Kind,
                                           std::string FunctionName,
                                           std::string Signature,
                                           size_t NumBins) {
-  assert(!IdIndex.count(RuntimeId) && "sequence registered twice");
+  if (RuntimeId >= IdIndex.size())
+    IdIndex.resize(RuntimeId + 1, NoEntry);
+  assert(IdIndex[RuntimeId] == NoEntry && "sequence registered twice");
   // Next free ordinal of (kind, function): registration order defines the
   // ordinal, so producers must register every detected sequence — zero
   // totals included — to keep consumer ordinals aligned.
@@ -102,7 +104,7 @@ ProfileEntry &ProfileDB::registerSequence(ProfileKind Kind,
   Entry.Signature = std::move(Signature);
   Entry.Ordinal = Ordinal;
   Entry.BinCounts.assign(NumBins, 0);
-  IdIndex.emplace(RuntimeId, Entries.size());
+  IdIndex[RuntimeId] = Entries.size();
   return addEntry(std::move(Entry));
 }
 
@@ -128,9 +130,9 @@ ProfileEntry &ProfileDB::upsertEntry(ProfileKind Kind,
 }
 
 void ProfileDB::increment(unsigned RuntimeId, size_t Bin, uint64_t Weight) {
-  auto It = IdIndex.find(RuntimeId);
-  assert(It != IdIndex.end() && "incrementing an unregistered sequence");
-  ProfileEntry &Entry = Entries[It->second];
+  assert(RuntimeId < IdIndex.size() && IdIndex[RuntimeId] != NoEntry &&
+         "incrementing an unregistered sequence");
+  ProfileEntry &Entry = Entries[IdIndex[RuntimeId]];
   assert(Bin < Entry.BinCounts.size() && "profile bin out of range");
   Entry.BinCounts[Bin] += Weight;
 }

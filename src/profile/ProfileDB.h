@@ -227,9 +227,12 @@ private:
   std::unordered_map<std::string, size_t> KeyIndex;
   /// function -> index into Hotness.
   std::unordered_map<std::string, size_t> HotIndex;
-  /// Transient runtime id -> index into Entries; rebuilt by registration,
-  /// empty after deserialize().
-  std::unordered_map<unsigned, size_t> IdIndex;
+  /// Indexed by transient runtime id: the index into Entries, or NoEntry
+  /// for an id never registered.  Runtime ids are the instrumenter's
+  /// dense sequence ids, so a hook's increment() does not hash.  Rebuilt
+  /// by registration, empty after deserialize().
+  static constexpr size_t NoEntry = ~size_t{0};
+  std::vector<size_t> IdIndex;
 };
 
 } // namespace bropt

@@ -20,7 +20,7 @@
 ///    transfer of control is a single index assignment rather than a
 ///    BasicBlock pointer chase;
 ///  * every static conditional branch carries its pre-assigned branch id
-///    (the same ids Interpreter::branchIdOf reports), eliminating the
+///    (the same ids ir/CFG.h's numberBranches assigns), eliminating the
 ///    per-execution hash lookup the tree-walking loop pays to feed the
 ///    branch predictor;
 ///  * variable-length payloads (call arguments, jump tables, switch cases,
@@ -297,7 +297,7 @@ struct EdgeSlot {
 
 /// A fully decoded module.  Function order (and therefore branch-id
 /// assignment) matches module order, so ids agree with numberBranches
-/// (ir/CFG.h) and Interpreter::branchIdOf on the source Module.
+/// (ir/CFG.h) on the source Module, the numbering the tree walker uses.
 class DecodedModule {
 public:
   /// Flattens \p M.  Pure: does not mutate the module and depends only on

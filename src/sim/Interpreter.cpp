@@ -3,6 +3,7 @@
 #include "sim/Interpreter.h"
 
 #include "ir/CFG.h"
+#include "predict/BranchPredictor.h"
 #include "sim/Fuse.h"
 #include "support/Debug.h"
 #include "support/Strings.h"
@@ -12,14 +13,7 @@
 using namespace bropt;
 
 Interpreter::Interpreter(const Module &M, Mode ExecMode)
-    : M(M), ExecutionMode(ExecMode),
-      BranchIds(numberBranches(M).IdOf) {}
-
-uint32_t Interpreter::branchIdOf(const Instruction *I) const {
-  auto It = BranchIds.find(I);
-  assert(It != BranchIds.end() && "not a registered conditional branch");
-  return It->second;
-}
+    : M(M), ExecutionMode(ExecMode) {}
 
 void Interpreter::trap(std::string Reason) {
   if (Aborted)
@@ -82,9 +76,18 @@ RunResult Interpreter::run(const std::string &EntryName,
     }
     // Both modes share the threaded loop.  Adaptive starts in tier 0, the
     // unfused stream; hot activations migrate to fused streams through the
-    // AdaptiveHooks safe-point checks.
-    Result.ExitValue = EdgeCounts ? execFused<true>(*DM, *Entry, Args, 0)
-                                  : execFused<false>(*DM, *Entry, Args, 0);
+    // AdaptiveHooks safe-point checks.  The (m,n) table scheme, which the
+    // paper's measurements attach to every run, gets the instantiation
+    // that steps it in loop locals.
+    if (EdgeCounts)
+      Result.ExitValue =
+          execFused<true, PredictorFeed::Virtual>(*DM, *Entry, Args, 0);
+    else if (dynamic_cast<BranchPredictor *>(AttachedPredictor))
+      Result.ExitValue =
+          execFused<false, PredictorFeed::Table>(*DM, *Entry, Args, 0);
+    else
+      Result.ExitValue =
+          execFused<false, PredictorFeed::Virtual>(*DM, *Entry, Args, 0);
     if (AttachedPredictor)
       Result.Prediction = AttachedPredictor->getStats();
     return Result;
@@ -100,6 +103,10 @@ RunResult Interpreter::run(const std::string &EntryName,
     return Result;
   }
 
+  // The tree walker feeds the predictor by branch id, so it numbers the
+  // branches, but only for a run that has a predictor to feed.
+  if (AttachedPredictor)
+    TreeBranchIds = numberBranches(M).IdOf;
   Result.ExitValue = execFunction(*Entry, Args, 0);
   if (AttachedPredictor)
     Result.Prediction = AttachedPredictor->getStats();
@@ -328,7 +335,7 @@ int64_t Interpreter::execFunction(const Function &F,
       if (Taken)
         ++Counts.TakenBranches;
       if (AttachedPredictor)
-        AttachedPredictor->observe(BranchIds.find(Inst)->second, Taken);
+        AttachedPredictor->observe(TreeBranchIds.find(Inst)->second, Taken);
       Block = Taken ? Br->getTaken() : Br->getFallThrough();
       InstIndex = 0;
       continue;

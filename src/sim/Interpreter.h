@@ -166,12 +166,12 @@ public:
   RunResult run(const std::string &EntryName = "main",
                 const std::vector<int64_t> &Args = {});
 
-  /// \returns a stable id for each static CondBr, in layout order across
-  /// the module (ir/CFG.h: numberBranches).  Exposed so tests can
-  /// correlate predictor behaviour with specific branches.
-  uint32_t branchIdOf(const Instruction *I) const;
-
 private:
+  /// How the threaded loop feeds an attached predictor: through the
+  /// virtual Predictor::observe() (any scheme, or none), or by stepping a
+  /// BranchPredictor's table state in loop locals.
+  enum class PredictorFeed : uint8_t { Virtual, Table };
+
   int64_t execFunction(const Function &F, const std::vector<int64_t> &Args,
                        unsigned Depth);
   /// Executes \p F on the threaded loop, over a fused or an unfused
@@ -183,8 +183,9 @@ private:
   /// Frame transfer is sound because fusion rewrites instructions in place
   /// without touching NumRegs or the constant pool.  \p CountEdges selects
   /// the instantiation that bumps EdgeCounts on every transfer; production
-  /// runs take the other one, which holds no counting code.
-  template <bool CountEdges>
+  /// runs take the other one, which holds no counting code.  \p Feed is
+  /// Table only when the attached predictor is a BranchPredictor.
+  template <bool CountEdges, PredictorFeed Feed>
   int64_t execFused(const DecodedModule &DM, const DecodedFunction &F,
                     const std::vector<int64_t> &Args, unsigned Depth,
                     size_t StartIndex = 0,
@@ -210,7 +211,9 @@ private:
   std::vector<int64_t> Memory;
   RunResult Result;
   bool Aborted = false;
-  std::unordered_map<const Instruction *, uint32_t> BranchIds;
+  /// Each CondBr's id (ir/CFG.h: numberBranches), for the tree walker's
+  /// predictor feed; filled by run() only when a predictor is attached.
+  std::unordered_map<const Instruction *, uint32_t> TreeBranchIds;
 
   static constexpr unsigned MaxCallDepth = 2000;
 };

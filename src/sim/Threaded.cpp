@@ -22,6 +22,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "predict/BranchPredictor.h"
 #include "sim/Fuse.h"
 #include "sim/Interpreter.h"
 #include "support/Debug.h"
@@ -63,7 +64,7 @@ inline bool evalCC(CondCode CC, int64_t Lhs, int64_t Rhs) {
 
 } // namespace
 
-template <bool CountEdges>
+template <bool CountEdges, Interpreter::PredictorFeed Feed>
 int64_t Interpreter::execFused(const DecodedModule &DM,
                                const DecodedFunction &F,
                                const std::vector<int64_t> &Args,
@@ -96,6 +97,30 @@ int64_t Interpreter::execFused(const DecodedModule &DM,
     std::copy(Args.begin(), Args.end(), Regs);
   std::copy(F.Constants.begin(), F.Constants.end(), Regs + F.NumRegs);
 
+  // The predictor.  The Table instantiation (run() takes it only for a
+  // BranchPredictor) steps the scheme's state in locals: no virtual call,
+  // and no reloads of the table, history and stats through the predictor
+  // object after each counter store, which as a uint8_t store may alias
+  // anything.  flush() writes the history and the stats back, so the
+  // predictor object is exact wherever control leaves this activation
+  // (exits, calls, swaps), and loadTable() picks the history up again
+  // after a call moved it on.  Every branch this instantiation executes is
+  // observed, so the predictor's branch count is LC.CondBranches.
+  Predictor *const Pred = AttachedPredictor;
+  [[maybe_unused]] BranchPredictor *const TP =
+      Feed == PredictorFeed::Table ? static_cast<BranchPredictor *>(Pred)
+                                   : nullptr;
+  [[maybe_unused]] TableState Table;
+  [[maybe_unused]] BranchRecord *Records = nullptr;
+  [[maybe_unused]] uint64_t Mispredictions = 0;
+  auto loadTable = [&] {
+    if constexpr (Feed == PredictorFeed::Table) {
+      Table = TP->state();
+      Records = TP->recordsFor(DM.numBranchIds());
+    }
+  };
+  loadTable();
+
   DynamicCounts LC;
   // The total-instruction count runs as a countdown: Remaining starts at
   // the headroom under the limit, every logical instruction decrements it,
@@ -118,6 +143,11 @@ int64_t Interpreter::execFused(const DecodedModule &DM,
     C.Stores += LC.Stores;
     C.Calls += LC.Calls;
     C.ProfileHooks += LC.ProfileHooks;
+    if constexpr (Feed == PredictorFeed::Table) {
+      TP->storeState(Table);
+      TP->addStats(LC.CondBranches, Mispredictions);
+      Mispredictions = 0;
+    }
     LC = DynamicCounts();
     Budget = InstructionLimit - C.TotalInsts;
     Remaining = Budget;
@@ -202,12 +232,10 @@ int64_t Interpreter::execFused(const DecodedModule &DM,
   int64_t CCLhs = ResumeCCLhs, CCRhs = ResumeCCRhs;
   const DecodedInst *Insts = F.Insts.data();
   // The simulated heap is sized once in exec() and never reallocated while
-  // code runs, and the predictor pointer is fixed for the whole call; local
-  // copies let the compiler keep them in registers instead of reloading the
-  // members after every store the handlers make.
+  // code runs; local copies let the compiler keep it in registers instead
+  // of reloading the members after every store the handlers make.
   int64_t *const Mem = Memory.data();
   const uint64_t MemSize = Memory.size();
-  Predictor *const Pred = AttachedPredictor;
   // Edge counters (setEdgeCounters): touched only by the CountEdges
   // instantiation, so production runs carry no counting code at all.
   [[maybe_unused]] uint64_t *const Edges = EdgeCounts;
@@ -222,9 +250,24 @@ int64_t Interpreter::execFused(const DecodedModule &DM,
     size_t NewIndex = 0;
     if (const DecodedModule *NewDM =
             AH->TrySwap(DM, F.FuncIndex, Index, NewIndex))
-      return execFused<CountEdges>(*NewDM, NewDM->function(F.FuncIndex),
-                                   Args, Depth, NewIndex, Regs, CCLhs, CCRhs);
+      return execFused<CountEdges, Feed>(*NewDM,
+                                         NewDM->function(F.FuncIndex), Args,
+                                         Depth, NewIndex, Regs, CCLhs, CCRhs);
   }
+
+// Feeds one executed conditional branch to the attached predictor, if any.
+#define BROPT_OBSERVE(BRANCH_ID, TAKEN)                                        \
+  do {                                                                         \
+    if constexpr (Feed == PredictorFeed::Table) {                              \
+      const uint32_t Id = (BRANCH_ID);                                         \
+      const bool Correct = Table.predictAndTrain(Id, (TAKEN)) == (TAKEN);      \
+      Mispredictions += !Correct;                                              \
+      if (Records)                                                             \
+        Records[Id].count((TAKEN), Correct);                                   \
+    } else if (Pred) {                                                         \
+      Pred->observe((BRANCH_ID), (TAKEN));                                     \
+    }                                                                          \
+  } while (0)
 
 // Sampled adaptive check at a safe point: Index was just assigned a branch
 // target, which is always the start of a surviving block in the fused
@@ -241,9 +284,9 @@ int64_t Interpreter::execFused(const DecodedModule &DM,
         if (const DecodedModule *NewDM =                                       \
                 AH->TrySwap(DM, F.FuncIndex, Index, NewIndex)) {               \
           flush();                                                             \
-          return execFused<CountEdges>(*NewDM, NewDM->function(F.FuncIndex),   \
-                                       Args, Depth, NewIndex, Regs, CCLhs,     \
-                                       CCRhs);                                 \
+          return execFused<CountEdges, Feed>(                                  \
+              *NewDM, NewDM->function(F.FuncIndex), Args, Depth, NewIndex,     \
+              Regs, CCLhs, CCRhs);                                             \
         }                                                                      \
       }                                                                        \
     }                                                                          \
@@ -371,13 +414,14 @@ Dispatch:
       for (uint32_t ArgIndex = 0; ArgIndex < Inst.ExtraCount; ++ArgIndex)
         CallArgs.push_back(ArgSlice[ArgIndex].read(Regs));
       flush();
-      Value = execFused<CountEdges>(DM, DM.function(Inst.Target0), CallArgs,
-                                    Depth + 1);
+      Value = execFused<CountEdges, Feed>(DM, DM.function(Inst.Target0),
+                                          CallArgs, Depth + 1);
     }
     if (Aborted)
       return 0;
     Budget = InstructionLimit - Result.Counts.TotalInsts;
     Remaining = Budget;
+    loadTable();
     if (Inst.Dest != DecodedInst::NoReg)
       Regs[Inst.Dest] = Value;
     BROPT_NEXT();
@@ -440,8 +484,7 @@ Dispatch:
     const bool Taken = evalCC(static_cast<CondCode>(Inst.SubOp), CCLhs, CCRhs);
     if (Taken)
       ++LC.TakenBranches;
-    if (Pred)
-      Pred->observe(Inst.Dest, Taken);
+    BROPT_OBSERVE(Inst.Dest, Taken);
     if constexpr (CountEdges)
       ++Edges[Inst.Imm + !Taken];
     Index = Taken ? Inst.Target0 : Inst.Target1;
@@ -533,8 +576,7 @@ Dispatch:
     const bool Taken = evalCC(static_cast<CondCode>(Inst.SubOp), CCLhs, CCRhs);
     if (Taken)
       ++LC.TakenBranches;
-    if (Pred)
-      Pred->observe(Inst.Dest, Taken);
+    BROPT_OBSERVE(Inst.Dest, Taken);
     Index = Taken ? Inst.Target0 : Inst.Target1;
     BROPT_ADAPTIVE_CHECK(Inst.Dest, Taken, CCLhs);
     BROPT_DISPATCH();
@@ -544,7 +586,8 @@ Dispatch:
     const DecodedInst &Inst = Insts[Index];
     const FusedArm *Arms = &F.Arms[Inst.Extra];
     const uint32_t NumArms = Inst.ExtraCount;
-    if (!Pred && Remaining >= 2ull * NumArms) {
+    if (Feed == PredictorFeed::Virtual && !Pred &&
+        Remaining >= 2ull * NumArms) {
       // Fast path: no predictor to feed and the limit cannot trip inside
       // the chain, so test arms in (possibly profile-reordered) execution
       // order and reconstruct the logical counts arithmetically.  The
@@ -589,7 +632,8 @@ Dispatch:
                            Arms[0].Lhs.read(Regs));
       BROPT_DISPATCH();
     }
-    if (Pred && Remaining >= 2ull * NumArms) {
+    if ((Feed == PredictorFeed::Table || Pred) &&
+        Remaining >= 2ull * NumArms) {
       // Pred attached but the limit cannot trip inside the chain:
       // test and observe in logical order (observation order is part of
       // the contract — global-history predictors care) but batch the
@@ -599,7 +643,7 @@ Dispatch:
       for (; Arm < NumArms; ++Arm) {
         const FusedArm &A = Arms[Arm];
         const bool Taken = evalCC(A.Pred, A.Lhs.read(Regs), A.Rhs.read(Regs));
-        Pred->observe(A.BranchId, Taken);
+        BROPT_OBSERVE(A.BranchId, Taken);
         if (Taken) {
           Matched = true;
           break;
@@ -634,8 +678,7 @@ Dispatch:
         const bool Taken = evalCC(A.Pred, CCLhs, CCRhs);
         if (Taken)
           ++LC.TakenBranches;
-        if (Pred)
-          Pred->observe(A.BranchId, Taken);
+        BROPT_OBSERVE(A.BranchId, Taken);
         if (Taken) {
           Next = A.Target;
           break;
@@ -663,8 +706,7 @@ Dispatch:
     const bool Taken = evalCC(static_cast<CondCode>(Inst.SubOp), CCLhs, CCRhs);
     if (Taken)
       ++LC.TakenBranches;
-    if (Pred)
-      Pred->observe(Inst.Extra, Taken);
+    BROPT_OBSERVE(Inst.Extra, Taken);
     Index = Taken ? Inst.Target0 : Inst.Target1;
     BROPT_ADAPTIVE_CHECK(Inst.Extra, Taken, CCLhs);
     BROPT_DISPATCH();
@@ -688,8 +730,7 @@ Dispatch:
         evalCC(static_cast<CondCode>(Inst.SubOp & 7), CCLhs, CCRhs);
     if (Taken)
       ++LC.TakenBranches;
-    if (Pred)
-      Pred->observe(Inst.Extra, Taken);
+    BROPT_OBSERVE(Inst.Extra, Taken);
     Index = Taken ? Inst.Target0 : Inst.Target1;
     BROPT_ADAPTIVE_CHECK(Inst.Extra, Taken, CCLhs);
     BROPT_DISPATCH();
@@ -716,8 +757,7 @@ Dispatch:
     const bool Taken = evalCC(static_cast<CondCode>(Inst.SubOp), CCLhs, CCRhs);
     if (Taken)
       ++LC.TakenBranches;
-    if (Pred)
-      Pred->observe(Inst.Extra, Taken);
+    BROPT_OBSERVE(Inst.Extra, Taken);
     Index = Taken ? Inst.Target0 : Inst.Target1;
     BROPT_ADAPTIVE_CHECK(Inst.Extra, Taken, CCLhs);
     BROPT_DISPATCH();
@@ -739,8 +779,7 @@ Dispatch:
     const bool Taken = evalCC(static_cast<CondCode>(Inst.SubOp), CCLhs, CCRhs);
     if (Taken)
       ++LC.TakenBranches;
-    if (Pred)
-      Pred->observe(Inst.Extra, Taken);
+    BROPT_OBSERVE(Inst.Extra, Taken);
     Index = Taken ? Inst.Target0 : Inst.Target1;
     BROPT_ADAPTIVE_CHECK(Inst.Extra, Taken, CCLhs);
     BROPT_DISPATCH();
@@ -1044,8 +1083,7 @@ Dispatch:
     const bool Taken = evalCC(static_cast<CondCode>(Inst.SubOp), CCLhs, CCRhs);
     if (Taken)
       ++LC.TakenBranches;
-    if (Pred)
-      Pred->observe(Inst.Dest, Taken);
+    BROPT_OBSERVE(Inst.Dest, Taken);
     Index = Taken ? Inst.Target0 : Inst.Target1;
     BROPT_DISPATCH();
   }
@@ -1069,8 +1107,7 @@ Dispatch:
     const bool Taken = evalCC(static_cast<CondCode>(Inst.SubOp), CCLhs, CCRhs);
     if (Taken)
       ++LC.TakenBranches;
-    if (Pred)
-      Pred->observe(static_cast<uint32_t>(Inst.Imm), Taken);
+    BROPT_OBSERVE(static_cast<uint32_t>(Inst.Imm), Taken);
     Index = Taken ? Inst.Target0 : Inst.Target1;
     BROPT_DISPATCH();
   }
@@ -1084,17 +1121,23 @@ Dispatch:
 #undef BROPT_OP
 #undef BROPT_DISPATCH
 #undef BROPT_ADAPTIVE_CHECK
+#undef BROPT_OBSERVE
 #undef BROPT_EVAL_BINARY
 #undef BROPT_COUNT_INST
 }
 
-// Production runs take the <false> instantiation; only edge-profiling
-// runs (collectEdgeWeights) take the counting one.
-template int64_t Interpreter::execFused<false>(
+// Production runs take the <false, ...> instantiations, the Table one when
+// a BranchPredictor is attached; only edge-profiling runs
+// (collectEdgeWeights) take the counting one.
+template int64_t Interpreter::execFused<false, Interpreter::PredictorFeed::Virtual>(
     const DecodedModule &, const DecodedFunction &,
     const std::vector<int64_t> &, unsigned, size_t, const int64_t *, int64_t,
     int64_t);
-template int64_t Interpreter::execFused<true>(
+template int64_t Interpreter::execFused<false, Interpreter::PredictorFeed::Table>(
+    const DecodedModule &, const DecodedFunction &,
+    const std::vector<int64_t> &, unsigned, size_t, const int64_t *, int64_t,
+    int64_t);
+template int64_t Interpreter::execFused<true, Interpreter::PredictorFeed::Virtual>(
     const DecodedModule &, const DecodedFunction &,
     const std::vector<int64_t> &, unsigned, size_t, const int64_t *, int64_t,
     int64_t);

@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Driver.h"
+#include "ir/CFG.h"
 #include "ir/IRBuilder.h"
 #include "predict/BranchPredictor.h"
 #include "sim/Interpreter.h"
@@ -303,7 +304,7 @@ TEST(DecodedDifferentialTest, ModuleMutationsAreObserved) {
 
 TEST(DecodedDifferentialTest, BranchIdsMatchTreeNumbering) {
   // Predictor behaviour depends on branch ids; decode numbers them in the
-  // same module order the tree interpreter does.
+  // same module order numberBranches does, which the tree walker uses.
   Module M;
   Function *F = M.createFunction("main", 1);
   BasicBlock *Entry = F->createBlock();
@@ -326,12 +327,12 @@ TEST(DecodedDifferentialTest, BranchIdsMatchTreeNumbering) {
   for (const DecodedInst &Inst : DF->Insts)
     if (Inst.Op == DecodedOp::CondBr)
       Ids.push_back(Inst.Dest);
-  Interpreter Tree(M, Interpreter::Mode::Tree);
+  BranchNumbering Numbering = numberBranches(M);
   std::vector<uint32_t> TreeIds;
   for (const auto &Block : *M.getFunction("main"))
     for (const auto &Inst : *Block)
       if (Inst->getKind() == InstKind::CondBr)
-        TreeIds.push_back(Tree.branchIdOf(Inst.get()));
+        TreeIds.push_back(Numbering.IdOf.at(Inst.get()));
   EXPECT_EQ(Ids, TreeIds);
 }
 
