@@ -75,6 +75,11 @@ std::vector<RangeInfo> bropt::buildRangeInfos(const RangeSequence &Seq,
 
 namespace {
 
+/// Cap on instructions cloned when duplicating the default target.
+constexpr size_t MaxDefaultCloneInsts = 48;
+/// Jump tables wider than this are never considered.
+constexpr uint64_t MaxTableSpan = 512;
+
 /// Emits the rebuilt sequence for one transformation.
 class SequenceRewriter {
 public:
@@ -326,7 +331,7 @@ private:
       Into->append(std::make_unique<JumpInst>(Target));
       return;
     }
-    size_t Budget = Opts.MaxDefaultCloneInsts;
+    size_t Budget = MaxDefaultCloneInsts;
     BasicBlock *Source = Target;
     std::unordered_set<BasicBlock *> ChainSeen;
     while (true) {
@@ -374,7 +379,7 @@ private:
     }
     uint64_t Span =
         static_cast<uint64_t>(Hi) - static_cast<uint64_t>(Lo) + 1;
-    if (Span > Opts.MaxTableSpan)
+    if (Span > MaxTableSpan)
       return std::nullopt;
     // Split the profile mass by where values fall; the cost layer prices
     // the three paths (bounds-check exits, index adjustment, indirect

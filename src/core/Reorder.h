@@ -49,16 +49,12 @@ struct ReorderOptions {
   /// left untouched (the paper's dominant reason a detected sequence was
   /// not reordered).
   uint64_t MinExecutions = 1;
-  /// Cap on instructions cloned when duplicating the default target.
-  size_t MaxDefaultCloneInsts = 48;
 
   /// §10 extension: semi-static search-method selection.  When enabled,
   /// each sequence is emitted as a bounds-checked jump table instead of a
   /// reordered linear search whenever the table's expected cost (priced by
   /// Cost.jumpTableCost) beats the best ordering's cost.
   bool EnableMethodSelection = false;
-  /// Jump tables wider than this are never considered.
-  uint64_t MaxTableSpan = 512;
 
   /// Set IV (docs/LOWERING.md): also cost the optimal comparison tree over
   /// the sorted range partition (cost/OptimalTree.h) and emit whichever of

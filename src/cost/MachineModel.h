@@ -39,6 +39,8 @@ struct DynamicCounts {
   uint64_t Stores = 0;
   uint64_t Calls = 0;
   uint64_t ProfileHooks = 0; ///< instrumentation executions (not in TotalInsts)
+
+  bool operator==(const DynamicCounts &) const = default;
 };
 
 /// Per-event cycle costs of an idealized single-issue machine.

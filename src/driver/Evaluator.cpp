@@ -22,17 +22,15 @@ std::string baselineKey(const Workload &W, const CompileOptions &Options) {
 std::string reorderedKey(const Workload &W, const CompileOptions &Options) {
   const ReorderOptions &R = Options.Reorder;
   return formatString(
-             "set=%d;cs=%d;dup=%d;f4=%d;ex=%d;min=%llu;clone=%zu;ms=%d;"
-             "span=%llu;tree=%d;pgl=%d;cmp=%g;takenx=%g;ijmp=%g;margin=%g;"
-             "mp=%g;q=%g;",
+             "set=%d;cs=%d;dup=%d;f4=%d;ex=%d;min=%llu;ms=%d;tree=%d;pgl=%d;"
+             "cmp=%g;takenx=%g;ijmp=%g;margin=%g;mp=%g;q=%g;",
              static_cast<int>(Options.HeuristicSet),
              Options.EnableCommonSuccessorReordering ? 1 : 0,
              R.DuplicateDefaultTarget ? 1 : 0, R.OrderFormFourBranches ? 1 : 0,
              R.UseExhaustiveSelection ? 1 : 0,
              static_cast<unsigned long long>(R.MinExecutions),
-             R.MaxDefaultCloneInsts, R.EnableMethodSelection ? 1 : 0,
-             static_cast<unsigned long long>(R.MaxTableSpan),
-             R.UseOptimalTree ? 1 : 0, R.ProfileGuidedLayout ? 1 : 0,
+             R.EnableMethodSelection ? 1 : 0, R.UseOptimalTree ? 1 : 0,
+             R.ProfileGuidedLayout ? 1 : 0,
              R.Cost.CompareCost, R.Cost.TakenBranchExtra,
              R.Cost.IndirectJumpCost, R.Cost.JumpTableMargin,
              R.Cost.MispredictPenalty, R.Cost.PredictorQuality) +

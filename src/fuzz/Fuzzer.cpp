@@ -47,15 +47,20 @@ OracleOptions bropt::optionsForSeed(uint64_t ProgramSeed, FaultKind Fault) {
   return Opts;
 }
 
-std::string bropt::renderReproducer(const FuzzViolation &Violation) {
+std::string bropt::renderReproducer(const FuzzViolation &Violation,
+                                   const FuzzOptions &Campaign) {
   OracleOptions Opts = optionsForSeed(Violation.ProgramSeed, FaultKind::None);
+  std::string Detail = Violation.Detail;
+  for (size_t At = Detail.find('\n'); At != std::string::npos;
+       At = Detail.find('\n', At + 4))
+    Detail.replace(At, 1, "\n// ");
   std::string Text;
   Text += "// bropt-fuzz reproducer\n";
   Text += formatString("// seed: %llu\n",
                        (unsigned long long)Violation.ProgramSeed);
   Text += formatString("// violation: %s\n",
                        violationKindName(Violation.Kind));
-  Text += "// detail: " + Violation.Detail + "\n";
+  Text += "// detail: " + Detail + "\n";
   Text += formatString(
       "// config: set %s, dup-default %d, form-four %d, exhaustive %d, "
       "method-selection %d, common-successor %d\n",
@@ -69,27 +74,35 @@ std::string bropt::renderReproducer(const FuzzViolation &Violation) {
       "// adaptive: sample-interval %u, hot-threshold %llu, drift-window %u\n",
       Opts.AdaptiveSampleInterval,
       (unsigned long long)Opts.AdaptiveHotThreshold, Opts.AdaptiveDriftWindow);
+  // Program Index of campaign Seed is the last of Index + 1 programs.
+  const OracleChecks &Checks = Campaign.Checks;
   Text += formatString(
-      "// replay: bropt-fuzz --seed %llu --programs 1\n",
-      (unsigned long long)Violation.ProgramSeed);
-  Text += "\n" + Violation.Source;
+      "// replay: bropt-fuzz --seed %llu --programs %u --native %s "
+      "--adaptive-native %s --lowering-check %s%s",
+      (unsigned long long)Campaign.Seed, Violation.Index + 1,
+      Checks.Native ? "auto" : "off", Checks.AdaptiveNative ? "auto" : "off",
+      Checks.LoweringOptimal ? "on" : "off", Checks.Service ? " --serve" : "");
+  if (Campaign.Fault != FaultKind::None)
+    Text += std::string(" --fault ") + faultKindName(Campaign.Fault);
+  Text += "\n\n" + Violation.Source;
   return Text;
 }
 
 namespace {
 
-std::string writeReproducer(const std::string &CorpusDir,
+std::string writeReproducer(const FuzzOptions &Campaign,
                             const FuzzViolation &Violation) {
   std::error_code EC;
-  std::filesystem::create_directories(CorpusDir, EC);
+  std::filesystem::create_directories(Campaign.CorpusDir, EC);
   std::string Path =
-      CorpusDir + formatString("/case-%llu-%s.minic",
-                               (unsigned long long)Violation.ProgramSeed,
-                               violationKindName(Violation.Kind));
+      Campaign.CorpusDir +
+      formatString("/case-%llu-%s.minic",
+                   (unsigned long long)Violation.ProgramSeed,
+                   violationKindName(Violation.Kind));
   std::ofstream Out(Path, std::ios::trunc);
   if (!Out)
     return "";
-  Out << renderReproducer(Violation);
+  Out << renderReproducer(Violation, Campaign);
   return Path;
 }
 
@@ -111,11 +124,7 @@ FuzzCampaignResult bropt::runFuzzCampaign(const FuzzOptions &Opts) {
     uint64_t ProgramSeed = Rng::mix(Opts.Seed, Index);
     GeneratedProgram Program = generateProgram(ProgramSeed);
     OracleOptions Oracle = optionsForSeed(ProgramSeed, Opts.Fault);
-    Oracle.CheckNativeEngine = Opts.CheckNativeEngine;
-    Oracle.CheckAdaptiveNativeEngine = Opts.CheckAdaptiveNativeEngine;
-    Oracle.CheckLoweringOptimal = Opts.CheckLoweringOptimal;
-    Oracle.CheckServiceEngine =
-        Opts.CheckServiceEngine || Opts.Fault == FaultKind::DropConnection;
+    Oracle.Checks = Opts.Checks;
     OracleReport Report = runOracle(Program.Source, Program.TrainingInputs,
                                     Program.HeldOutInputs, Oracle);
     ++Result.ProgramsRun;
@@ -134,6 +143,7 @@ FuzzCampaignResult bropt::runFuzzCampaign(const FuzzOptions &Opts) {
 
     FuzzViolation Violation;
     Violation.ProgramSeed = ProgramSeed;
+    Violation.Index = Index;
     Violation.Kind = Report.Kind;
     Violation.Detail = Report.Detail;
     if (Opts.Verbose)
@@ -155,7 +165,7 @@ FuzzCampaignResult bropt::runFuzzCampaign(const FuzzOptions &Opts) {
     Violation.Source = Minimized.Source;
     Violation.Statements = Minimized.Statements;
     if (!Opts.CorpusDir.empty())
-      Violation.Path = writeReproducer(Opts.CorpusDir, Violation);
+      Violation.Path = writeReproducer(Opts, Violation);
     Result.Violations.push_back(std::move(Violation));
   }
   return Result;

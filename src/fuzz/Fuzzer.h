@@ -10,7 +10,7 @@
 /// pipeline configuration from the same seed (cycling heuristic sets,
 /// method selection, exhaustive ordering search, common-successor
 /// reordering, default-target duplication, Form-4 branch ordering), run
-/// the four-invariant oracle, and on a violation minimize the program and
+/// the oracle (fuzz/Oracle.h), and on a violation minimize the program and
 /// write a reproducer to the corpus directory.
 ///
 //===----------------------------------------------------------------------===//
@@ -40,32 +40,8 @@ struct FuzzOptions {
   FaultKind Fault = FaultKind::None;
   /// Cap on delta-debugging rounds per violation.
   unsigned MinimizeRounds = 16;
-  /// Run the native-engine agreement invariant (OracleOptions::
-  /// CheckNativeEngine).  The oracle itself skips the check when no host
-  /// compiler is available, so leaving this on is safe everywhere; the
-  /// knob exists to bisect native-emitter bugs away from pipeline bugs
-  /// and to keep smoke campaigns cheap (bropt-fuzz --native off).
-  bool CheckNativeEngine = true;
-  /// Run the tier-2 engine agreement invariant (OracleOptions::
-  /// CheckAdaptiveNativeEngine): both modules also execute through the
-  /// full adaptive→native tier ladder and are held to the observables
-  /// bar.  Same skip/bisect story as CheckNativeEngine
-  /// (bropt-fuzz --adaptive-native off).
-  bool CheckAdaptiveNativeEngine = true;
-  /// Run the lowering-optimality invariant (OracleOptions::
-  /// CheckLoweringOptimal): every program is also recompiled under Set IV
-  /// and held to observable identity plus the never-worse model-cost
-  /// guarantee.  The knob exists to bisect lowering bugs away from
-  /// pipeline bugs and to keep smoke campaigns cheap
-  /// (bropt-fuzz --lowering-check off).
-  bool CheckLoweringOptimal = true;
-  /// Run the service-engine invariant (OracleOptions::CheckServiceEngine):
-  /// every program is also replayed through a campaign-wide in-process
-  /// broptd and the wire responses held to bit-identical agreement with
-  /// direct runs.  Off by default — bropt-fuzz --serve turns it on.
-  /// FaultKind::DropConnection forces it on (the fault is meaningless
-  /// without the daemon).
-  bool CheckServiceEngine = false;
+  /// The opt-in rows and invariants every program's oracle run checks.
+  OracleChecks Checks;
   /// Print per-violation detail to stderr as the campaign runs.
   bool Verbose = false;
 };
@@ -73,6 +49,9 @@ struct FuzzOptions {
 /// One campaign violation, minimized.
 struct FuzzViolation {
   uint64_t ProgramSeed = 0;
+  /// Position of the program in its campaign: ProgramSeed is
+  /// Rng::mix(FuzzOptions::Seed, Index).
+  unsigned Index = 0;
   ViolationKind Kind = ViolationKind::None;
   std::string Detail;
   /// Minimized reproducer source.
@@ -94,7 +73,7 @@ struct FuzzCampaignResult {
   /// deadline tears down a wedged host compiler without observable harm.
   uint64_t NativeCompileCancellations = 0;
   /// Connections the shared daemon saw die mid-request, summed over every
-  /// clean oracle run (CheckServiceEngine only).  FaultKind::
+  /// clean oracle run (service rows only).  FaultKind::
   /// DropConnection inverts the campaign expectation the same way: zero
   /// violations AND at least one drop, proving a vanishing client never
   /// corrupts the daemon's shared caches or profile shards.
@@ -110,9 +89,11 @@ OracleOptions optionsForSeed(uint64_t ProgramSeed, FaultKind Fault);
 FuzzCampaignResult runFuzzCampaign(const FuzzOptions &Opts);
 
 /// Renders a reproducer file: the minimized source preceded by a comment
-/// header recording the seed, configuration, and violation so the case
-/// replays from the file alone.
-std::string renderReproducer(const FuzzViolation &Violation);
+/// header recording the seed, configuration, and violation, and the
+/// bropt-fuzz command that re-runs the program under \p Campaign's seed,
+/// fault and checks, so the case replays from the file alone.
+std::string renderReproducer(const FuzzViolation &Violation,
+                             const FuzzOptions &Campaign);
 
 } // namespace bropt
 

@@ -11,14 +11,16 @@
 #include "profile/ProfileDB.h"
 #include "runtime/AdaptiveController.h"
 #include "service/Client.h"
+#include "service/Service.h"
 #include "sim/Fuse.h"
 #include "sim/Interpreter.h"
 #include "support/Strings.h"
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
+#include <deque>
+#include <functional>
 #include <thread>
 
 #include <sys/socket.h>
@@ -47,16 +49,25 @@ const char *bropt::violationKindName(ViolationKind Kind) {
   return "unknown";
 }
 
-namespace {
-
-bool countsEqual(const DynamicCounts &A, const DynamicCounts &B) {
-  return A.TotalInsts == B.TotalInsts && A.CondBranches == B.CondBranches &&
-         A.TakenBranches == B.TakenBranches &&
-         A.UncondJumps == B.UncondJumps &&
-         A.IndirectJumps == B.IndirectJumps && A.Compares == B.Compares &&
-         A.Loads == B.Loads && A.Stores == B.Stores && A.Calls == B.Calls &&
-         A.ProfileHooks == B.ProfileHooks;
+const char *bropt::faultKindName(FaultKind Kind) {
+  switch (Kind) {
+  case FaultKind::None:
+    return "none";
+  case FaultKind::CorruptReorderedBlock:
+    return "corrupt-reorder";
+  case FaultKind::PretendCostRegression:
+    return "pretend-cost";
+  case FaultKind::PretendLoweringRegression:
+    return "pretend-lowering";
+  case FaultKind::HangNativeCompile:
+    return "hang-native-compile";
+  case FaultKind::DropConnection:
+    return "drop-connection";
+  }
+  return "unknown";
 }
+
+namespace {
 
 /// The predictors invariant 2 attaches, a fresh one per run: the paper's
 /// (m,n) table on the baseline module and TAGE on the reordered one, so
@@ -66,49 +77,75 @@ bool countsEqual(const DynamicCounts &A, const DynamicCounts &B) {
 constexpr const char *BaselineScheme = "paper";
 constexpr const char *ReorderedScheme = "tage";
 
-/// Runs \p M under \p Mode, with a fresh \p Scheme predictor attached
-/// unless \p Scheme is null.
-RunResult runOne(const Module &M, Interpreter::Mode Mode,
-                 const std::string &Input, uint64_t Limit,
-                 const char *Scheme = nullptr) {
+/// Runs \p M under \p Mode through the engine state \p Req carries, with
+/// a fresh \p Scheme predictor attached unless \p Scheme is null.
+RunResult runEngine(const Module &M, Interpreter::Mode Mode, ExecRequest Req,
+                    const char *Scheme, std::string_view Input,
+                    uint64_t Limit) {
   std::unique_ptr<Predictor> P = Scheme ? makePredictor(Scheme) : nullptr;
-  Interpreter Interp(M, Mode);
-  Interp.attachPredictor(P.get());
-  Interp.setInput(Input);
-  Interp.setInstructionLimit(Limit);
-  return Interp.run();
-}
-
-/// Runs the fused engine against a pre-built fused program, the way runs
-/// of an artifact's fused slot do.
-RunResult runFused(const Module &M, const DecodedModule &DM,
-                   const std::string &Input, uint64_t Limit,
-                   const char *Scheme) {
-  std::unique_ptr<Predictor> P = makePredictor(Scheme);
-  Interpreter Interp(M, Interpreter::Mode::Fused);
-  Interp.setPreparedProgram(&DM);
-  Interp.attachPredictor(P.get());
-  Interp.setInput(Input);
-  Interp.setInstructionLimit(Limit);
-  return Interp.run();
-}
-
-/// Runs the adaptive engine through a persistent controller, the way the
-/// driver's Evaluator re-enters a cached one: tiering state accumulated on
-/// earlier inputs carries into this run.  With the controller's NativeTier
-/// on this is the full tier ladder: beginRun() decides per activation
-/// whether the hot-swapped native body or the interpreter executes it.
-RunResult runAdaptive(const Module &M, AdaptiveController &Controller,
-                      const std::string &Input, uint64_t Limit,
-                      const char *Scheme = nullptr) {
-  std::unique_ptr<Predictor> P = Scheme ? makePredictor(Scheme) : nullptr;
-  ExecRequest Req;
   Req.Input = Input;
   Req.InstructionLimit = Limit;
-  Req.Adaptive = &Controller;
   Req.AttachedPredictor = P.get();
-  return executeModule(M, Interpreter::Mode::Adaptive, Req);
+  return executeModule(M, Mode, Req);
 }
+
+/// The bar an engine row's run is held to against the tree walker's.
+enum class Bar : uint8_t {
+  /// Observables, every DynamicCounts field, and the attached predictor's
+  /// statistics.
+  Exact,
+  /// Trap, exit value and output only: native code collects no dynamic
+  /// counters (that is the point of compiling it).
+  Observables,
+  /// Observables plus the two dynamic counters the wire protocol carries.
+  Wire,
+};
+
+/// One engine row of invariant 2: how the engine runs one held-out input
+/// under an instruction limit, and the bar its run is held to.
+struct EngineRow {
+  const char *Engine;
+  Bar HeldTo;
+  std::function<RunResult(std::string_view Input, uint64_t Limit)> Run;
+};
+
+/// One module under test.  Its tree-walker run of each held-out input is
+/// the reference every one of its engine rows is compared with.  A
+/// subject with a Behavior kind also has that run compared with the
+/// baseline's (invariants 1, 5 and 6), after every engine row of the
+/// input has run.
+struct Subject {
+  Subject(const char *Name, const Module &M, const char *Scheme,
+          ViolationKind Behavior = ViolationKind::None)
+      : Name(Name), M(M), Scheme(Scheme), Behavior(Behavior) {}
+
+  /// A row run through executeModule under \p Mode with the engine state
+  /// \p Slot carries.  Exact rows attach a fresh predictor of the
+  /// subject's scheme, as its tree run does.
+  void addRow(const char *Engine, Bar HeldTo, Interpreter::Mode Mode,
+              ExecRequest Slot) {
+    const char *RowScheme = HeldTo == Bar::Exact ? Scheme : nullptr;
+    Rows.push_back(
+        {Engine, HeldTo, [=, this](std::string_view Input, uint64_t Limit) {
+           return runEngine(M, Mode, Slot, RowScheme, Input, Limit);
+         }});
+  }
+
+  const char *Name;
+  const Module &M;
+  /// Predictor attached to the tree run and the exact rows; null: none.
+  const char *Scheme;
+  ViolationKind Behavior;
+  std::vector<EngineRow> Rows;
+  /// Engine state the rows run through, built once and reused across the
+  /// held-out set, the way an artifact's slots are (driver/Artifact.h).
+  DecodedModule Fused;
+  std::unique_ptr<AdaptiveController> Adaptive, Ladder;
+  std::shared_ptr<const NativeProgram> Native;
+};
+
+/// Rows point into their subject, so a table never moves its subjects.
+using Table = std::deque<Subject>;
 
 std::string describeRun(const RunResult &R) {
   if (R.Trapped)
@@ -117,35 +154,40 @@ std::string describeRun(const RunResult &R) {
                       R.Output.size());
 }
 
-/// Invariant 2: the engines must agree on everything, counters and the
-/// attached predictor's statistics included.  \p Label names the
-/// non-tree engine in diagnostics.
-bool enginesAgree(const RunResult &Tree, const RunResult &Other,
-                  const char *Label, std::string &Detail) {
+/// Invariant 2: \p Other agrees with the tree walker's run \p Tree up to
+/// \p Row's bar.
+bool engineAgrees(const RunResult &Tree, const RunResult &Other,
+                  const EngineRow &Row, std::string &Detail) {
   if (Tree.Trapped != Other.Trapped ||
       Tree.TrapReason != Other.TrapReason ||
       Tree.ExitValue != Other.ExitValue || Tree.Output != Other.Output) {
-    Detail = "tree: " + describeRun(Tree) + "; " + Label + ": " +
+    Detail = "tree: " + describeRun(Tree) + "; " + Row.Engine + ": " +
              describeRun(Other);
     return false;
   }
-  if (!countsEqual(Tree.Counts, Other.Counts)) {
+  if (Row.HeldTo == Bar::Observables)
+    return true;
+  bool CountsAgree =
+      Row.HeldTo == Bar::Exact
+          ? Tree.Counts == Other.Counts
+          : Tree.Counts.TotalInsts == Other.Counts.TotalInsts &&
+                Tree.Counts.CondBranches == Other.Counts.CondBranches;
+  if (!CountsAgree) {
     Detail = formatString(
         "dynamic counters diverge: tree %llu insts / %llu branches, "
         "%s %llu insts / %llu branches",
         (unsigned long long)Tree.Counts.TotalInsts,
-        (unsigned long long)Tree.Counts.CondBranches, Label,
+        (unsigned long long)Tree.Counts.CondBranches, Row.Engine,
         (unsigned long long)Other.Counts.TotalInsts,
         (unsigned long long)Other.Counts.CondBranches);
     return false;
   }
-  if (Tree.Prediction.Branches != Other.Prediction.Branches ||
-      Tree.Prediction.Mispredictions != Other.Prediction.Mispredictions) {
+  if (Row.HeldTo == Bar::Exact && !(Tree.Prediction == Other.Prediction)) {
     Detail = formatString(
         "predictor statistics diverge: tree %llu branches / %llu "
         "mispredictions, %s %llu branches / %llu mispredictions",
         (unsigned long long)Tree.Prediction.Branches,
-        (unsigned long long)Tree.Prediction.Mispredictions, Label,
+        (unsigned long long)Tree.Prediction.Mispredictions, Row.Engine,
         (unsigned long long)Other.Prediction.Branches,
         (unsigned long long)Other.Prediction.Mispredictions);
     return false;
@@ -153,32 +195,53 @@ bool enginesAgree(const RunResult &Tree, const RunResult &Other,
   return true;
 }
 
-/// Invariant 2, observables half: native code collects no dynamic
-/// counters (that is the point of compiling it), so the native engine is
-/// held to exact agreement on trap state, exit value, and output only.
-bool observablesAgree(const RunResult &Tree, const RunResult &Other,
-                      const char *Label, std::string &Detail) {
-  if (Tree.Trapped != Other.Trapped ||
-      Tree.TrapReason != Other.TrapReason ||
-      Tree.ExitValue != Other.ExitValue || Tree.Output != Other.Output) {
-    Detail = "tree: " + describeRun(Tree) + "; " + Label + ": " +
+/// Invariants 1, 5 and 6: same input -> same observable behavior.
+/// Counters are allowed — expected — to differ; that is the optimization
+/// working.
+bool behaviorsAgree(const RunResult &Base, const RunResult &Other,
+                    const char *Name, std::string &Detail) {
+  if (Base.Trapped != Other.Trapped ||
+      (Base.Trapped && Base.TrapReason != Other.TrapReason) ||
+      (!Base.Trapped &&
+       (Base.ExitValue != Other.ExitValue || Base.Output != Other.Output))) {
+    Detail = "baseline: " + describeRun(Base) + "; " + Name + ": " +
              describeRun(Other);
     return false;
   }
   return true;
 }
 
-/// Invariant 1: same input -> same observable behavior.  Counters are
-/// allowed — expected — to differ; that is the optimization working.
-bool behaviorsAgree(const RunResult &Base, const RunResult &Opt,
-                    std::string &Detail) {
-  if (Base.Trapped != Opt.Trapped ||
-      (Base.Trapped && Base.TrapReason != Opt.TrapReason) ||
-      (!Base.Trapped &&
-       (Base.ExitValue != Opt.ExitValue || Base.Output != Opt.Output))) {
-    Detail = "baseline: " + describeRun(Base) +
-             "; reordered: " + describeRun(Opt);
-    return false;
+/// Runs every held-out input through \p Subjects: each one's tree walker
+/// and engine rows, then each one's behavior against the first subject,
+/// the baseline.  Records the first violation in \p Report, which it
+/// leaves untouched otherwise.  \returns false on a violation.
+bool checkTable(const Table &Subjects, const std::vector<std::string> &Inputs,
+                uint64_t Limit, OracleReport &Report) {
+  std::vector<RunResult> Trees(Subjects.size());
+  std::string Detail;
+  for (size_t InputIndex = 0; InputIndex < Inputs.size(); ++InputIndex) {
+    const std::string &Input = Inputs[InputIndex];
+    auto fail = [&](ViolationKind Kind, const Subject &S) {
+      Report.Kind = Kind;
+      Report.Detail = formatString("%s module, held-out input %zu: ",
+                                   S.Name, InputIndex) +
+                      Detail;
+      return false;
+    };
+    for (size_t Index = 0; Index < Subjects.size(); ++Index) {
+      const Subject &S = Subjects[Index];
+      Trees[Index] = runEngine(S.M, Interpreter::Mode::Tree, {}, S.Scheme,
+                               Input, Limit);
+      for (const EngineRow &Row : S.Rows)
+        if (!engineAgrees(Trees[Index], Row.Run(Input, Limit), Row, Detail))
+          return fail(ViolationKind::EngineMismatch, S);
+    }
+    for (size_t Index = 1; Index < Subjects.size(); ++Index) {
+      const Subject &S = Subjects[Index];
+      if (S.Behavior != ViolationKind::None &&
+          !behaviorsAgree(Trees[0], Trees[Index], S.Name, Detail))
+        return fail(S.Behavior, S);
+    }
   }
   return true;
 }
@@ -198,39 +261,30 @@ InProcessService &sharedOracleService() {
   return Daemon;
 }
 
-std::string describeResponse(const ServiceResponse &Response) {
-  if (Response.Trapped)
-    return "trap: " + Response.TrapReason;
-  return formatString("exit %lld, %zu output bytes",
-                      (long long)Response.ExitValue,
-                      Response.Output.size());
-}
-
-/// Invariant 2 over the wire: an Execute response must agree with the
-/// direct run bit for bit — observables and the dynamic counters the
-/// protocol carries.
-bool serviceAgrees(const RunResult &Tree, const ServiceResponse &Response,
-                   std::string &Detail) {
-  if (Tree.Trapped != Response.Trapped ||
-      Tree.TrapReason != Response.TrapReason ||
-      Tree.ExitValue != Response.ExitValue ||
-      Tree.Output != Response.Output) {
-    Detail = "tree: " + describeRun(Tree) +
-             "; service: " + describeResponse(Response);
-    return false;
+/// Executes \p Request over the wire, as a run of the daemon's fused
+/// engine.  A failed round trip or request comes back as a trap no engine
+/// raises, so the service row reports the daemon's error.
+RunResult runOverWire(ServiceClient &Client, const ServiceRequest &Request) {
+  ServiceResponse Response;
+  std::string TransportError;
+  RunResult R;
+  if (!Client.roundTripRetrying(Request, Response, &TransportError)) {
+    R.Trapped = true;
+    R.TrapReason = "transport failed: " + (TransportError.empty()
+                                               ? std::string("rejected")
+                                               : TransportError);
+  } else if (!Response.ok()) {
+    R.Trapped = true;
+    R.TrapReason = "request failed: " + Response.Error;
+  } else {
+    R.Trapped = Response.Trapped;
+    R.TrapReason = Response.TrapReason;
+    R.ExitValue = Response.ExitValue;
+    R.Output = Response.Output;
+    R.Counts.TotalInsts = Response.TotalInsts;
+    R.Counts.CondBranches = Response.CondBranches;
   }
-  if (Tree.Counts.TotalInsts != Response.TotalInsts ||
-      Tree.Counts.CondBranches != Response.CondBranches) {
-    Detail = formatString(
-        "dynamic counters diverge over the wire: tree %llu insts / %llu "
-        "branches, service %llu insts / %llu branches",
-        (unsigned long long)Tree.Counts.TotalInsts,
-        (unsigned long long)Tree.Counts.CondBranches,
-        (unsigned long long)Response.TotalInsts,
-        (unsigned long long)Response.CondBranches);
-    return false;
-  }
-  return true;
+  return R;
 }
 
 /// FaultKind::DropConnection saboteur: two extra connections die against
@@ -369,7 +423,7 @@ OracleReport bropt::runOracle(std::string_view Source,
   // layout).  Compiled under the observer too, so its passes get verifier
   // coverage; its held-out runs join the loop below.
   CompileResult SetIV;
-  if (Opts.CheckLoweringOptimal) {
+  if (Opts.Checks.LoweringOptimal) {
     CompileOptions IVOpts = Opts.Compile;
     IVOpts.HeuristicSet = SwitchHeuristicSet::SetIV;
     SetIV = compileWithReordering(Source, Training, IVOpts);
@@ -400,7 +454,7 @@ OracleReport bropt::runOracle(std::string_view Source,
   // the chain.  Its held-out runs join the loop below across the
   // interpreter tiers.
   CompileResult AwareIV;
-  if (Opts.CheckLoweringOptimal) {
+  if (Opts.Checks.LoweringOptimal) {
     CompileOptions AwareOpts = Opts.Compile;
     AwareOpts.HeuristicSet = SwitchHeuristicSet::SetIV;
     AwareOpts.Predictor = "paper";
@@ -435,129 +489,67 @@ OracleReport bropt::runOracle(std::string_view Source,
   if (!Report.ok())
     return Report;
 
-  // Fused programs are decode-time products; build each module's once and
-  // reuse it across every held-out input, the way an artifact's fused slot
-  // (driver/Artifact.h) is.  The baseline module fuses against the reordering compile's
-  // pass-1 profile so profile-guided arm ordering gets differential
-  // coverage, not just the unprofiled fusions.
-  ProfileDB FuseProfile;
-  DecodedModule BaseFused, OptFused, AwareFused;
-  if (Opts.CheckFusedEngine) {
-    FuseOptions BaseFuseOpts;
-    if (!Optimized.ProfileText.empty() &&
-        FuseProfile.deserialize(Optimized.ProfileText))
-      BaseFuseOpts.Profile = &FuseProfile;
-    BaseFused = decodeFused(*Base.M, BaseFuseOpts);
-    OptFused = decodeFused(*Optimized.M);
-    if (AwareIV.M)
-      AwareFused = decodeFused(*AwareIV.M);
-  }
-
-  // Adaptive controllers live across the whole held-out set: the first
-  // inputs drive tier-up and mid-run hot-swaps, later inputs re-enter an
-  // already-tiered controller.  Synchronous mode keeps swap timing
-  // deterministic.  Built after fault injection on purpose — a corrupted
-  // module must still execute identically across engines.
-  std::unique_ptr<AdaptiveController> BaseAdaptive, OptAdaptive;
-  if (Opts.CheckAdaptiveEngine) {
-    RuntimeOptions RO;
-    RO.HotThreshold = Opts.AdaptiveHotThreshold;
-    RO.SampleInterval = Opts.AdaptiveSampleInterval;
-    RO.DriftWindow = Opts.AdaptiveDriftWindow;
-    RO.MinSamplesBetweenRecompiles = 64;
-    RO.Background = false;
-    BaseAdaptive = std::make_unique<AdaptiveController>(*Base.M, RO);
-    OptAdaptive = std::make_unique<AdaptiveController>(*Optimized.M, RO);
-  }
-
-  // The full tier ladder (tier-2 JIT), persisted across the held-out set
-  // the same way: early inputs drive fused tier-up and then native
-  // promotion, later inputs re-enter through beginRun() and execute the
-  // hot-swapped body.  Under HangNativeCompile the controllers own a
-  // private runner whose "compiler" never returns; the compile deadline
-  // must cancel it and every run must stay on the fused tier, observably
-  // clean — that inverted expectation is what proves the teardown path.
+  // The adaptive and tier-ladder rows run through persistent controllers:
+  // the first inputs drive tier-up, mid-run hot-swaps and native
+  // promotion, later inputs re-enter an already-tiered controller.
+  // Synchronous mode keeps swap timing deterministic.  Under
+  // HangNativeCompile the ladder controllers own a private runner whose
+  // "compiler" never returns; the compile deadline must cancel it and
+  // every run must stay on the fused tier, observably clean — that
+  // inverted expectation is what proves the teardown path.
+  RuntimeOptions RO;
+  RO.HotThreshold = Opts.AdaptiveHotThreshold;
+  RO.SampleInterval = Opts.AdaptiveSampleInterval;
+  RO.DriftWindow = Opts.AdaptiveDriftWindow;
+  RO.MinSamplesBetweenRecompiles = 64;
+  RO.Background = false;
+  RuntimeOptions LadderRO = RO;
+  LadderRO.NativeTier = true;
+  LadderRO.NativeThreshold = Opts.AdaptiveHotThreshold * 2;
+  LadderRO.MinSamplesBetweenNativeBuilds = 64;
+  LadderRO.NativeRecheckMin = 2;
+  LadderRO.NativeRecheckMax = 8;
   std::unique_ptr<NativeRunner> HangRunner;
-  std::unique_ptr<AdaptiveController> BaseAN, OptAN;
   const bool HangFault = Opts.Fault == FaultKind::HangNativeCompile;
-  if (Opts.CheckAdaptiveNativeEngine &&
-      (HangFault || NativeRunner::shared().available())) {
-    RuntimeOptions RO;
-    RO.HotThreshold = Opts.AdaptiveHotThreshold;
-    RO.SampleInterval = Opts.AdaptiveSampleInterval;
-    RO.DriftWindow = Opts.AdaptiveDriftWindow;
-    RO.MinSamplesBetweenRecompiles = 64;
-    RO.Background = false;
-    RO.NativeTier = true;
-    RO.NativeThreshold = Opts.AdaptiveHotThreshold * 2;
-    RO.MinSamplesBetweenNativeBuilds = 64;
-    RO.NativeRecheckMin = 2;
-    RO.NativeRecheckMax = 8;
-    if (HangFault) {
-      // discoverCompiler() reads $BROPT_CC when the runner is built:
-      // point a private runner at a command that never finishes, then
-      // restore the environment before anything else can observe it.
-      // This runner must never be probed — available() compiles a test
-      // TU with no deadline and would hang; only the controllers'
-      // NativeCompileTimeout ever touches it.
-      const char *SavedCC = getenv("BROPT_CC");
-      std::string Saved = SavedCC ? SavedCC : "";
-      setenv("BROPT_CC", "sleep 600 #", 1);
-      HangRunner = std::make_unique<NativeRunner>();
-      if (SavedCC)
-        setenv("BROPT_CC", Saved.c_str(), 1);
-      else
-        unsetenv("BROPT_CC");
-      RO.Runner = HangRunner.get();
-      RO.NativeCompileTimeout = 0.2;
-    }
-    BaseAN = std::make_unique<AdaptiveController>(*Base.M, RO);
-    OptAN = std::make_unique<AdaptiveController>(*Optimized.M, RO);
+  if (HangFault) {
+    // discoverCompiler() reads $BROPT_CC when the runner is built: point
+    // a private runner at a command that never finishes, then restore the
+    // environment before anything else can observe it.  This runner must
+    // never be probed — available() compiles a test TU with no deadline
+    // and would hang; only the controllers' NativeCompileTimeout ever
+    // touches it.
+    const char *SavedCC = getenv("BROPT_CC");
+    std::string Saved = SavedCC ? SavedCC : "";
+    setenv("BROPT_CC", "sleep 600 #", 1);
+    HangRunner = std::make_unique<NativeRunner>();
+    if (SavedCC)
+      setenv("BROPT_CC", Saved.c_str(), 1);
+    else
+      unsetenv("BROPT_CC");
+    LadderRO.Runner = HangRunner.get();
+    LadderRO.NativeCompileTimeout = 0.2;
   }
+  const bool NativeRow =
+      Opts.Checks.Native && NativeRunner::shared().available();
+  const bool LadderRow =
+      HangFault ||
+      (Opts.Checks.AdaptiveNative && NativeRunner::shared().available());
 
-  // Native shared objects, also built once per module and reused across
-  // the held-out set (NativeRunner's source-hash cache makes repeats of
-  // the same module cheap across oracle runs too).  Like the adaptive
-  // controllers these are built after fault injection: a corrupted module
-  // must compile to native code that misbehaves *identically*.  A module
-  // whose emitted C the host compiler rejects is an emitter bug.
-  std::shared_ptr<const NativeProgram> BaseNative, OptNative;
-  if (Opts.CheckNativeEngine && NativeRunner::shared().available()) {
-    std::string NativeError;
-    BaseNative = NativeRunner::shared().prepare(*Base.M, &NativeError);
-    if (!BaseNative) {
-      Report.Kind = ViolationKind::EngineMismatch;
-      Report.Detail = "native compile of baseline module failed: " +
-                      NativeError;
-      return Report;
-    }
-    OptNative = NativeRunner::shared().prepare(*Optimized.M, &NativeError);
-    if (!OptNative) {
-      Report.Kind = ViolationKind::EngineMismatch;
-      Report.Detail = "native compile of reordered module failed: " +
-                      NativeError;
-      return Report;
-    }
-  }
-
-  // The service engine: replay the program through the shared in-process
-  // broptd and hold every Execute response to bit-identical agreement
-  // with a direct run.  The wire protocol's CompileSpec carries fewer
-  // knobs than OracleOptions::Compile (it encodes the heuristic set,
-  // common-successor, and method-selection flags only), so the daemon's
-  // builds are compared against *reference modules compiled under the
-  // daemon's own option mapping* — not against Base/Optimized — making
-  // counter agreement meaningful even when the campaign varied knobs the
-  // protocol does not encode.  Skipped under CorruptReorderedBlock: that
-  // fault corrupts the oracle's in-memory module, while the daemon
-  // compiles its own pristine one from source.
+  // The service rows replay the program through the shared in-process
+  // broptd.  The wire protocol's CompileSpec carries fewer knobs than
+  // OracleOptions::Compile, so the daemon's builds are compared against
+  // reference modules compiled under the daemon's own option mapping —
+  // not against Base/Optimized — making counter agreement meaningful
+  // even when the campaign varied knobs the protocol does not encode.
+  // Skipped under CorruptReorderedBlock: that fault corrupts the oracle's
+  // in-memory module, while the daemon compiles its own pristine one.
   InProcessService *Daemon = nullptr;
   std::unique_ptr<ServiceClient> SvcClient;
   CompileSpec BaseSpec, OptSpec;
   CompileResult SvcBaseRef, SvcOptRef;
   uint64_t DropsBefore = 0;
   const bool DropFault = Opts.Fault == FaultKind::DropConnection;
-  if (Opts.CheckServiceEngine &&
+  if ((Opts.Checks.Service || DropFault) &&
       Opts.Fault != FaultKind::CorruptReorderedBlock) {
     Daemon = &sharedOracleService();
     if (!Daemon->ok()) {
@@ -581,10 +573,7 @@ OracleReport bropt::runOracle(std::string_view Source,
     BaseSpec.MethodSelection = Opts.Compile.Reorder.EnableMethodSelection;
     OptSpec = BaseSpec;
     OptSpec.TrainingInputs = TrainingInputs;
-    CompileOptions SvcOpts; // mirror of the daemon's compileOptionsFor()
-    SvcOpts.HeuristicSet = (SwitchHeuristicSet)BaseSpec.HeuristicSet;
-    SvcOpts.EnableCommonSuccessorReordering = BaseSpec.CommonSuccessor;
-    SvcOpts.Reorder.EnableMethodSelection = BaseSpec.MethodSelection;
+    const CompileOptions SvcOpts = compileOptionsFor(BaseSpec);
     SvcBaseRef = compileBaseline(Source, SvcOpts);
     // The trained reference mirrors the daemon's buildArtifact() exactly:
     // pass 1 over the training inputs, then compileWithProfile — NOT
@@ -611,228 +600,99 @@ OracleReport bropt::runOracle(std::string_view Source,
     }
   }
 
-  for (size_t InputIndex = 0; InputIndex < HeldOutInputs.size();
-       ++InputIndex) {
-    const std::string &Input = HeldOutInputs[InputIndex];
-    RunResult BaseTree = runOne(*Base.M, Interpreter::Mode::Tree, Input,
-                                Opts.InstructionLimit, BaselineScheme);
-    // Adaptive with no controller is tier 0 alone: the unfused stream on
-    // the threaded loop.  Checked on every program, whatever the options.
-    RunResult BaseUnfused =
-        runOne(*Base.M, Interpreter::Mode::Adaptive, Input,
-               Opts.InstructionLimit, BaselineScheme);
-    RunResult OptTree = runOne(*Optimized.M, Interpreter::Mode::Tree, Input,
-                               Opts.InstructionLimit, ReorderedScheme);
-    RunResult OptUnfused =
-        runOne(*Optimized.M, Interpreter::Mode::Adaptive, Input,
-               Opts.InstructionLimit, ReorderedScheme);
+  // Invariant 2's table, built after fault injection on purpose: a
+  // corrupted module must still run identically on every engine.  The
+  // behavior rows follow the baseline in the order they are checked.
+  Table Subjects;
+  Subject &Baseline = Subjects.emplace_back("baseline", *Base.M,
+                                            BaselineScheme);
+  Subject &Reordered =
+      Subjects.emplace_back("reordered", *Optimized.M, ReorderedScheme,
+                            ViolationKind::BehaviorMismatch);
+  if (SetIV.M)
+    Subjects.emplace_back("Set IV", *SetIV.M, nullptr,
+                          ViolationKind::LoweringSuboptimal);
+  // The aware module is just another module to the interpreter rows; its
+  // runs attach the predictor it is priced for.
+  Subject *Aware = AwareIV.M ? &Subjects.emplace_back(
+                                   "aware Set IV", *AwareIV.M, "paper",
+                                   ViolationKind::LoweringSuboptimal)
+                             : nullptr;
 
-    std::string Detail;
-    if (!enginesAgree(BaseTree, BaseUnfused, "unfused", Detail)) {
-      Report.Kind = ViolationKind::EngineMismatch;
-      Report.Detail = formatString("baseline module, held-out input %zu: ",
-                                   InputIndex) +
-                      Detail;
-      return Report;
-    }
-    if (!enginesAgree(OptTree, OptUnfused, "unfused", Detail)) {
-      Report.Kind = ViolationKind::EngineMismatch;
-      Report.Detail = formatString("reordered module, held-out input %zu: ",
-                                   InputIndex) +
-                      Detail;
-      return Report;
-    }
-    if (Opts.CheckFusedEngine) {
-      RunResult BaseFusedRun = runFused(*Base.M, BaseFused, Input,
-                                        Opts.InstructionLimit, BaselineScheme);
-      RunResult OptFusedRun =
-          runFused(*Optimized.M, OptFused, Input, Opts.InstructionLimit,
-                   ReorderedScheme);
-      if (!enginesAgree(BaseTree, BaseFusedRun, "fused", Detail)) {
+  // The interpreter rows.  The baseline module fuses against the
+  // reordering compile's pass-1 profile, so profile-guided arm ordering
+  // gets differential coverage, not just the unprofiled fusions.
+  ProfileDB FuseProfile;
+  FuseOptions BaseFuse;
+  if (!Optimized.ProfileText.empty() &&
+      FuseProfile.deserialize(Optimized.ProfileText))
+    BaseFuse.Profile = &FuseProfile;
+  for (Subject *S : {&Baseline, &Reordered, Aware}) {
+    if (!S)
+      continue;
+    S->Fused = decodeFused(S->M, S == &Baseline ? BaseFuse : FuseOptions());
+    // Adaptive with no controller is tier 0 alone: the unfused stream.
+    S->addRow("unfused", Bar::Exact, Interpreter::Mode::Adaptive, {});
+    ExecRequest FusedSlot;
+    FusedSlot.Prepared = &S->Fused;
+    S->addRow("fused", Bar::Exact, Interpreter::Mode::Fused, FusedSlot);
+  }
+
+  for (Subject *S : {&Baseline, &Reordered}) {
+    S->Adaptive = std::make_unique<AdaptiveController>(S->M, RO);
+    ExecRequest AdaptiveSlot;
+    AdaptiveSlot.Adaptive = S->Adaptive.get();
+    S->addRow("adaptive", Bar::Exact, Interpreter::Mode::Adaptive,
+              AdaptiveSlot);
+    if (NativeRow) {
+      // Built once per module; NativeRunner's source-hash cache makes
+      // repeats of the same module cheap across oracle runs too.
+      std::string NativeError;
+      S->Native = NativeRunner::shared().prepare(S->M, &NativeError);
+      if (!S->Native) {
         Report.Kind = ViolationKind::EngineMismatch;
-        Report.Detail = formatString("baseline module, held-out input %zu: ",
-                                     InputIndex) +
-                        Detail;
+        Report.Detail = formatString("native compile of %s module failed: ",
+                                     S->Name) +
+                        NativeError;
         return Report;
       }
-      if (!enginesAgree(OptTree, OptFusedRun, "fused", Detail)) {
-        Report.Kind = ViolationKind::EngineMismatch;
-        Report.Detail = formatString("reordered module, held-out input %zu: ",
-                                     InputIndex) +
-                        Detail;
-        return Report;
-      }
+      ExecRequest NativeSlot;
+      NativeSlot.Native = S->Native.get();
+      S->addRow("native", Bar::Observables, Interpreter::Mode::Native,
+                NativeSlot);
     }
-    if (Opts.CheckAdaptiveEngine) {
-      RunResult BaseAdaptiveRun =
-          runAdaptive(*Base.M, *BaseAdaptive, Input, Opts.InstructionLimit,
-                      BaselineScheme);
-      RunResult OptAdaptiveRun =
-          runAdaptive(*Optimized.M, *OptAdaptive, Input,
-                      Opts.InstructionLimit, ReorderedScheme);
-      if (!enginesAgree(BaseTree, BaseAdaptiveRun, "adaptive", Detail)) {
-        Report.Kind = ViolationKind::EngineMismatch;
-        Report.Detail = formatString("baseline module, held-out input %zu: ",
-                                     InputIndex) +
-                        Detail;
-        return Report;
-      }
-      if (!enginesAgree(OptTree, OptAdaptiveRun, "adaptive", Detail)) {
-        Report.Kind = ViolationKind::EngineMismatch;
-        Report.Detail = formatString("reordered module, held-out input %zu: ",
-                                     InputIndex) +
-                        Detail;
-        return Report;
-      }
-    }
-    if (BaseNative) {
-      RunResult BaseNativeRun =
-          BaseNative->run(Input, {}, Opts.InstructionLimit);
-      RunResult OptNativeRun =
-          OptNative->run(Input, {}, Opts.InstructionLimit);
-      if (!observablesAgree(BaseTree, BaseNativeRun, "native", Detail)) {
-        Report.Kind = ViolationKind::EngineMismatch;
-        Report.Detail = formatString("baseline module, held-out input %zu: ",
-                                     InputIndex) +
-                        Detail;
-        return Report;
-      }
-      if (!observablesAgree(OptTree, OptNativeRun, "native", Detail)) {
-        Report.Kind = ViolationKind::EngineMismatch;
-        Report.Detail = formatString("reordered module, held-out input %zu: ",
-                                     InputIndex) +
-                        Detail;
-        return Report;
-      }
-    }
-    if (BaseAN) {
-      RunResult BaseANRun =
-          runAdaptive(*Base.M, *BaseAN, Input, Opts.InstructionLimit);
-      RunResult OptANRun =
-          runAdaptive(*Optimized.M, *OptAN, Input, Opts.InstructionLimit);
-      if (!observablesAgree(BaseTree, BaseANRun, "tier-ladder", Detail)) {
-        Report.Kind = ViolationKind::EngineMismatch;
-        Report.Detail = formatString("baseline module, held-out input %zu: ",
-                                     InputIndex) +
-                        Detail;
-        return Report;
-      }
-      if (!observablesAgree(OptTree, OptANRun, "tier-ladder", Detail)) {
-        Report.Kind = ViolationKind::EngineMismatch;
-        Report.Detail = formatString("reordered module, held-out input %zu: ",
-                                     InputIndex) +
-                        Detail;
-        return Report;
-      }
-    }
-    if (!behaviorsAgree(BaseTree, OptTree, Detail)) {
-      Report.Kind = ViolationKind::BehaviorMismatch;
-      Report.Detail =
-          formatString("held-out input %zu: ", InputIndex) + Detail;
-      return Report;
-    }
-    if (SetIV.M) {
-      RunResult IVTree = runOne(*SetIV.M, Interpreter::Mode::Tree, Input,
-                                Opts.InstructionLimit);
-      if (!behaviorsAgree(BaseTree, IVTree, Detail)) {
-        Report.Kind = ViolationKind::LoweringSuboptimal;
-        Report.Detail = formatString("Set IV module, held-out input %zu: ",
-                                     InputIndex) +
-                        Detail;
-        return Report;
-      }
-    }
-    if (AwareIV.M) {
-      // Aware selection: identical observables to the baseline, and the
-      // engine tiers must agree on the aware module exactly (counters
-      // included) — the repriced orderings are just another module to
-      // them.  Its runs attach the predictor it is priced for.
-      RunResult AwareTree = runOne(*AwareIV.M, Interpreter::Mode::Tree,
-                                   Input, Opts.InstructionLimit, "paper");
-      if (!behaviorsAgree(BaseTree, AwareTree, Detail)) {
-        Report.Kind = ViolationKind::LoweringSuboptimal;
-        Report.Detail =
-            formatString("aware Set IV module, held-out input %zu: ",
-                         InputIndex) +
-            Detail;
-        return Report;
-      }
-      RunResult AwareUnfused =
-          runOne(*AwareIV.M, Interpreter::Mode::Adaptive, Input,
-                 Opts.InstructionLimit, "paper");
-      if (!enginesAgree(AwareTree, AwareUnfused, "unfused", Detail)) {
-        Report.Kind = ViolationKind::EngineMismatch;
-        Report.Detail =
-            formatString("aware Set IV module, held-out input %zu: ",
-                         InputIndex) +
-            Detail;
-        return Report;
-      }
-      if (Opts.CheckFusedEngine) {
-        RunResult AwareFusedRun =
-            runFused(*AwareIV.M, AwareFused, Input, Opts.InstructionLimit,
-                     "paper");
-        if (!enginesAgree(AwareTree, AwareFusedRun, "fused", Detail)) {
-          Report.Kind = ViolationKind::EngineMismatch;
-          Report.Detail =
-              formatString("aware Set IV module, held-out input %zu: ",
-                           InputIndex) +
-              Detail;
-          return Report;
-        }
-      }
-    }
-    if (SvcClient) {
-      ServiceRequest Request;
-      Request.Kind = RequestKind::Execute;
-      Request.Spec = BaseSpec;
-      Request.Input = Input;
-      Request.Mode = (uint8_t)Interpreter::Mode::Fused;
-      Request.InstructionLimit = Opts.InstructionLimit;
-      if (DropFault)
-        dropConnectionsMidRequest(*Daemon, Request);
-      struct WireCheck {
-        const CompileSpec *Spec;
-        const Module *Ref;
-        const char *Label;
-      } Checks[] = {{&BaseSpec, SvcBaseRef.M.get(), "baseline"},
-                    {&OptSpec, SvcOptRef.M.get(), "reordered"}};
-      for (const WireCheck &Check : Checks) {
-        Request.Spec = *Check.Spec;
-        RunResult Ref = runOne(*Check.Ref, Interpreter::Mode::Tree, Input,
-                               Opts.InstructionLimit);
-        ServiceResponse Response;
-        std::string TransportError;
-        if (!SvcClient->roundTripRetrying(Request, Response,
-                                          &TransportError)) {
-          Report.Kind = ViolationKind::EngineMismatch;
-          Report.Detail =
-              formatString("service %s spec, held-out input %zu: "
-                           "transport failed: ",
-                           Check.Label, InputIndex) +
-              (TransportError.empty() ? std::string("rejected")
-                                      : TransportError);
-          return Report;
-        }
-        if (!Response.ok()) {
-          Report.Kind = ViolationKind::EngineMismatch;
-          Report.Detail = formatString("service %s spec, held-out input "
-                                       "%zu: request failed: ",
-                                       Check.Label, InputIndex) +
-                          Response.Error;
-          return Report;
-        }
-        if (!serviceAgrees(Ref, Response, Detail)) {
-          Report.Kind = ViolationKind::EngineMismatch;
-          Report.Detail = formatString("service %s spec, held-out input "
-                                       "%zu: ",
-                                       Check.Label, InputIndex) +
-                          Detail;
-          return Report;
-        }
-      }
+    if (LadderRow) {
+      S->Ladder = std::make_unique<AdaptiveController>(S->M, LadderRO);
+      ExecRequest LadderSlot;
+      LadderSlot.Adaptive = S->Ladder.get();
+      S->addRow("tier-ladder", Bar::Observables, Interpreter::Mode::Adaptive,
+                LadderSlot);
     }
   }
+
+  if (SvcClient)
+    for (const CompileSpec *Spec : {&BaseSpec, &OptSpec}) {
+      const bool IsBase = Spec == &BaseSpec;
+      Subject &S = Subjects.emplace_back(
+          IsBase ? "service baseline" : "service reordered",
+          IsBase ? *SvcBaseRef.M : *SvcOptRef.M, nullptr);
+      S.Rows.push_back(
+          {"service", Bar::Wire,
+           [&, Spec, IsBase](std::string_view Input, uint64_t Limit) {
+             ServiceRequest Request;
+             Request.Kind = RequestKind::Execute;
+             Request.Spec = *Spec;
+             Request.Input = std::string(Input);
+             Request.Mode = (uint8_t)Interpreter::Mode::Fused;
+             Request.InstructionLimit = Limit;
+             if (DropFault && IsBase)
+               dropConnectionsMidRequest(*Daemon, Request);
+             return runOverWire(*SvcClient, Request);
+           }});
+    }
+
+  if (!checkTable(Subjects, HeldOutInputs, Opts.InstructionLimit, Report))
+    return Report;
 
   // The saboteur's mid-frame EOFs are recorded on the daemon's reader
   // threads; give the last one a moment to land before snapshotting.
@@ -847,65 +707,49 @@ OracleReport bropt::runOracle(std::string_view Source,
   }
 
   // Sync mode means nothing is still in flight here; the stats are final.
-  if (BaseAN)
-    Report.NativeCompileCancellations =
-        BaseAN->stats().NativeCompilesCancelled +
-        OptAN->stats().NativeCompilesCancelled;
+  for (const Subject &S : Subjects)
+    if (S.Ladder)
+      Report.NativeCompileCancellations +=
+          S.Ladder->stats().NativeCompilesCancelled;
 
   // Invariant 5: what the adaptive runtime learned must survive disk.  The
   // exported profile, reloaded from either format and replayed through the
   // offline pass-2 selection, has to reproduce the deployed orderings, and
   // an AOT build from it has to behave like the live run did.
-  if (Opts.CheckAdaptiveEngine && Opts.CheckProfileReplay &&
-      BaseAdaptive->tiered()) {
-    ProfileDB Learned;
-    BaseAdaptive->exportProfile(Learned);
-    ProfileDB FromText, FromBinary;
-    std::string ParseError;
-    if (!FromText.deserialize(Learned.serializeText(), &ParseError) ||
-        !FromBinary.deserialize(Learned.serializeBinary(), &ParseError)) {
-      Report.Kind = ViolationKind::ProfileReplayMismatch;
-      Report.Detail = "exported profile failed to re-load: " + ParseError;
-      return Report;
-    }
-    const std::string Live = BaseAdaptive->deployedOrderingSignature();
-    const std::string TextSig = orderingSignaturesFromProfile(*Base.M,
-                                                              FromText);
-    const std::string BinarySig = orderingSignaturesFromProfile(*Base.M,
-                                                                FromBinary);
-    if (TextSig != Live || BinarySig != Live) {
-      Report.Kind = ViolationKind::ProfileReplayMismatch;
-      Report.Detail = "replayed orderings diverge from live tier-up: live '" +
-                      Live + "', text replay '" + TextSig +
-                      "', binary replay '" + BinarySig + "'";
-      return Report;
-    }
-
-    CompileResult Replayed =
-        compileWithProfile(Source, FromText, Opts.Compile);
-    if (!Replayed.ok()) {
-      Report.Kind = ViolationKind::ProfileReplayMismatch;
-      Report.Detail = "recompile from saved profile failed: " +
-                      Replayed.Error;
-      return Report;
-    }
-    for (size_t InputIndex = 0; InputIndex < HeldOutInputs.size();
-         ++InputIndex) {
-      const std::string &Input = HeldOutInputs[InputIndex];
-      RunResult Ref = runOne(*Base.M, Interpreter::Mode::Tree, Input,
-                             Opts.InstructionLimit);
-      RunResult Rep = runOne(*Replayed.M, Interpreter::Mode::Tree, Input,
-                             Opts.InstructionLimit);
-      std::string Detail;
-      if (!behaviorsAgree(Ref, Rep, Detail)) {
-        Report.Kind = ViolationKind::ProfileReplayMismatch;
-        Report.Detail = formatString("profile-replayed build, held-out "
-                                     "input %zu: ",
-                                     InputIndex) +
-                        Detail;
-        return Report;
-      }
-    }
+  const AdaptiveController &Live = *Baseline.Adaptive;
+  if (!Live.tiered())
+    return Report;
+  ProfileDB Learned;
+  Live.exportProfile(Learned);
+  ProfileDB FromText, FromBinary;
+  std::string ParseError;
+  if (!FromText.deserialize(Learned.serializeText(), &ParseError) ||
+      !FromBinary.deserialize(Learned.serializeBinary(), &ParseError)) {
+    Report.Kind = ViolationKind::ProfileReplayMismatch;
+    Report.Detail = "exported profile failed to re-load: " + ParseError;
+    return Report;
   }
+  const std::string LiveSig = Live.deployedOrderingSignature();
+  const std::string TextSig = orderingSignaturesFromProfile(*Base.M, FromText);
+  const std::string BinarySig =
+      orderingSignaturesFromProfile(*Base.M, FromBinary);
+  if (TextSig != LiveSig || BinarySig != LiveSig) {
+    Report.Kind = ViolationKind::ProfileReplayMismatch;
+    Report.Detail = "replayed orderings diverge from live tier-up: live '" +
+                    LiveSig + "', text replay '" + TextSig +
+                    "', binary replay '" + BinarySig + "'";
+    return Report;
+  }
+  CompileResult Replayed = compileWithProfile(Source, FromText, Opts.Compile);
+  if (!Replayed.ok()) {
+    Report.Kind = ViolationKind::ProfileReplayMismatch;
+    Report.Detail = "recompile from saved profile failed: " + Replayed.Error;
+    return Report;
+  }
+  Table Replay;
+  Replay.emplace_back("baseline", *Base.M, nullptr);
+  Replay.emplace_back("profile-replayed", *Replayed.M, nullptr,
+                      ViolationKind::ProfileReplayMismatch);
+  checkTable(Replay, HeldOutInputs, Opts.InstructionLimit, Report);
   return Report;
 }

@@ -11,26 +11,30 @@
 ///
 ///  1. Behavior: the reordered and baseline modules produce identical
 ///     output, exit value, and trap behavior on every held-out input.
-///  2. Engines: the tree walker, the threaded loop over the unfused stream
-///     (adaptive tier 0 alone) and over the fused stream, and the adaptive
-///     (online-tiering) runtime agree on every artifact of every run,
-///     dynamic counters included, and so do the statistics of the fresh
-///     predictor each of those runs attaches (`paper` on the baseline
-///     module, `tage` on the reordered one).  The AOT-native engine and
-///     the adaptive runtime with its native tier (tier-2 JIT) join on the
-///     observables half of the bar — trap, exit value, output — since
-///     native code collects no dynamic counters.
+///  2. Engines: one table of engine rows.  Each module under test — the
+///     baseline, the reordered module and the misprediction-aware Set IV
+///     build — lists the engines that run it: the threaded loop over the
+///     unfused stream (adaptive tier 0 alone) and over the fused stream,
+///     the adaptive (online-tiering) runtime, AOT-native code and the full
+///     tier ladder (the adaptive runtime with its tier-2 JIT).  Every row's
+///     run of a held-out input is compared with the tree walker's run of
+///     the same module.  The interpreter rows are held to the exact bar:
+///     every DynamicCounts field and the statistics of the fresh predictor
+///     each run attaches (`paper` on the baseline and aware modules, `tage`
+///     on the reordered one).  The native and tier-ladder rows are held to
+///     observables only — trap, exit value, output — since native code
+///     collects no dynamic counters; they are opt-in (OracleChecks).
 ///  3. Verification: the IR verifier passes after every individual pass
 ///     of the oracle's own compiles (observed through the pass-observer
 ///     hook, which is per thread).
 ///  4. Cost: for every sequence the transformation reordered, the selected
 ///     ordering's expected cost under the measured profile (Equations 1-4)
 ///     is no worse than the original ordering's.
-///  5. Profile persistence: when the adaptive runtime tiers up, its
-///     exported ProfileDB — round-tripped through both on-disk formats —
-///     replayed through the offline pass-2 pipeline must select exactly
-///     the orderings the live tier-up deployed, and the recompiled module
-///     must behave identically on every held-out input.
+///  5. Profile persistence: when the baseline module's adaptive controller
+///     tiers up, its exported ProfileDB — round-tripped through both
+///     on-disk formats — replayed through the offline pass-2 pipeline must
+///     select exactly the orderings the live tier-up deployed, and the
+///     recompiled module must behave identically on every held-out input.
 ///  6. Lowering optimality: the same program recompiled under Set IV
 ///     (optimal comparison trees + ext-TSP layout, docs/LOWERING.md) must
 ///     stay observably identical to the baseline on every held-out input,
@@ -38,8 +42,12 @@
 ///     chains they replaced (ReorderStats::ChosenModelCost <=
 ///     ChainModelCost — the by-construction never-worse guarantee).  The
 ///     misprediction-aware Set IV build (selection repriced for the
-///     paper's predictor, docs/PREDICT.md) is held to the same bar, plus
-///     exact cross-tier agreement on the aware module itself.
+///     paper's predictor, docs/PREDICT.md) is held to the same bar, and
+///     its engine rows join invariant 2's table.
+///
+/// The behavior comparisons of invariants 1, 5 and 6 run through the same
+/// table: after every engine row of an input, each module's tree-walker
+/// run is compared with the baseline's.
 ///
 /// Fault injection deliberately corrupts the pipeline so tests can prove
 /// the oracle and the minimizer actually detect and shrink failures.
@@ -73,13 +81,14 @@ enum class FaultKind : uint8_t {
   /// ChainModelCost) so the lowering-optimality oracle's plumbing is
   /// testable the same way.
   PretendLoweringRegression,
-  /// Point the adaptive runtime's tier-2 host compiler at a command that
-  /// never returns.  Not a corruption: the expectation inverts — a clean
-  /// oracle run with at least one recorded compile cancellation proves
-  /// the tier-2 deadline machinery tears down a wedged $BROPT_CC and
-  /// falls back to the fused tier without observable divergence.
+  /// Turn the tier-ladder row on and point its tier-2 host compiler at a
+  /// command that never returns.  Not a corruption: the expectation
+  /// inverts — a clean oracle run with at least one recorded compile
+  /// cancellation proves the tier-2 deadline machinery tears down a
+  /// wedged $BROPT_CC and falls back to the fused tier without observable
+  /// divergence.
   HangNativeCompile,
-  /// With CheckServiceEngine: before each replayed request, open extra
+  /// Turn the service rows on and, before each replayed request, open extra
   /// connections to the in-process broptd and kill them mid-request —
   /// half-written frames, and completed requests whose response write
   /// finds the peer gone.  Another inverted expectation: the run must
@@ -106,79 +115,70 @@ enum class ViolationKind : uint8_t {
 
 const char *violationKindName(ViolationKind Kind);
 
-/// Oracle configuration: the pipeline options under test plus the fault to
-/// inject (if any).
-struct OracleOptions {
-  CompileOptions Compile;
-  FaultKind Fault = FaultKind::None;
-  /// Per-run cap; generated programs execute far fewer instructions, so
-  /// hitting this cap is itself suspicious and reported as a mismatch
-  /// when only one side hits it.
-  uint64_t InstructionLimit = 50'000'000;
-  /// Also run both modules through the fused threaded-dispatch engine
-  /// (sim/Fuse.h) and hold it to the same exact-agreement bar as the
-  /// unfused stream.  On by default; the flag exists so a fusion bug can
-  /// be bisected away from pipeline bugs.
-  bool CheckFusedEngine = true;
-  /// Also run both modules through the adaptive runtime
-  /// (runtime/AdaptiveController.h) with aggressive tiering knobs —
-  /// synchronous optimization, tiny hot threshold, short drift windows —
-  /// so tier-up, mid-run hot-swap, and drift re-optimization all happen
-  /// *inside* the differential run, and hold it to the same
-  /// exact-agreement bar.  One controller per module persists across the
-  /// held-out inputs, so later inputs re-enter an already-tiered
-  /// controller (the Evaluator's cache-hit path).
-  bool CheckAdaptiveEngine = true;
-  /// Tiering knobs for CheckAdaptiveEngine; small enough that generated
-  /// programs tier up within their held-out runs.
-  uint64_t AdaptiveHotThreshold = 256;
-  uint32_t AdaptiveSampleInterval = 16;
-  uint32_t AdaptiveDriftWindow = 32;
-  /// Also AOT-compile both modules to native code (codegen/CEmitter.h +
-  /// codegen/NativeRunner.h) and require bit-identical observables —
-  /// trap/exit/output — against the tree walker on every held-out input.
-  /// Native runs collect no dynamic counters, so they are held to the
-  /// observables half of the engine bar.  A generated program the emitter
-  /// turns into C the host compiler rejects is itself an emitter bug and
-  /// is reported as an engine mismatch.  Silently skipped when no host
-  /// compiler is available (NativeRunner::available()).
-  bool CheckNativeEngine = true;
-  /// Also run both modules through the full tier ladder (Mode::Adaptive
-  /// on controllers built with NativeTier on): persistent controllers and a
-  /// native threshold low enough that held-out runs promote to tier-2,
-  /// held to the observables bar against the tree walker (native bodies
-  /// collect no counters).  Under FaultKind::HangNativeCompile the
-  /// controllers get a private NativeRunner whose compiler hangs plus a
-  /// short compile deadline, so the run exercises cancellation instead
-  /// of promotion.  Silently skipped (except under that fault, which
-  /// needs no working compiler) when NativeRunner is unavailable.
-  bool CheckAdaptiveNativeEngine = true;
-  /// Invariant 5: after the held-out runs, if the baseline module's
-  /// adaptive controller tiered up, export its learned profile, round-trip
-  /// it through the text and binary formats, and require (a) pass-2
-  /// selection over the reloaded profile to pick exactly the orderings the
-  /// live tier-up deployed and (b) an AOT recompile from the profile to
-  /// behave identically on every held-out input.  Needs
-  /// CheckAdaptiveEngine.
-  bool CheckProfileReplay = true;
+/// The `bropt-fuzz --fault` spelling of \p Kind ("none" for None).
+const char *faultKindName(FaultKind Kind);
+
+/// The opt-in rows and invariants of an oracle run, on top of the ones
+/// every run checks (the interpreter rows of invariant 2 and invariants 1,
+/// 3, 4 and 5).  A campaign hands the same set to every program.
+struct OracleChecks {
+  /// The native row: AOT-compile the baseline and reordered modules
+  /// (codegen/CEmitter.h + codegen/NativeRunner.h) and hold their runs to
+  /// the observables bar.  A generated program the emitter turns into C the
+  /// host compiler rejects is itself an emitter bug and is reported as an
+  /// engine mismatch.  Silently skipped when no host compiler is available
+  /// (NativeRunner::available()).
+  bool Native = false;
+  /// The tier-ladder row: run both modules through Mode::Adaptive on
+  /// controllers built with NativeTier on, persistent across the held-out
+  /// set, with a native threshold low enough that held-out runs promote
+  /// to tier 2; held to the observables bar.  Silently skipped when
+  /// NativeRunner is unavailable.  FaultKind::HangNativeCompile turns the
+  /// row on whatever this says, and needs no working compiler.
+  bool AdaptiveNative = false;
   /// Invariant 6: recompile under Set IV and hold the optimal-tree +
   /// ext-TSP build to (a) observable identity with the baseline on every
   /// held-out input and (b) the never-worse model-cost guarantee.  Also
   /// recompiles misprediction-aware (Predictor "paper"): the repriced
-  /// selection must keep (a) and (b) under its own pricing, and the
-  /// tree/unfused/fused tiers must agree exactly on the aware module.
-  bool CheckLoweringOptimal = true;
-  /// Also replay the program through an in-process broptd
-  /// (service/Service.h): submit the same source + training inputs as a
+  /// selection must keep (a) and (b) under its own pricing, and the aware
+  /// module's unfused and fused rows join invariant 2's table.
+  bool LoweringOptimal = true;
+  /// The service rows: replay the program through an in-process broptd
+  /// (service/Service.h) — submit the same source + training inputs as a
   /// daemon Compile, then Execute every held-out input over the wire and
-  /// hold the responses to bit-identical agreement — trap, exit value,
-  /// output, and dynamic counters — with the direct executeModule runs
-  /// the engine oracle already made.  The daemon instance is shared
-  /// across the whole campaign, so its artifact cache and profile shards
+  /// hold the responses to the observables plus the two dynamic counters
+  /// the protocol carries, against reference modules compiled under the
+  /// daemon's own option mapping.  The daemon instance is shared across
+  /// the whole campaign, so its artifact cache and profile shards
   /// accumulate state from every prior program — exactly the surface a
-  /// corruption would poison.  Off by default (spins up a socket);
-  /// bropt-fuzz --serve turns it on.
-  bool CheckServiceEngine = false;
+  /// corruption would poison.  FaultKind::DropConnection turns the rows on
+  /// whatever this says.
+  bool Service = false;
+};
+
+/// Oracle configuration: the pipeline options under test, the fault to
+/// inject (if any) and the opt-in checks.
+struct OracleOptions {
+  CompileOptions Compile;
+  FaultKind Fault = FaultKind::None;
+  /// Per-run cap.  Generated programs execute far fewer instructions (the
+  /// largest of 28,310 runs — campaigns 1-9, 200 programs each, baseline
+  /// and reordered, every training and held-out input — executed 50,285),
+  /// so hitting this cap is itself suspicious and reported as a mismatch
+  /// when only one side hits it.  A module a fault or a bug sends into an
+  /// endless loop runs every engine row to the cap, which is what makes
+  /// the cap the cost of a faulty run.
+  uint64_t InstructionLimit = 1'000'000;
+  /// Tiering knobs for the adaptive and tier-ladder rows — synchronous
+  /// optimization, a small hot threshold and short drift windows, so
+  /// tier-up, mid-run hot-swap, and drift re-optimization all happen
+  /// *inside* the differential run.  One controller per module persists
+  /// across the held-out inputs, so later inputs re-enter an
+  /// already-tiered controller (the Evaluator's cache-hit path).
+  uint64_t AdaptiveHotThreshold = 256;
+  uint32_t AdaptiveSampleInterval = 16;
+  uint32_t AdaptiveDriftWindow = 32;
+  OracleChecks Checks;
 };
 
 /// Outcome of one oracle run.
@@ -191,7 +191,7 @@ struct OracleReport {
   /// or teardown), summed over both modules.  Populated on clean runs;
   /// FaultKind::HangNativeCompile expects ok() && this >= 1.
   uint64_t NativeCompileCancellations = 0;
-  /// CheckServiceEngine only: connections the shared daemon saw die
+  /// Service rows only: connections the shared daemon saw die
   /// mid-request over this run.  FaultKind::DropConnection expects
   /// ok() && this >= 1 — the drops happened and corrupted nothing.
   uint64_t DroppedConnections = 0;
@@ -203,7 +203,7 @@ struct OracleReport {
 /// profile; \p HeldOutInputs are what the behavior and engine oracles
 /// compare on.  Installs a pass observer on the calling thread for the
 /// duration, so only the compiles run on that thread are verified after
-/// every pass; the in-process daemon's workers (CheckServiceEngine)
+/// every pass; the in-process daemon's workers (OracleChecks::Service)
 /// compile unobserved (see setPassObserver).
 OracleReport runOracle(std::string_view Source,
                        const std::vector<std::string> &TrainingInputs,

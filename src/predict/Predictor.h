@@ -43,6 +43,8 @@ struct PredictorStats {
                           static_cast<double>(Branches)
                     : 0.0;
   }
+
+  bool operator==(const PredictorStats &) const = default;
 };
 
 /// Per-static-branch outcome record, indexed by the engines' stable branch

@@ -19,9 +19,7 @@
 
 using namespace bropt;
 
-namespace {
-
-CompileOptions compileOptionsFor(const CompileSpec &Spec) {
+CompileOptions bropt::compileOptionsFor(const CompileSpec &Spec) {
   CompileOptions O;
   O.HeuristicSet = static_cast<SwitchHeuristicSet>(
       std::min<unsigned>(Spec.HeuristicSet, 3));
@@ -30,6 +28,8 @@ CompileOptions compileOptionsFor(const CompileSpec &Spec) {
   O.Predictor = Spec.Predictor;
   return O;
 }
+
+namespace {
 
 double secondsSince(std::chrono::steady_clock::time_point Start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -

@@ -38,6 +38,7 @@
 #ifndef BROPT_SERVICE_SERVICE_H
 #define BROPT_SERVICE_SERVICE_H
 
+#include "driver/Driver.h"
 #include "runtime/AdaptiveController.h"
 #include "service/Protocol.h"
 #include "service/ProfileShards.h"
@@ -90,6 +91,9 @@ struct ServiceOptions {
   /// Optional log sink (startup, shutdown, per-connection events).
   std::function<void(const std::string &)> Log;
 };
+
+/// The pipeline options a daemon compile of \p Spec runs under.
+CompileOptions compileOptionsFor(const CompileSpec &Spec);
 
 /// The daemon.  start() binds and spawns the acceptor; wait() blocks
 /// until a client Shutdown request (or requestStop()); shutdown() drains

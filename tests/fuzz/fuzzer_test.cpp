@@ -1,9 +1,11 @@
 //===- tests/fuzz/fuzzer_test.cpp - Fuzzing subsystem self-tests ----------===//
 //
 // Tests for the differential-testing subsystem itself: the generator is
-// deterministic and produces compiling programs, the four oracles pass on
-// a clean pipeline, an injected transformation fault is detected and
-// minimized to a small reproducer, and reproducers land in the corpus.
+// deterministic and produces compiling programs, the oracle passes on a
+// clean pipeline, an injected transformation fault is detected and
+// minimized to a small reproducer, reproducers land in the corpus, compile
+// as written and name a replay command that re-runs their program, and
+// every committed corpus case replays clean.
 
 #include "fuzz/Fuzzer.h"
 
@@ -16,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -23,6 +26,47 @@
 using namespace bropt;
 
 namespace {
+
+std::string readFile(const std::filesystem::path &Path) {
+  std::ifstream In(Path);
+  EXPECT_TRUE(In.good()) << Path;
+  std::ostringstream Text;
+  Text << In.rdbuf();
+  return Text.str();
+}
+
+/// The program seed a reproducer's header records, or 0.
+uint64_t headerSeed(const std::string &Reproducer) {
+  unsigned long long Seed = 0;
+  size_t At = Reproducer.find("// seed: ");
+  if (At == std::string::npos ||
+      std::sscanf(Reproducer.c_str() + At, "// seed: %llu", &Seed) != 1)
+    return 0;
+  return Seed;
+}
+
+/// The program seed a reproducer's replay line regenerates, or 0:
+/// `--seed C --programs N` runs programs Rng::mix(C, 0) through
+/// Rng::mix(C, N - 1), and the last of them is the reported one.
+uint64_t replayedProgramSeed(const std::string &Reproducer) {
+  unsigned long long Campaign = 0, Programs = 0;
+  size_t At = Reproducer.find("// replay: ");
+  if (At == std::string::npos ||
+      std::sscanf(Reproducer.c_str() + At,
+                  "// replay: bropt-fuzz --seed %llu --programs %llu",
+                  &Campaign, &Programs) != 2 ||
+      Programs == 0)
+    return 0;
+  return Rng::mix(Campaign, Programs - 1);
+}
+
+void expectParses(const std::string &Source) {
+  TranslationUnit Unit;
+  std::vector<Diagnostic> Diags;
+  EXPECT_TRUE(parseSource(Source, Unit, Diags))
+      << renderDiagnostics(Diags) << "\n"
+      << Source;
+}
 
 TEST(GeneratorTest, IsDeterministic) {
   GeneratedProgram A = generateProgram(12345);
@@ -190,14 +234,25 @@ TEST(CampaignTest, WritesMinimizedReproducersToCorpus) {
   const FuzzViolation &V = Result.Violations.front();
   EXPECT_EQ(V.Kind, ViolationKind::BehaviorMismatch);
   ASSERT_FALSE(V.Path.empty());
-  std::ifstream In(V.Path);
-  ASSERT_TRUE(In.good()) << V.Path;
-  std::ostringstream Text;
-  Text << In.rdbuf();
-  EXPECT_NE(Text.str().find("violation: behavior-mismatch"),
-            std::string::npos);
-  EXPECT_NE(Text.str().find("seed:"), std::string::npos);
+  std::string Text = readFile(V.Path);
+  EXPECT_NE(Text.find("violation: behavior-mismatch"), std::string::npos);
+  EXPECT_EQ(headerSeed(Text), V.ProgramSeed);
+  // The reproducer compiles as written, and its replay line re-runs the
+  // reported program under the campaign's fault.
+  expectParses(Text);
+  EXPECT_EQ(replayedProgramSeed(Text), V.ProgramSeed) << Text;
+  EXPECT_NE(Text.find("--fault corrupt-reorder"), std::string::npos) << Text;
   std::filesystem::remove_all(Dir);
+}
+
+TEST(CampaignTest, ReproducerCommentsEveryDetailLine) {
+  // Verifier details span lines; each one must stay inside the header.
+  FuzzViolation V;
+  V.ProgramSeed = 7;
+  V.Kind = ViolationKind::VerifierFailure;
+  V.Detail = "after branch-chaining in main: bad block\n; \nsecond pass";
+  V.Source = "int main() {\n}\n";
+  expectParses(renderReproducer(V, FuzzOptions()));
 }
 
 TEST(CampaignTest, CleanCampaignFindsNothing) {
@@ -209,6 +264,31 @@ TEST(CampaignTest, CleanCampaignFindsNothing) {
   EXPECT_EQ(Result.ProgramsRun, 25u);
   EXPECT_EQ(Result.CompileErrors, 0u);
   EXPECT_TRUE(Result.Violations.empty());
+}
+
+TEST(CorpusReplayTest, EveryCorpusCaseReplaysClean) {
+  // Each committed reproducer, run through the oracle with the inputs and
+  // pipeline configuration its header seed derives, must stay fixed.
+  size_t Cases = 0;
+  for (const auto &Entry : std::filesystem::directory_iterator(
+           std::filesystem::path(BROPT_SOURCE_DIR) / "fuzz" / "corpus")) {
+    if (Entry.path().extension() != ".minic")
+      continue;
+    ++Cases;
+    std::string Text = readFile(Entry.path());
+    uint64_t Seed = headerSeed(Text);
+    ASSERT_NE(Seed, 0u) << Entry.path();
+    EXPECT_EQ(replayedProgramSeed(Text), Seed)
+        << Entry.path() << ": the replay line runs another program";
+    GeneratedProgram Program = generateProgram(Seed);
+    OracleReport Report =
+        runOracle(Text, Program.TrainingInputs, Program.HeldOutInputs,
+                  optionsForSeed(Seed, FaultKind::None));
+    EXPECT_TRUE(Report.ok()) << Entry.path() << ": "
+                             << violationKindName(Report.Kind) << ": "
+                             << Report.Detail;
+  }
+  EXPECT_GT(Cases, 0u);
 }
 
 } // namespace

@@ -35,15 +35,6 @@ std::string examplePath(const char *Name) {
   return std::string(BROPT_SOURCE_DIR) + "/examples/mini/" + Name;
 }
 
-bool countsEqual(const DynamicCounts &A, const DynamicCounts &B) {
-  return A.TotalInsts == B.TotalInsts && A.CondBranches == B.CondBranches &&
-         A.TakenBranches == B.TakenBranches &&
-         A.UncondJumps == B.UncondJumps &&
-         A.IndirectJumps == B.IndirectJumps && A.Compares == B.Compares &&
-         A.Loads == B.Loads && A.Stores == B.Stores && A.Calls == B.Calls &&
-         A.ProfileHooks == B.ProfileHooks;
-}
-
 /// print -> parse -> print fixpoint, verifier, and run equivalence.
 void expectRoundTrip(const Module &M, const std::string &Input,
                      const std::string &Context) {
@@ -67,7 +58,7 @@ void expectRoundTrip(const Module &M, const std::string &Input,
     EXPECT_EQ(A.TrapReason, B.TrapReason) << Context;
     EXPECT_EQ(A.ExitValue, B.ExitValue) << Context;
     EXPECT_EQ(A.Output, B.Output) << Context;
-    EXPECT_TRUE(countsEqual(A.Counts, B.Counts))
+    EXPECT_TRUE(A.Counts == B.Counts)
         << Context << ": dynamic counters diverge after reparse";
   }
 }

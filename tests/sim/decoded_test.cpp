@@ -38,6 +38,8 @@ void expectCountsEqual(const DynamicCounts &Tree, const DynamicCounts &Flat) {
   EXPECT_EQ(Tree.Stores, Flat.Stores);
   EXPECT_EQ(Tree.Calls, Flat.Calls);
   EXPECT_EQ(Tree.ProfileHooks, Flat.ProfileHooks);
+  // The whole struct too, so a counter added later cannot go unchecked.
+  EXPECT_TRUE(Tree == Flat);
 }
 
 /// The three modes every test here runs: the reference, then the threaded

@@ -5,22 +5,26 @@
 //   bropt-fuzz --programs 200 --seed 1 --corpus fuzz/corpus
 //
 // Each program is generated from a seed, compiled baseline and reordered
-// under a seed-derived configuration, and checked against four oracles
-// (behavior, engine agreement, per-pass verification, ordering cost).
-// Violations are delta-debugged to a minimal reproducer.
+// under a seed-derived configuration, and checked against the oracle's
+// six invariants (fuzz/Oracle.h): behavior, engine agreement, per-pass
+// verification, ordering cost, profile persistence and lowering
+// optimality.  Violations are delta-debugged to a minimal reproducer whose
+// header names the command that re-runs the program.
 //
 // Options:
 //   --programs N      number of programs to run (default 200)
 //   --seconds N       run for N wall-clock seconds instead of a fixed count
-//   --seed N          base campaign seed (default 1)
+//   --seed N          base campaign seed (default 1); program I of the
+//                     campaign runs under program seed Rng::mix(N, I)
 //   --corpus DIR      write minimized reproducers into DIR
 //   --fault KIND      inject a pipeline fault (self-test): 'corrupt-reorder'
 //                     breaks a reordered branch, 'pretend-cost' inverts the
 //                     cost check, 'pretend-lowering' inverts the Set IV
 //                     never-worse check; the run then EXPECTS violations and
 //                     fails if the oracles stay silent.
-//                     'hang-native-compile' wedges the tier-2 JIT's host
-//                     compiler instead; that run expects the INVERSE — zero
+//                     'hang-native-compile' (implies the tier-ladder
+//                     row) wedges the tier-2 JIT's host compiler
+//                     instead; that run expects the INVERSE — zero
 //                     violations and at least one recorded compile
 //                     cancellation — proving the compile deadline tears the
 //                     hang down without observable divergence.
@@ -33,13 +37,13 @@
 //                     in-process broptd and hold the wire responses to
 //                     bit-identical agreement with direct execution
 //   --minimize-rounds N  cap delta-debugging passes (default 16)
-//   --native MODE     native-engine agreement checks: 'auto' (default)
-//                     runs them when a host compiler is available and
-//                     silently skips otherwise, 'on' fails fast when no
-//                     compiler is found, 'off' disables them
-//   --adaptive-native MODE  tier-ladder agreement checks (the adaptive
-//                     runtime with its native tier on), same modes and
-//                     semantics as --native
+//   --native MODE     the native row of engine agreement: 'off'
+//                     (default) skips it, 'auto' runs it when a host
+//                     compiler is available and silently skips otherwise,
+//                     'on' fails fast when no compiler is found
+//   --adaptive-native MODE  the tier-ladder row (the adaptive runtime
+//                     with its native tier on), same modes and semantics
+//                     as --native
 //   --lowering-check MODE  Set IV lowering-optimality invariant: 'on'
 //                     (default) recompiles every program under Set IV and
 //                     holds it to observable identity plus the never-worse
@@ -72,8 +76,9 @@ namespace {
                "pretend-cost|pretend-lowering|hang-native-compile|"
                "drop-connection]\n"
                "                  [--serve] [--minimize-rounds N] "
-               "[--native on|off|auto] [--adaptive-native on|off|auto]\n"
-               "                  [--lowering-check on|off] [--quiet]\n");
+               "[--native off|auto|on] [--adaptive-native off|auto|on]\n"
+               "                  [--lowering-check on|off] [--quiet]\n"
+               "each MODE list starts with its default\n");
   std::exit(2);
 }
 
@@ -112,48 +117,39 @@ int main(int argc, char **argv) {
           needValue("--minimize-rounds"), "--minimize-rounds"));
     else if (!std::strcmp(argv[Arg], "--fault")) {
       const char *Kind = needValue("--fault");
-      if (!std::strcmp(Kind, "corrupt-reorder"))
-        Opts.Fault = FaultKind::CorruptReorderedBlock;
-      else if (!std::strcmp(Kind, "pretend-cost"))
-        Opts.Fault = FaultKind::PretendCostRegression;
-      else if (!std::strcmp(Kind, "pretend-lowering"))
-        Opts.Fault = FaultKind::PretendLoweringRegression;
-      else if (!std::strcmp(Kind, "hang-native-compile"))
-        Opts.Fault = FaultKind::HangNativeCompile;
-      else if (!std::strcmp(Kind, "drop-connection"))
-        Opts.Fault = FaultKind::DropConnection;
-      else
+      Opts.Fault = FaultKind::None;
+      for (FaultKind Fault :
+           {FaultKind::CorruptReorderedBlock, FaultKind::PretendCostRegression,
+            FaultKind::PretendLoweringRegression,
+            FaultKind::HangNativeCompile, FaultKind::DropConnection})
+        if (!std::strcmp(Kind, faultKindName(Fault)))
+          Opts.Fault = Fault;
+      if (Opts.Fault == FaultKind::None)
         usageError("unknown --fault kind");
     } else if (!std::strcmp(argv[Arg], "--serve"))
-      Opts.CheckServiceEngine = true;
-    else if (!std::strcmp(argv[Arg], "--native")) {
-      const char *Policy = needValue("--native");
+      Opts.Checks.Service = true;
+    else if (!std::strcmp(argv[Arg], "--native") ||
+             !std::strcmp(argv[Arg], "--adaptive-native")) {
+      const char *Flag = argv[Arg];
+      const char *Policy = needValue(Flag);
+      bool &Row = !std::strcmp(Flag, "--native") ? Opts.Checks.Native
+                                                  : Opts.Checks.AdaptiveNative;
       if (!std::strcmp(Policy, "off"))
-        Opts.CheckNativeEngine = false;
-      else if (!std::strcmp(Policy, "on")) {
-        Opts.CheckNativeEngine = true;
-        RequireNative = true;
-      } else if (!std::strcmp(Policy, "auto"))
-        Opts.CheckNativeEngine = true;
+        Row = false;
+      else if (!std::strcmp(Policy, "on"))
+        Row = RequireNative = true;
+      else if (!std::strcmp(Policy, "auto"))
+        Row = true;
       else
-        usageError("unknown --native mode (want on, off, or auto)");
-    } else if (!std::strcmp(argv[Arg], "--adaptive-native")) {
-      const char *Policy = needValue("--adaptive-native");
-      if (!std::strcmp(Policy, "off"))
-        Opts.CheckAdaptiveNativeEngine = false;
-      else if (!std::strcmp(Policy, "on")) {
-        Opts.CheckAdaptiveNativeEngine = true;
-        RequireNative = true;
-      } else if (!std::strcmp(Policy, "auto"))
-        Opts.CheckAdaptiveNativeEngine = true;
-      else
-        usageError("unknown --adaptive-native mode (want on, off, or auto)");
+        usageError((std::string("unknown ") + Flag +
+                    " mode (want on, off, or auto)")
+                       .c_str());
     } else if (!std::strcmp(argv[Arg], "--lowering-check")) {
       const char *Policy = needValue("--lowering-check");
       if (!std::strcmp(Policy, "off"))
-        Opts.CheckLoweringOptimal = false;
+        Opts.Checks.LoweringOptimal = false;
       else if (!std::strcmp(Policy, "on"))
-        Opts.CheckLoweringOptimal = true;
+        Opts.Checks.LoweringOptimal = true;
       else
         usageError("unknown --lowering-check mode (want on or off)");
     } else if (!std::strcmp(argv[Arg], "--quiet"))
