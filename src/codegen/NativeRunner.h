@@ -47,10 +47,13 @@ namespace bropt {
 
 class Module;
 
-/// Caller-owned handle for bounding or aborting one compile.  The runner
+/// Caller-owned handle for bounding or aborting compiles.  The runner
 /// polls \p Cancel while the host compiler runs and kills the compiler's
-/// process group when it flips (or when \p TimeoutSeconds elapses), so a
-/// hung `$BROPT_CC` can always be torn down from another thread.
+/// process group when it flips (or when \p TimeoutSeconds elapses, which
+/// sets it too), so a hung `$BROPT_CC` can always be torn down from
+/// another thread.  Setting the flag takes no lock.  The runner never
+/// clears it, so once set it cancels every later compile through the
+/// same control as well.
 struct NativeCompileControl {
   std::atomic<bool> Cancel{false};
   /// Wall-clock cap on one compiler invocation; 0 means no cap.

@@ -105,9 +105,9 @@ std::optional<BranchShape> parseBranchShape(const BasicBlock *B,
   return Shape;
 }
 
-/// \returns the interval of values for which the branch is taken, or an
-/// empty range when the comparison can never be satisfied.
-Range takenInterval(CondCode Pred, int64_t C) {
+} // namespace
+
+Range bropt::takenInterval(CondCode Pred, int64_t C) {
   switch (Pred) {
   case CondCode::EQ:
     return Range::single(C);
@@ -124,6 +124,8 @@ Range takenInterval(CondCode Pred, int64_t C) {
   }
   BROPT_UNREACHABLE("unknown condition code");
 }
+
+namespace {
 
 /// Complement interval of takenInterval for a relational predicate.
 Range fallInterval(CondCode Pred, int64_t C) {

@@ -95,6 +95,11 @@ std::vector<RangeSequence> detectSequences(const Module &M);
 std::vector<RangeSequence> detectSequences(const Function &F,
                                            unsigned FirstId = 0);
 
+/// The values v for which `v Pred C` holds, as an inclusive interval:
+/// empty when none do.  NE's truth set is not contiguous, so NE yields
+/// an empty range too, and callers must treat it apart.
+Range takenInterval(CondCode Pred, int64_t C);
+
 } // namespace bropt
 
 #endif // BROPT_CORE_SEQUENCEDETECTION_H

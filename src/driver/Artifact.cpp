@@ -13,40 +13,42 @@ void Artifact::setBuilt(CompileResult Result,
   Profile = std::move(BuiltFrom);
 }
 
-const DecodedModule &Artifact::fused(const ProfileDB *FuseProfile,
-                                     bool &Hit) {
-  Hit = Fused != nullptr;
-  if (!Hit) {
-    FuseOptions FO;
-    FO.Profile = FuseProfile;
-    Fused = std::make_unique<const DecodedModule>(
-        decodeFused(*Compiled.M, FO));
-    EngineBuilds.fetch_add(1, std::memory_order_relaxed);
-  }
-  return *Fused;
-}
-
-const NativeProgram *Artifact::native(NativeRunner &Runner,
-                                      std::string &Error, bool &Hit) {
-  Hit = NativeTried;
-  if (!Hit) {
-    NativeTried = true;
-    Native = Runner.prepare(*Compiled.M, &NativeError);
-    EngineBuilds.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (!Native)
+bool Artifact::engine(Interpreter::Mode Mode, const ProfileDB *FuseProfile,
+                      const RuntimeOptions &Options, NativeRunner &Runner,
+                      ExecRequest &Request, bool &Hit, std::string &Error) {
+  Hit = false;
+  switch (Mode) {
+  case Interpreter::Mode::Tree:
+    return true;
+  case Interpreter::Mode::Fused:
+    Hit = Fused != nullptr;
+    if (!Hit) {
+      FuseOptions FO;
+      FO.Profile = FuseProfile;
+      Fused = std::make_unique<const DecodedModule>(
+          decodeFused(*Compiled.M, FO));
+    }
+    Request.Prepared = Fused.get();
+    break;
+  case Interpreter::Mode::Adaptive:
+    Hit = Controller != nullptr;
+    if (!Hit)
+      Controller = std::make_unique<AdaptiveController>(*Compiled.M, Options);
+    Request.Adaptive = Controller.get();
+    break;
+  case Interpreter::Mode::Native:
+    Hit = NativeTried;
+    if (!Hit) {
+      NativeTried = true;
+      Native = Runner.prepare(*Compiled.M, &NativeError);
+    }
+    Request.Native = Native.get();
     Error = NativeError;
-  return Native.get();
-}
-
-AdaptiveController &Artifact::controller(const RuntimeOptions &Options,
-                                         bool &Hit) {
-  Hit = Controller != nullptr;
-  if (!Hit) {
-    Controller = std::make_unique<AdaptiveController>(*Compiled.M, Options);
-    EngineBuilds.fetch_add(1, std::memory_order_relaxed);
+    break;
   }
-  return *Controller;
+  if (!Hit)
+    EngineBuilds.fetch_add(1, std::memory_order_relaxed);
+  return Mode != Interpreter::Mode::Native || Native;
 }
 
 std::shared_ptr<Artifact> ArtifactCache::lookup(const std::string &Key,

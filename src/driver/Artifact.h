@@ -11,6 +11,7 @@
 /// built it.  An Artifact holds one such build, compiled once, and hangs
 /// the three engines that run it off it as slots built on first use: the
 /// fused program, the native program and the adaptive controller.
+/// engine() is the one place an execution mode picks its slot.
 /// ArtifactCache is the one LRU of artifacts.  The Evaluator
 /// (driver/Evaluator.h) keeps its baseline and reordered builds in it,
 /// broptd (service/Service.h) its compile specs, and a daemon's Evaluator
@@ -23,9 +24,11 @@
 ///  * an artifact's BuildMutex guards its build and its slots: the first
 ///    holder to find it unbuilt compiles, later holders wait and reuse the
 ///    outcome, and each slot is built by the first holder that asks;
-///  * its RunMutex serializes runs through the controller, whose sampler
-///    is not reentrant.  Fused and native programs are immutable and run
-///    concurrently without it.
+///  * its RunMutex serializes runs through the controller, which takes no
+///    lock of its own: every build it runs, a tier-2 host compile too,
+///    runs on the thread holding RunMutex, and only cancelNativeCompile()
+///    may be called without it.  Fused and native programs are immutable
+///    and run concurrently without it.
 ///
 /// A recorded build never changes, so whoever has taken BuildMutex once
 /// after the build may read compiled() and profile() without it.
@@ -37,6 +40,7 @@
 
 #include "codegen/NativeRunner.h"
 #include "driver/Driver.h"
+#include "exec/ExecBackend.h"
 #include "runtime/AdaptiveController.h"
 #include "support/LruCache.h"
 
@@ -68,16 +72,17 @@ public:
   /// The profile that built the module, or null.
   const ProfileDB *profile() const { return Profile ? &*Profile : nullptr; }
 
-  /// The fused program, decoded on first use with chain arms ordered by
-  /// \p FuseProfile (may be null).  \p Hit says whether it existed.
-  const DecodedModule &fused(const ProfileDB *FuseProfile, bool &Hit);
-  /// The native program, prepared through \p Runner on first use; null
-  /// with \p Error set when that failed, which is final too.
-  const NativeProgram *native(NativeRunner &Runner, std::string &Error,
-                              bool &Hit);
-  /// The adaptive controller, built with \p Options on first use.  Its
-  /// profile state persists across runs; every run holds RunMutex.
-  AdaptiveController &controller(const RuntimeOptions &Options, bool &Hit);
+  /// Points \p Request at the engine \p Mode runs, built on first use:
+  /// Prepared at the fused program, its chain arms ordered by
+  /// \p FuseProfile (may be null); Adaptive at the controller, built with
+  /// \p Options, whose profile state persists across runs and whose every
+  /// run holds RunMutex; Native at the program prepared through \p Runner.
+  /// The tree walker needs none.  \p Hit says whether the engine existed.
+  /// \returns false with \p Error set when the native program could not
+  /// be built, which is final too.
+  bool engine(Interpreter::Mode Mode, const ProfileDB *FuseProfile,
+              const RuntimeOptions &Options, NativeRunner &Runner,
+              ExecRequest &Request, bool &Hit, std::string &Error);
   /// The controller if one was built, else null.
   AdaptiveController *existingController() const { return Controller.get(); }
 

@@ -3,8 +3,6 @@
 #include "driver/Driver.h"
 
 #include "core/Instrumentation.h"
-
-#include <unordered_set>
 #include "exec/ExecBackend.h"
 #include "ir/Verifier.h"
 #include "lang/Lowering.h"
@@ -12,6 +10,8 @@
 #include "predict/Zoo.h"
 #include "profile/MispredictProfile.h"
 #include "sim/Interpreter.h"
+
+#include <unordered_set>
 
 using namespace bropt;
 
@@ -61,6 +61,21 @@ std::unique_ptr<Module> compileCommon(std::string_view Source,
   return M;
 }
 
+/// The common-successor sequences of \p M, numbered after the range
+/// sequences \p Claimed and kept off their blocks: a block joins at most
+/// one transformation.
+std::vector<CommonSuccessorSequence>
+detectUnclaimedCommonSequences(Module &M,
+                               const std::vector<RangeSequence> &Claimed) {
+  std::unordered_set<const BasicBlock *> ClaimedBlocks;
+  for (const RangeSequence &Seq : Claimed)
+    for (const RangeConditionDesc &Cond : Seq.Conds)
+      for (const BasicBlock *Block : Cond.Blocks)
+        ClaimedBlocks.insert(Block);
+  return detectCommonSuccessorSequences(
+      M, static_cast<unsigned>(Claimed.size()), ClaimedBlocks);
+}
+
 } // namespace
 
 CompileResult bropt::compileBaseline(std::string_view Source,
@@ -94,14 +109,8 @@ bropt::runPass1(std::string_view Source,
   ProfileBinner Binner;
   instrumentSequences(Result.Sequences, Result.Profile, Binner);
   if (Options.EnableCommonSuccessorReordering) {
-    std::unordered_set<const BasicBlock *> ClaimedBlocks;
-    for (const RangeSequence &Seq : Result.Sequences)
-      for (const RangeConditionDesc &Cond : Seq.Conds)
-        for (const BasicBlock *Block : Cond.Blocks)
-          ClaimedBlocks.insert(Block);
-    Result.CommonSequences = detectCommonSuccessorSequences(
-        *Result.M, static_cast<unsigned>(Result.Sequences.size()),
-        ClaimedBlocks);
+    Result.CommonSequences =
+        detectUnclaimedCommonSequences(*Result.M, Result.Sequences);
     instrumentCommonSuccessorSequences(Result.CommonSequences,
                                        Result.Profile);
   }
@@ -238,15 +247,8 @@ CompileResult bropt::compileWithProfile(std::string_view Source,
   } else {
     // Both transformations must run before any clean-up pass: clean-up
     // erases the unreachable original blocks the descriptors point into.
-    std::unordered_set<const BasicBlock *> ClaimedBlocks;
-    for (const RangeSequence &Seq : Sequences)
-      for (const RangeConditionDesc &Cond : Seq.Conds)
-        for (const BasicBlock *Block : Cond.Blocks)
-          ClaimedBlocks.insert(Block);
     std::vector<CommonSuccessorSequence> CommonSequences =
-        detectCommonSuccessorSequences(
-            *Result.M, static_cast<unsigned>(Sequences.size()),
-            ClaimedBlocks);
+        detectUnclaimedCommonSequences(*Result.M, Sequences);
     // Common-successor chains first: the range transformation may
     // duplicate code *into* its exit edges (Figure 10c/d), and it must
     // duplicate the already-reordered chain, not the stale one.

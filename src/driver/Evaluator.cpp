@@ -47,31 +47,6 @@ Evaluator::Evaluator(EvaluatorOptions Options,
       Cache(Shared ? std::move(Shared)
                    : std::make_shared<ArtifactCache>(256)) {}
 
-bool Evaluator::engineFor(Artifact &A, const ProfileDB *FuseProfile,
-                          Engine &E, bool &Hit, std::string &Error) {
-  std::lock_guard<std::mutex> Lock(A.BuildMutex);
-  switch (Options.Mode) {
-  case Interpreter::Mode::Tree:
-    break;
-  case Interpreter::Mode::Fused:
-    E.Prepared = &A.fused(FuseProfile, Hit);
-    break;
-  case Interpreter::Mode::Adaptive:
-    E.Controller = &A.controller(Options.Runtime, Hit);
-    break;
-  case Interpreter::Mode::Native: {
-    std::string CompileError;
-    E.Native = A.native(NativeRunner::shared(), CompileError, Hit);
-    if (!E.Native) {
-      Error = "native compile failed: " + CompileError;
-      return false;
-    }
-    break;
-  }
-  }
-  return true;
-}
-
 WorkloadRecord
 Evaluator::evaluateWorkload(const Workload &W,
                             const CompileOptions &CompileOpts,
@@ -121,22 +96,28 @@ Evaluator::evaluateWorkload(const Workload &W,
   // because compilation is deterministic — the same property pass 2
   // relies on).  Each mode uses only its own engine slot: the adaptive
   // controller carries its own evolving program versions.
-  Engine BaselineEngine, ReorderedEngine;
-  std::string EngineError;
-  if (!engineFor(*Baseline, Reordered->profile(), BaselineEngine,
-                 Record.BaselineEngineHit, EngineError) ||
-      !engineFor(*Reordered, nullptr, ReorderedEngine,
-                 Record.ReorderedEngineHit, EngineError)) {
-    Eval.Error = W.Name + ": " + EngineError;
+  auto engine = [&](Artifact &A, const ProfileDB *FuseProfile,
+                    ExecRequest &Run, bool &Hit) {
+    std::lock_guard<std::mutex> Lock(A.BuildMutex);
+    std::string Error;
+    if (A.engine(Options.Mode, FuseProfile, Options.Runtime,
+                 NativeRunner::shared(), Run, Hit, Error))
+      return true;
+    Eval.Error = W.Name + ": native compile failed: " + Error;
+    return false;
+  };
+  ExecRequest BaselineRun, ReorderedRun;
+  if (!engine(*Baseline, Reordered->profile(), BaselineRun,
+              Record.BaselineEngineHit) ||
+      !engine(*Reordered, nullptr, ReorderedRun, Record.ReorderedEngineHit))
     return Record;
-  }
 
   // An explicit (m,n) config wins; otherwise a compile that targets a zoo
   // predictor is also *measured* under it.  One fresh instance per build:
   // cached modules are shared across evaluations, predictor state never is.
-  auto measure = [&](Artifact &A, const Engine &E) {
+  auto measure = [&](Artifact &A, const ExecRequest &Run) {
     std::unique_lock<std::mutex> RunLock;
-    if (E.Controller)
+    if (Run.Adaptive)
       RunLock = std::unique_lock<std::mutex>(A.RunMutex);
     const Module &M = *A.compiled().M;
     if (!Predictor && !CompileOpts.Predictor.empty()) {
@@ -144,16 +125,15 @@ Evaluator::evaluateWorkload(const Workload &W,
           makePredictor(CompileOpts.Predictor);
       if (Zoo)
         return measureBuild(M, W.TestInput, Zoo.get(), Eval.Error,
-                            Options.Mode, E.Prepared, E.Controller,
-                            E.Native);
+                            Options.Mode, Run);
     }
     return measureBuild(M, W.TestInput, Predictor, Eval.Error, Options.Mode,
-                        E.Prepared, E.Controller, E.Native);
+                        Run);
   };
-  Eval.Baseline = measure(*Baseline, BaselineEngine);
+  Eval.Baseline = measure(*Baseline, BaselineRun);
   if (!Eval.ok())
     return Record;
-  Eval.Reordered = measure(*Reordered, ReorderedEngine);
+  Eval.Reordered = measure(*Reordered, ReorderedRun);
   if (!Eval.ok())
     return Record;
 

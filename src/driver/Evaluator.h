@@ -96,17 +96,6 @@ public:
       const std::optional<PredictorConfig> &Predictor = std::nullopt);
 
 private:
-  /// What measureBuild runs one build with under Options.Mode.
-  struct Engine {
-    const DecodedModule *Prepared = nullptr;
-    AdaptiveController *Controller = nullptr;
-    const NativeProgram *Native = nullptr;
-  };
-  /// The engine for \p A, built on first use; false with \p Error set
-  /// when it cannot be built.
-  bool engineFor(Artifact &A, const ProfileDB *FuseProfile, Engine &E,
-                 bool &Hit, std::string &Error);
-
   EvaluatorOptions Options;
   ThreadPool Pool;
   std::shared_ptr<ArtifactCache> Cache;

@@ -17,23 +17,15 @@ double WorkloadEvaluation::deltaPercent(uint64_t Before, uint64_t After) {
 BuildMeasurement
 bropt::measureBuild(const Module &M, std::string_view TestInput,
                     Predictor *AttachedPredictor, std::string &Error,
-                    Interpreter::Mode Mode, const DecodedModule *Prepared,
-                    AdaptiveController *Adaptive,
-                    const NativeProgram *Native) {
+                    Interpreter::Mode Mode, ExecRequest Engine) {
   BuildMeasurement Result;
   Result.CodeSize = M.codeSize();
 
-  ExecRequest Req;
-  Req.Input = TestInput;
-  Req.Prepared = Prepared;
-  Req.Adaptive = Adaptive;
-  Req.Native = Native;
-  Req.AttachedPredictor = AttachedPredictor;
-  RunResult Run = executeModule(M, Mode, Req);
-  if (Adaptive) {
-    Adaptive->drainBackgroundWork();
-    Result.Runtime = Adaptive->stats();
-  }
+  Engine.Input = TestInput;
+  Engine.AttachedPredictor = AttachedPredictor;
+  RunResult Run = executeModule(M, Mode, Engine);
+  if (Engine.Adaptive)
+    Result.Runtime = Engine.Adaptive->stats();
   if (Run.Trapped) {
     Error = "test run trapped: " + Run.TrapReason;
     return Result;
@@ -55,14 +47,12 @@ bropt::measureBuild(const Module &M, std::string_view TestInput,
                     const std::optional<PredictorConfig>
                         &PredictorConfiguration,
                     std::string &Error, Interpreter::Mode Mode,
-                    const DecodedModule *Prepared,
-                    AdaptiveController *Adaptive,
-                    const NativeProgram *Native) {
+                    ExecRequest Engine) {
   // One fresh predictor per measurement: state and statistics must never
   // leak between builds (the isolation contract the predictor tests pin).
   std::optional<BranchPredictor> Predictor;
   if (PredictorConfiguration)
     Predictor.emplace(*PredictorConfiguration);
   return measureBuild(M, TestInput, Predictor ? &*Predictor : nullptr,
-                      Error, Mode, Prepared, Adaptive, Native);
+                      Error, Mode, Engine);
 }

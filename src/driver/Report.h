@@ -63,29 +63,23 @@ struct WorkloadEvaluation {
 /// Interprets one build of \p M on \p TestInput under \p Mode and collects
 /// every per-build quantity the tables report.  On a trap, \p Error is
 /// filled and the measurement is partial.  Thread-safe for concurrent
-/// callers sharing one (immutable) module.  \p Prepared optionally
-/// supplies a fused program (an artifact's fused slot) so the run skips
-/// re-decoding; it must have been produced from \p M under a format
-/// matching \p Mode and is ignored by the tree walker.  \p Adaptive routes
-/// the run through an adaptive controller instead (implies Mode::Adaptive
-/// and supersedes \p Prepared); the controller must have been built over
-/// \p M, runs through it must not overlap, and its profile state persists
+/// callers sharing one (immutable) module.  \p Engine names the engine
+/// the run goes through, usually an artifact's slot (Artifact::engine):
+/// its Prepared, Adaptive or Native; measureBuild sets its Input and
+/// AttachedPredictor.  Without one the exec backend decodes or compiles
+/// on the fly.  An Adaptive controller must have been built over \p M,
+/// runs through it must not overlap, and its profile state persists
 /// across measureBuild calls — a second run of the same workload starts
-/// in the fused tier.  \p Native
-/// optionally supplies a pre-compiled shared object for Mode::Native
-/// (an artifact's native slot); without one the exec backend compiles on
-/// the fly.  Native runs report zero DynamicCounts, mispredictions, and
-/// model cycles — only the observables (Output, ExitValue) and wall
-/// clock are meaningful.  Dispatch goes through exec/ExecBackend.h, so
-/// every engine consumer shares one code path.
+/// in the fused tier.  Native runs report zero DynamicCounts,
+/// mispredictions, and model cycles — only the observables (Output,
+/// ExitValue) and wall clock are meaningful.  Dispatch goes through
+/// exec/ExecBackend.h, so every engine consumer shares one code path.
 BuildMeasurement
 measureBuild(const Module &M, std::string_view TestInput,
              const std::optional<PredictorConfig> &Predictor,
              std::string &Error,
              Interpreter::Mode Mode = Interpreter::Mode::Fused,
-             const DecodedModule *Prepared = nullptr,
-             AdaptiveController *Adaptive = nullptr,
-             const NativeProgram *Native = nullptr);
+             ExecRequest Engine = {});
 
 /// As above, but measures under any zoo member (predict/Zoo.h) instead of
 /// constructing an (m,n) predictor from a config.  \p AttachedPredictor may
@@ -96,9 +90,7 @@ BuildMeasurement
 measureBuild(const Module &M, std::string_view TestInput,
              Predictor *AttachedPredictor, std::string &Error,
              Interpreter::Mode Mode = Interpreter::Mode::Fused,
-             const DecodedModule *Prepared = nullptr,
-             AdaptiveController *Adaptive = nullptr,
-             const NativeProgram *Native = nullptr);
+             ExecRequest Engine = {});
 
 } // namespace bropt
 

@@ -49,13 +49,15 @@ struct ExecRequest {
   /// does not model prediction).  Any zoo member (predict/Zoo.h).
   Predictor *AttachedPredictor = nullptr;
   /// Fused program for the threaded loop, usually an artifact's fused
-  /// slot (driver/Artifact.h); ignored elsewhere.
+  /// slot (Artifact::engine in driver/Artifact.h); ignored elsewhere.
   const DecodedModule *Prepared = nullptr;
   /// Adaptive-runtime controller for Mode::Adaptive; when set it owns
   /// engine attachment and Prepared is ignored.  With its
   /// RuntimeOptions::NativeTier on, beginRun() may hand the whole
-  /// activation to the controller's native body (tier 2).  One controller
-  /// runs one request at a time; an artifact's RunMutex serializes them.
+  /// activation to the controller's native body (tier 2), and the run
+  /// that makes a function hot enough compiles that body inline.  One
+  /// controller runs one request at a time, on the caller's thread; an
+  /// artifact's RunMutex serializes them.
   AdaptiveController *Adaptive = nullptr;
   /// Pre-compiled shared object for Mode::Native, usually an artifact's
   /// native slot.  When null the backend compiles on the fly — convenient

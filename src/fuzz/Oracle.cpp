@@ -492,17 +492,15 @@ OracleReport bropt::runOracle(std::string_view Source,
   // The adaptive and tier-ladder rows run through persistent controllers:
   // the first inputs drive tier-up, mid-run hot-swaps and native
   // promotion, later inputs re-enter an already-tiered controller.
-  // Synchronous mode keeps swap timing deterministic.  Under
-  // HangNativeCompile the ladder controllers own a private runner whose
-  // "compiler" never returns; the compile deadline must cancel it and
-  // every run must stay on the fused tier, observably clean — that
+  // Under HangNativeCompile the ladder controllers own a private runner
+  // whose "compiler" never returns; the compile deadline must cancel it
+  // and every run must stay on the fused tier, observably clean — that
   // inverted expectation is what proves the teardown path.
   RuntimeOptions RO;
   RO.HotThreshold = Opts.AdaptiveHotThreshold;
   RO.SampleInterval = Opts.AdaptiveSampleInterval;
   RO.DriftWindow = Opts.AdaptiveDriftWindow;
   RO.MinSamplesBetweenRecompiles = 64;
-  RO.Background = false;
   RuntimeOptions LadderRO = RO;
   LadderRO.NativeTier = true;
   LadderRO.NativeThreshold = Opts.AdaptiveHotThreshold * 2;

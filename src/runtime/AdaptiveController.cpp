@@ -2,9 +2,7 @@
 
 #include "runtime/AdaptiveController.h"
 
-#include "codegen/AsyncCompile.h"
 #include "codegen/CEmitter.h"
-#include "codegen/NativeRunner.h"
 #include "core/Reorder.h"
 #include "ir/CFG.h"
 #include "ir/IRParser.h"
@@ -19,8 +17,6 @@ using namespace bropt;
 /// Normalized histogram distance in [0, 1] above which a drift window
 /// counts as drift.
 static constexpr double DriftThreshold = 0.35;
-/// drainBackgroundWork()'s deadline when the caller names none.
-static constexpr double DefaultDrainSeconds = 60.0;
 
 static RuntimeOptions sanitized(RuntimeOptions O) {
   if (!O.SampleInterval)
@@ -41,6 +37,7 @@ AdaptiveController::AdaptiveController(const Module &Mod,
                                        RuntimeOptions Options)
     : M(Mod), Opts(sanitized(std::move(Options))),
       TierReorder(Opts.Reorder), Tier0(DecodedModule::decode(Mod)) {
+  NativeControl.TimeoutSeconds = Opts.NativeCompileTimeout;
   Hooks.SampleInterval = Opts.SampleInterval;
   Hooks.SampleCountdown = Opts.SampleInterval;
   Hooks.OnSample = [this](uint32_t FuncIndex, uint32_t BranchId, bool Taken,
@@ -98,18 +95,6 @@ AdaptiveController::AdaptiveController(const Module &Mod,
         DriftDetector(State.Bins.size(), Opts.DriftWindow, DriftThreshold);
     Sequences.push_back(std::move(State));
   }
-
-  if (Opts.Background)
-    Pool = std::make_unique<ThreadPool>(1);
-}
-
-AdaptiveController::~AdaptiveController() {
-  // Abort any in-flight native build so ~AsyncNativeCompiler (which joins
-  // its worker) cannot block on a hung host compiler.
-  if (PendingNative)
-    PendingNative->cancel();
-  // Join the worker before the version list and sampler state go away.
-  Pool.reset();
 }
 
 void AdaptiveController::attach(Interpreter &I) {
@@ -118,70 +103,33 @@ void AdaptiveController::attach(Interpreter &I) {
   I.setAdaptiveHooks(&Hooks);
 }
 
-bool AdaptiveController::drainBackgroundWork(double DeadlineSeconds) {
-  if (DeadlineSeconds < 0)
-    DeadlineSeconds = DefaultDrainSeconds;
-
-  bool Clean = true;
-  if (Pool) {
-    if (DeadlineSeconds <= 0)
-      Pool->wait();
-    else
-      Clean = Pool->waitFor(DeadlineSeconds);
-  }
-
-  if (PendingNative) {
-    const bool Done = DeadlineSeconds <= 0 ? PendingNative->wait()
-                                           : PendingNative->wait(DeadlineSeconds);
-    if (!Done) {
-      // A hung compiler must not wedge the caller: kill its process group
-      // and give the SIGKILL one poll tick to be observed.
-      trace("native: drain deadline expired; cancelling in-flight compile");
-      PendingNative->cancel();
-      PendingNative->wait(1.0);
-      Clean = false;
-    }
-    pollNative(/*Block=*/false); // publish the result or record the failure
-  }
-  return Clean;
-}
-
 RuntimeStats AdaptiveController::stats() const {
   RuntimeStats S = ExecStats;
   S.DroppedSamples = Sampler.DroppedSamples;
-  std::lock_guard<std::mutex> Lock(Mutex);
-  S.Recompiles = JobStats.Recompiles;
-  S.RecompileSeconds = JobStats.RecompileSeconds;
-  S.RecompilesSuppressed += JobStats.RecompilesSuppressed;
   return S;
 }
 
 std::string AdaptiveController::deployedOrderingSignature() const {
-  const ProgramVersion *Deployed = Latest.load(std::memory_order_acquire);
+  const ProgramVersion *Deployed = latest();
   return Deployed ? Deployed->OrderSig : std::string();
+}
+
+AdaptiveController::JobInput AdaptiveController::snapshot() const {
+  JobInput Job;
+  Job.Hotness = Sampler.Hotness;
+  Job.SeqCounts.reserve(Sequences.size());
+  for (const SequenceState &State : Sequences)
+    Job.SeqCounts.push_back(State.Counts);
+  return Job;
 }
 
 void AdaptiveController::exportProfile(ProfileDB &DB) const {
   // Once tiered, export the snapshot that built the deployed version so a
   // replay reproduces its orderings; the live counters may have drifted
   // since the build.  Before any deploy, export the live counters.
-  BranchHotness Hot;
-  std::vector<std::vector<uint64_t>> SeqCounts;
-  bool HaveSnapshot = false;
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    if (DeployedJob) {
-      Hot = DeployedJob->Hotness;
-      SeqCounts = DeployedJob->SeqCounts;
-      HaveSnapshot = true;
-    }
-  }
-  if (!HaveSnapshot) {
-    Hot = Sampler.Hotness;
-    SeqCounts.reserve(Sequences.size());
-    for (const SequenceState &State : Sequences)
-      SeqCounts.push_back(State.Counts);
-  }
+  const JobInput Live = DeployedJob ? JobInput() : snapshot();
+  const JobInput &From = DeployedJob ? *DeployedJob : Live;
+  const std::vector<std::vector<uint64_t>> &SeqCounts = From.SeqCounts;
 
   // Sampled counts scale up to estimated executions.  Uniform scaling
   // preserves every normalized probability bit-for-bit (IEEE division is
@@ -209,7 +157,7 @@ void AdaptiveController::exportProfile(ProfileDB &DB) const {
       E.BinCounts[Bin] += Counts[Bin] * Scale;
   }
 
-  exportHotnessToProfile(M, Hot, DB, Scale);
+  exportHotnessToProfile(M, From.Hotness, DB, Scale);
 }
 
 void AdaptiveController::importProfile(const ProfileDB &DB) {
@@ -347,21 +295,18 @@ void AdaptiveController::onSample(uint32_t FuncIndex, uint32_t BranchId,
   // (a full DriftWindow since the last drift) and the build hysteresis are
   // silent — suppression counters only track real decisions, not every
   // sample inside a cool-down window.
-  if (Opts.NativeTier && !NativeFailed && !ActiveNative && !PendingNative &&
-      tiered() && FuncIndex < FuncTiered.size() &&
+  if (Opts.NativeTier && !NativeFailed && !ActiveNative && tiered() &&
+      FuncIndex < FuncTiered.size() &&
       FuncCount * Opts.SampleInterval >= Opts.NativeThreshold &&
       ExecStats.SamplesTaken - LastDriftSample >= Opts.DriftWindow &&
-      (!NativeJobsPlanned ||
+      (!ExecStats.NativeCompiles ||
        ExecStats.SamplesTaken - LastNativeBuildSample >=
            Opts.MinSamplesBetweenNativeBuilds))
     maybePromoteNative("native-tier-up");
 }
 
 void AdaptiveController::maybeReoptimize(const char *Reason) {
-  if (JobInFlight.load(std::memory_order_acquire))
-    return; // a build is already running; samples keep accumulating
-
-  if (JobsPlanned.load(std::memory_order_relaxed) >= Opts.MaxRecompiles) {
+  if (ExecStats.Recompiles >= Opts.MaxRecompiles) {
     ++ExecStats.RecompilesSuppressed;
     if (Opts.Trace)
       trace(std::string("suppress(") + Reason + "): recompile budget spent");
@@ -377,24 +322,12 @@ void AdaptiveController::maybeReoptimize(const char *Reason) {
   }
 
   LastJobSample = ExecStats.SamplesTaken;
-  JobsPlanned.fetch_add(1, std::memory_order_relaxed);
-
-  // Snapshot on the execution thread; the job must not race the sampler.
-  JobInput Job;
-  Job.Hotness = Sampler.Hotness;
-  Job.SeqCounts.reserve(Sequences.size());
-  for (const SequenceState &State : Sequences)
-    Job.SeqCounts.push_back(State.Counts);
+  JobInput Job = snapshot();
   Job.Reason = Reason;
-
-  JobInFlight.store(true, std::memory_order_release);
-  if (Pool)
-    Pool->enqueue([this, J = std::move(Job)] { runJob(J); });
-  else
-    runJob(Job);
+  runJob(std::move(Job));
 }
 
-void AdaptiveController::runJob(const JobInput &Job) {
+void AdaptiveController::runJob(JobInput Job) {
   const auto Start = std::chrono::steady_clock::now();
 
   // Turn the sampled bins into a live profile and, per sequence, rerun the
@@ -434,18 +367,13 @@ void AdaptiveController::runJob(const JobInput &Job) {
   }
 
   // Hysteresis: an unchanged ordering decision means the deployed version
-  // already implements what this profile asks for — skip the build and
-  // refund the budget slot.
-  const ProgramVersion *Deployed = Latest.load(std::memory_order_acquire);
+  // already implements what this profile asks for — skip the build, which
+  // costs no budget.
+  const ProgramVersion *Deployed = latest();
   if (Deployed && Sig == Deployed->OrderSig) {
-    JobsPlanned.fetch_sub(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      ++JobStats.RecompilesSuppressed;
-    }
+    ++ExecStats.RecompilesSuppressed;
     if (Opts.Trace)
       trace(std::string("suppress(") + Job.Reason + "): ordering unchanged");
-    JobInFlight.store(false, std::memory_order_release);
     return;
   }
 
@@ -458,35 +386,28 @@ void AdaptiveController::runJob(const JobInput &Job) {
   V->buildReverseMap();
   V->OrderSig = std::move(Sig);
 
-  const double Seconds =
+  ++ExecStats.Recompiles;
+  ExecStats.RecompileSeconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
           .count();
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    ++JobStats.Recompiles;
-    JobStats.RecompileSeconds += Seconds;
-    DeployedJob = std::make_unique<JobInput>(Job);
-    ByDM.emplace(&V->DM, V.get());
-    Latest.store(V.get(), std::memory_order_release);
-    Versions.push_back(std::move(V));
-  }
   if (Opts.Trace)
     trace(std::string("recompile(") + Job.Reason + "): version " +
-          std::to_string(stats().Recompiles) + " published");
-  JobInFlight.store(false, std::memory_order_release);
+          std::to_string(ExecStats.Recompiles) + " published");
+  DeployedJob = std::make_unique<JobInput>(std::move(Job));
+  ByDM.emplace(&V->DM, V.get());
+  Versions.push_back(std::move(V));
 }
 
 const DecodedModule *AdaptiveController::trySwap(const DecodedModule &Cur,
                                                  uint32_t FuncIndex,
                                                  size_t Index,
                                                  size_t &NewIndex) {
-  const ProgramVersion *Target = Latest.load(std::memory_order_acquire);
+  const ProgramVersion *Target = latest();
   if (!Target || &Target->DM == &Cur)
     return nullptr; // nothing newer to swap onto
 
   const ProgramVersion *CurVersion = nullptr;
   if (&Cur != &Tier0) {
-    std::lock_guard<std::mutex> Lock(Mutex);
     auto It = ByDM.find(&Cur);
     if (It != ByDM.end())
       CurVersion = It->second;
@@ -509,9 +430,6 @@ const DecodedModule *AdaptiveController::trySwap(const DecodedModule &Cur,
 }
 
 std::shared_ptr<const NativeProgram> AdaptiveController::beginRun() {
-  if (!Opts.NativeTier)
-    return nullptr;
-  pollNative(/*Block=*/false);
   if (!ActiveNative)
     return nullptr;
 
@@ -534,115 +452,85 @@ std::shared_ptr<const NativeProgram> AdaptiveController::beginRun() {
   return ActiveNative;
 }
 
-void AdaptiveController::pollNative(bool Block) {
-  if (!PendingNative)
-    return;
-  if (!PendingNative->done() && !Block)
-    return;
-  PendingNative->wait();
-
-  auto Job = std::move(PendingNative);
-  PendingNative = nullptr;
-  const bool WasDeoptCancel = PendingCancelledByDeopt;
-  PendingCancelledByDeopt = false;
-  ExecStats.NativeCompileSeconds += Job->seconds();
-
-  if (auto Program = Job->get()) {
-    NativeBySig[PendingNativeSig] = Program;
-    // Activate only while the fused tier still implements the ordering
-    // this body was built from; a build outrun by drift stays cached for
-    // the day its phase returns.
-    if (deployedOrderingSignature() == PendingNativeSig) {
-      ActiveNative = std::move(Program);
-      NativeOrderSig = PendingNativeSig;
-      RecheckInterval = Opts.NativeRecheckMin;
-      RunsSinceRecheck = 0;
-      ++ExecStats.NativeTierUps;
-      if (Opts.Trace)
-        trace("native: promoted entry 'main' (" +
-              std::to_string(Job->seconds()) + "s compile)");
-    } else if (Opts.Trace) {
-      trace("native: build finished for a stale layout; cached only");
-    }
-    return;
-  }
-
-  if (Job->cancelled()) {
-    ++ExecStats.NativeCompilesCancelled;
-    if (!WasDeoptCancel) {
-      // Cancelled from outside (drain deadline or timeout): the compiler
-      // is not trustworthy here — settle in the fused tier for good.
-      NativeFailed = true;
-    }
-    if (Opts.Trace)
-      trace("native: compile cancelled (" + Job->error() + ")");
-    return;
-  }
-
-  ++ExecStats.NativeCompilesFailed;
-  NativeFailed = true;
-  if (Opts.Trace)
-    trace("native: compile failed: " + Job->error());
-}
-
 void AdaptiveController::maybePromoteNative(const char *Reason) {
   const std::string Sig = deployedOrderingSignature();
 
   // Re-entering a phase whose body was already built: reactivate from the
   // per-signature cache.  Free — no compile, no budget.
-  auto Cached = NativeBySig.find(Sig);
-  if (Cached != NativeBySig.end()) {
-    ActiveNative = Cached->second;
-    NativeOrderSig = Sig;
-    RecheckInterval = Opts.NativeRecheckMin;
-    RunsSinceRecheck = 0;
-    ++ExecStats.NativeTierUps;
+  std::shared_ptr<const NativeProgram> Body;
+  if (auto Cached = NativeBySig.find(Sig); Cached != NativeBySig.end()) {
+    Body = Cached->second;
     if (Opts.Trace)
       trace(std::string("native: re-promoted cached body (") + Reason + ")");
-    return;
+  } else {
+    Body = compileNative(Reason);
+    if (!Body)
+      return;
+    NativeBySig.emplace(Sig, Body);
   }
+  ActiveNative = std::move(Body);
+  RecheckInterval = Opts.NativeRecheckMin;
+  RunsSinceRecheck = 0;
+  ++ExecStats.NativeTierUps;
+}
 
-  if (NativeJobsPlanned >= Opts.MaxNativeCompiles) {
+std::shared_ptr<const NativeProgram>
+AdaptiveController::compileNative(const char *Reason) {
+  if (ExecStats.NativeCompiles >= Opts.MaxNativeCompiles) {
     ++ExecStats.NativeCompilesSuppressed;
     NativeFailed = true; // stop re-evaluating every sample
     if (Opts.Trace)
       trace(std::string("native: suppress(") + Reason +
             "): compile budget spent; staying fused");
-    return;
+    return nullptr;
   }
 
-  NativeRunner &Runner = Opts.Runner ? *Opts.Runner : NativeRunner::shared();
-  if (!NativeCompiler)
-    NativeCompiler =
-        std::make_unique<AsyncNativeCompiler>(&Runner, Opts.NativeCompileTimeout);
-
-  ++NativeJobsPlanned;
   ++ExecStats.NativeCompiles;
   LastNativeBuildSample = ExecStats.SamplesTaken;
-  PendingNativeSig = Sig;
   if (Opts.Trace)
     trace(std::string("native: compile launched (") + Reason + ")");
-  PendingNative = NativeCompiler->submit(emitNativeSource());
+  const std::string Source = emitNativeSource();
 
-  // Synchronous mode mirrors the fused tier: block at the triggering
-  // sample so promotion timing is deterministic for tests and the oracle.
-  // The wait is still bounded by NativeCompileTimeout via the control.
-  if (!Opts.Background)
-    pollNative(/*Block=*/true);
+  // The compile blocks this sample, like the fused build: promotion timing
+  // stays deterministic, and no deopt or new fused version can land while
+  // it runs.  NativeControl bounds the stall and lets cancelNativeCompile()
+  // end it from another thread.
+  NativeRunner &Runner = Opts.Runner ? *Opts.Runner : NativeRunner::shared();
+  const auto Start = std::chrono::steady_clock::now();
+  std::string Error;
+  std::shared_ptr<const NativeProgram> Program =
+      Runner.prepareSource(Source, &Error, &NativeControl);
+  const double Seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
+          .count();
+  ExecStats.NativeCompileSeconds += Seconds;
+  if (Program) {
+    if (Opts.Trace)
+      trace("native: promoted entry 'main' (" + std::to_string(Seconds) +
+            "s compile)");
+    return Program;
+  }
+
+  // A timeout, a cancel or a failing compiler: the compiler is not
+  // trustworthy here, so settle in the fused tier for good.
+  NativeFailed = true;
+  if (NativeControl.Cancel.load(std::memory_order_acquire)) {
+    ++ExecStats.NativeCompilesCancelled;
+    if (Opts.Trace)
+      trace("native: compile cancelled (" + Error + ")");
+  } else {
+    ++ExecStats.NativeCompilesFailed;
+    if (Opts.Trace)
+      trace("native: compile failed: " + Error);
+  }
+  return nullptr;
 }
 
 void AdaptiveController::deoptimizeNative(const char *Why) {
   ActiveNative.reset();
-  NativeOrderSig.clear();
   RecheckInterval = Opts.NativeRecheckMin;
   RunsSinceRecheck = 0;
   ++ExecStats.NativeDeopts;
-  if (PendingNative && !PendingNative->done()) {
-    // The in-flight build used the pre-drift profile; abort it.  The
-    // deliberate cancel must not latch NativeFailed.
-    PendingCancelledByDeopt = true;
-    PendingNative->cancel();
-  }
   if (Opts.Trace)
     trace(std::string("native: deopt (") + Why + "); back to fused tier");
 }

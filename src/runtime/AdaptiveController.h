@@ -23,7 +23,7 @@
 ///
 /// When a function's estimated branch executions cross HotThreshold the
 /// controller runs ordering selection plus the decode-time fuser on the
-/// live profile — inline, or on a background worker — and publishes the
+/// live profile, inline at the triggering sample, and publishes the
 /// result as a ProgramVersion.  The engines' TrySwap hook then migrates
 /// live activations onto it at block-boundary safe points.  Re-optimization
 /// on drift is limited by a recompile budget and two hysteresis rules
@@ -34,11 +34,16 @@
 /// predictor feeds, output, exit values, traps, and instruction-limit
 /// behaviour stay bit-identical to a from-scratch run of any engine.
 ///
+/// Every build, the tier-2 host compile included, runs on the thread
+/// driving the run, so all controller state belongs to that thread.  The
+/// one entry safe from any other thread is cancelNativeCompile().
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef BROPT_RUNTIME_ADAPTIVECONTROLLER_H
 #define BROPT_RUNTIME_ADAPTIVECONTROLLER_H
 
+#include "codegen/NativeRunner.h"
 #include "core/Reorder.h"
 #include "core/SequenceDetection.h"
 #include "profile/ProfileDB.h"
@@ -46,22 +51,14 @@
 #include "runtime/HotnessSampler.h"
 #include "runtime/SwapPoint.h"
 #include "sim/Interpreter.h"
-#include "support/ThreadPool.h"
 
-#include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 namespace bropt {
-
-class AsyncNativeCompiler;
-class NativeCompileJob;
-class NativeProgram;
-class NativeRunner;
 
 /// Tiering knobs.  The defaults suit long-running workloads; tests and the
 /// fuzz oracle shrink the thresholds to exercise tiering on small inputs.
@@ -80,12 +77,8 @@ struct RuntimeOptions {
   /// Hysteresis: samples that must pass after a build before drift may
   /// trigger the next one.
   uint64_t MinSamplesBetweenRecompiles = 2048;
-  /// Run optimization jobs on a background worker thread.  False (the
-  /// default) runs them inline at the triggering sample, which makes swap
-  /// timing deterministic — what the tests and the fuzz oracle need.
-  bool Background = false;
-  /// Optional tiering-event log sink.  With Background set the callback
-  /// may be invoked from the worker thread.
+  /// Optional tiering-event log sink, called on the thread driving the
+  /// run.
   std::function<void(const std::string &)> Trace;
 
   // --- Tier-2 (native) knobs; ignored unless NativeTier is set ---
@@ -115,8 +108,9 @@ struct RuntimeOptions {
   /// a de-optimization resets it to the minimum.
   uint32_t NativeRecheckMin = 8;
   uint32_t NativeRecheckMax = 128;
-  /// Wall-clock cap on one host-compiler invocation; 0 means no cap.  On
-  /// expiry the compiler's process group is killed and the controller
+  /// Wall-clock cap on one host-compiler invocation; 0 means no cap.  The
+  /// compile blocks the run that triggers it, so this bounds that stall.
+  /// On expiry the compiler's process group is killed and the controller
   /// falls back to the fused tier for good.
   double NativeCompileTimeout = 0;
   /// Compiles go through this runner; null uses NativeRunner::shared().
@@ -134,7 +128,7 @@ struct RuntimeOptions {
 };
 
 /// Counters describing what the controller did.  Read via stats() between
-/// runs (after drainBackgroundWork() when Background is set).
+/// runs.
 struct RuntimeStats {
   uint64_t SamplesTaken = 0;     ///< OnSample invocations
   uint64_t TierUps = 0;          ///< functions that crossed HotThreshold
@@ -152,11 +146,11 @@ struct RuntimeStats {
   uint64_t NativeRuns = 0;       ///< whole activations executed natively
   uint64_t NativeRecheckRuns = 0; ///< activations run interpreted for drift
   uint64_t NativeDeopts = 0;     ///< drift de-optimizations back to fused
-  uint64_t NativeCompiles = 0;   ///< native build jobs launched
+  uint64_t NativeCompiles = 0;   ///< native builds started
   uint64_t NativeCompilesSuppressed = 0; ///< skipped: budget spent
   uint64_t NativeCompilesFailed = 0;     ///< compiler or loader errors
   uint64_t NativeCompilesCancelled = 0;  ///< cancelled or timed out
-  double NativeCompileSeconds = 0.0; ///< wall time in native build jobs
+  double NativeCompileSeconds = 0.0; ///< wall time in the host compiler
 
   RuntimeStats &operator+=(const RuntimeStats &O) {
     SamplesTaken += O.SamplesTaken;
@@ -184,13 +178,12 @@ struct RuntimeStats {
 };
 
 /// One controller adapts one module.  Attach it to any number of
-/// Interpreters over the module (one at a time — the sampler state is not
+/// Interpreters over the module (one at a time — the controller is not
 /// reentrant); profile state persists across runs, which is what lets the
 /// second run of a workload start in the fused tier immediately.
 class AdaptiveController {
 public:
   explicit AdaptiveController(const Module &M, RuntimeOptions Options = {});
-  ~AdaptiveController();
 
   AdaptiveController(const AdaptiveController &) = delete;
   AdaptiveController &operator=(const AdaptiveController &) = delete;
@@ -202,28 +195,28 @@ public:
   /// The plain tier-0 program.
   const DecodedModule &tier0() const { return Tier0; }
 
-  /// Blocks until any in-flight background optimization — fused rebuilds
-  /// and native compiles alike — has finished.  \p DeadlineSeconds bounds
-  /// the wait (negative waits up to 60 s; 0 waits forever);
-  /// on expiry the in-flight native compile is cancelled (its compiler
-  /// process group is killed) so a hung `$BROPT_CC` cannot wedge the
-  /// caller.  \returns true when everything drained cleanly, false when
-  /// the deadline forced a cancellation.
-  bool drainBackgroundWork(double DeadlineSeconds = -1.0);
+  /// Cancels the tier-2 compile in flight, or the next one if none is:
+  /// the host compiler's process group is killed, the run that started
+  /// the compile carries on in the fused tier, and the controller stays
+  /// there for good.  Safe from any thread while a run is in flight: it
+  /// only sets an atomic flag and takes no lock.  broptd's shutdown calls
+  /// it once its drain deadline passes, so a hung `$BROPT_CC` cannot
+  /// wedge the daemon.
+  void cancelNativeCompile() {
+    NativeControl.Cancel.store(true, std::memory_order_release);
+  }
 
   /// Tier-2 gate, called by the exec backend at the top of each
   /// activation.  \returns the native body to run this activation
   /// natively, or null to run interpreted (not in the native tier yet, or
-  /// this activation is a drift recheck).  Never blocks on a compile.
+  /// this activation is a drift recheck).
   std::shared_ptr<const NativeProgram> beginRun();
 
   /// True while a native body is installed as the active tier.
   bool nativeTiered() const { return ActiveNative != nullptr; }
 
   /// True once an optimized version has been published.
-  bool tiered() const {
-    return Latest.load(std::memory_order_acquire) != nullptr;
-  }
+  bool tiered() const { return !Versions.empty(); }
 
   /// Snapshot of the tiering counters.
   RuntimeStats stats() const;
@@ -237,7 +230,7 @@ public:
   /// deployed this exports the snapshot that *built* it, so replaying the
   /// profile through pass 2 reproduces the deployed orderings exactly —
   /// not the post-deployment counters, which may already have drifted.
-  /// Call between runs (after drainBackgroundWork() in background mode).
+  /// Call between runs.
   void exportProfile(ProfileDB &DB) const;
 
   /// Warm-starts the controller from a saved profile: sequence counters
@@ -266,19 +259,25 @@ private:
     std::vector<std::vector<uint64_t>> SeqCounts;
     const char *Reason = "";
   };
+  /// The live counters, as a job would see them.
+  JobInput snapshot() const;
 
   void onSample(uint32_t FuncIndex, uint32_t BranchId, bool Taken,
                 int64_t Value);
   const DecodedModule *trySwap(const DecodedModule &Cur, uint32_t FuncIndex,
                                size_t Index, size_t &NewIndex);
-  /// Budget + hysteresis gate; schedules or runs one optimization job.
+  /// Budget + hysteresis gate; runs one optimization job.
   void maybeReoptimize(const char *Reason);
-  void runJob(const JobInput &Job);
-  /// Tier-2: reactivates a cached body or launches one native build.
+  void runJob(JobInput Job);
+  /// The version runs swap onto: the last one published, or null.
+  const ProgramVersion *latest() const {
+    return Versions.empty() ? nullptr : Versions.back().get();
+  }
+  /// Tier-2: reactivates a cached body or compiles one, here and now.
   void maybePromoteNative(const char *Reason);
-  /// Publishes a finished native build (or records its failure); with
-  /// \p Block waits for the in-flight job first.
-  void pollNative(bool Block);
+  /// Runs the host compiler on the current hot layout; null when it
+  /// failed or was cancelled, which latches the fused tier.
+  std::shared_ptr<const NativeProgram> compileNative(const char *Reason);
   /// Drops the active native body back to the fused tier.
   void deoptimizeNative(const char *Why);
   /// Emits the C for the current hot layout: clones the module, reorders
@@ -307,49 +306,30 @@ private:
   HotnessSampler Sampler;
   std::vector<bool> FuncTiered;
 
-  // --- Execution-thread-only tiering state ---
   RuntimeStats ExecStats;
   uint64_t LastJobSample = 0; ///< SamplesTaken when the last job was gated
+  /// Snapshot that built the currently deployed version; what
+  /// exportProfile() serializes once tiered.
+  std::unique_ptr<JobInput> DeployedJob;
+  std::vector<std::unique_ptr<ProgramVersion>> Versions;
+  std::unordered_map<const DecodedModule *, const ProgramVersion *> ByDM;
 
-  // --- Tier-2 (native) state, execution thread only.  beginRun(),
-  // onSample(), and drainBackgroundWork() all run on the thread driving
-  // execution; only the compile itself happens elsewhere, behind the
-  // NativeCompileJob handle. ---
+  // --- Tier-2 (native) state ---
   std::shared_ptr<const NativeProgram> ActiveNative; ///< null below tier 2
-  std::string NativeOrderSig;   ///< fused ordering sig ActiveNative realizes
-  std::shared_ptr<NativeCompileJob> PendingNative;
-  std::string PendingNativeSig; ///< sig PendingNative was built for
-  bool PendingCancelledByDeopt = false;
   /// Built bodies by the ordering signature they realize; re-entering a
   /// previously seen phase re-activates from here without a compile (and
   /// without touching the MaxNativeCompiles budget).
   std::unordered_map<std::string, std::shared_ptr<const NativeProgram>>
       NativeBySig;
   bool NativeFailed = false; ///< permanent fused fallback (fail/timeout/budget)
-  unsigned NativeJobsPlanned = 0;
   uint64_t LastNativeBuildSample = 0;
   uint64_t LastDriftSample = 0; ///< SamplesTaken at the last drift event
   uint32_t RecheckInterval = 0; ///< current backoff; set on activation
   uint32_t RunsSinceRecheck = 0;
-  /// Lazily created on first use; owns the compile worker thread.
-  std::unique_ptr<AsyncNativeCompiler> NativeCompiler;
-
-  // --- Shared publication state ---
-  mutable std::mutex Mutex;
-  RuntimeStats JobStats;                       ///< guarded by Mutex
-  /// Snapshot that built the currently deployed version (guarded by
-  /// Mutex); what exportProfile() serializes once tiered.
-  std::unique_ptr<JobInput> DeployedJob;
-  std::vector<std::unique_ptr<ProgramVersion>> Versions; ///< guarded
-  std::unordered_map<const DecodedModule *, const ProgramVersion *>
-      ByDM;                                    ///< guarded by Mutex
-  std::atomic<const ProgramVersion *> Latest{nullptr};
-  std::atomic<bool> JobInFlight{false};
-  std::atomic<unsigned> JobsPlanned{0};
-
-  /// Present only in background mode; destroyed first (declared last) so
-  /// the worker joins before the state above goes away.
-  std::unique_ptr<ThreadPool> Pool;
+  /// Bounds every compile by NativeCompileTimeout and carries
+  /// cancelNativeCompile() into it.  A timeout sets its flag too, and
+  /// nothing clears it.
+  NativeCompileControl NativeControl;
 };
 
 /// Re-derives, from a saved profile, the ordering-decision fingerprint a

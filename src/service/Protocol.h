@@ -123,7 +123,9 @@ struct ServiceStats {
   uint64_t WarmStarts = 0;        ///< compiles seeded from the shards
   uint64_t LearnedExports = 0;    ///< adaptive profiles exported to shards
   uint64_t ActiveConnections = 0; ///< gauge
-  uint64_t TierTwoCancellations = 0; ///< native compiles cancelled at drain
+  /// Tier-2 native compiles cancelled, by the shutdown drain or by
+  /// RuntimeOptions::NativeCompileTimeout, counted as their runs end.
+  uint64_t TierTwoCancellations = 0;
 
   /// Cumulative per-predictor measurement traffic across execute requests
   /// (one zoo entry per scheme that served at least one run).  Every run

@@ -150,28 +150,21 @@ bool BroptService::shutdown() {
     Acceptor.join();
 
   // Drain admitted work.  New requests have been answered ShuttingDown
-  // since the flag flipped, so the pool queue only shrinks.
-  if (Pool)
-    Clean = Pool->waitFor(std::max(Opts.DrainDeadlineSeconds, 0.1)) && Clean;
-
-  // Drain every cached controller's background work within what is left
-  // of the deadline; an in-flight tier-2 native compile that cannot
-  // finish in time is cancelled (its compiler process group is killed).
-  for (const std::shared_ptr<Artifact> &A : Cache->live()) {
-    // A build lock still held here belongs to a request the pool drain
-    // gave up on; its artifact is left to the cache's teardown.
-    std::unique_lock<std::mutex> Lock(A->BuildMutex, std::try_to_lock);
-    AdaptiveController *Ctl = Lock ? A->existingController() : nullptr;
-    if (!Ctl)
-      continue;
-    Lock.unlock();
-    double Remaining =
-        std::max(Opts.DrainDeadlineSeconds - secondsSince(Start), 0.05);
-    bool Drained = Ctl->drainBackgroundWork(Remaining);
-    Clean = Drained && Clean;
-    // The pool is drained, so no run is in flight and stats() is safe.
-    C.TierTwoCancellations.fetch_add(Ctl->stats().NativeCompilesCancelled,
-                                     std::memory_order_relaxed);
+  // since the flag flipped, so the pool queue only shrinks.  Past the
+  // deadline, a run may be stuck in a tier-2 host compile: cancel every
+  // controller's compile, which touches nothing but an atomic flag, and
+  // give the runs that frees as long again to finish.
+  const double Deadline = std::max(Opts.DrainDeadlineSeconds, 0.1);
+  if (Pool && !Pool->waitFor(Deadline)) {
+    Clean = false;
+    for (const std::shared_ptr<Artifact> &A : Cache->live()) {
+      // A build lock still held here belongs to a request the drain gave
+      // up on; its controller, if it has one, cannot be reached.
+      std::unique_lock<std::mutex> Lock(A->BuildMutex, std::try_to_lock);
+      if (AdaptiveController *Ctl = Lock ? A->existingController() : nullptr)
+        Ctl->cancelNativeCompile();
+    }
+    Pool->waitFor(Deadline);
   }
 
   {
@@ -562,55 +555,46 @@ void BroptService::handleExecute(const ServiceRequest &Request,
     if (!describeBuild(*A, Hit, R))
       return;
 
-    // The engine this run needs, built once and shared across clients.
+    // The engine this run needs, built once and shared across clients.  A
+    // controller is built from the daemon's RuntimeOptions, so its
+    // NativeTier (`broptd --native-tier`) decides whether tier 2 can
+    // promote.
     bool EngineHit = false;
-    switch (Mode) {
-    case Interpreter::Mode::Tree:
-      break;
-    case Interpreter::Mode::Fused:
-      ER.Prepared = &A->fused(A->profile(), EngineHit);
-      break;
-    case Interpreter::Mode::Native: {
-      std::string Error;
-      ER.Native = A->native(Opts.Runtime.Runner ? *Opts.Runtime.Runner
-                                                : NativeRunner::shared(),
-                            Error, EngineHit);
-      if (!ER.Native) {
-        R.Status = ResponseStatus::Error;
-        R.Error = "native backend unavailable: " + Error;
-        return;
-      }
-      break;
+    std::string Error;
+    if (!A->engine(Mode, A->profile(), Opts.Runtime,
+                   Opts.Runtime.Runner ? *Opts.Runtime.Runner
+                                       : NativeRunner::shared(),
+                   ER, EngineHit, Error)) {
+      R.Status = ResponseStatus::Error;
+      R.Error = "native backend unavailable: " + Error;
+      return;
     }
-    case Interpreter::Mode::Adaptive: {
-      // Built from the daemon's RuntimeOptions, so its NativeTier
-      // (`broptd --native-tier`) decides whether tier 2 can promote.
-      Ctl = &A->controller(Opts.Runtime, EngineHit);
-      if (!EngineHit) {
-        // Cross-tenant warm start: seed the controller with what the
-        // shards already learned about this program, so the first run
-        // can begin in the optimized tier.
-        std::shared_ptr<const ProfileDB> Agg =
-            Shards.aggregated(A->ProgramKey);
-        if (Agg && profileNonEmpty(*Agg)) {
-          Ctl->importProfile(*Agg);
-          C.WarmStarts.fetch_add(1, std::memory_order_relaxed);
-        }
+    Ctl = ER.Adaptive;
+    if (Ctl && !EngineHit) {
+      // Cross-tenant warm start: seed the controller with what the
+      // shards already learned about this program, so the first run
+      // can begin in the optimized tier.
+      std::shared_ptr<const ProfileDB> Agg = Shards.aggregated(A->ProgramKey);
+      if (Agg && profileNonEmpty(*Agg)) {
+        Ctl->importProfile(*Agg);
+        C.WarmStarts.fetch_add(1, std::memory_order_relaxed);
       }
-      ER.Adaptive = Ctl;
-      break;
-    }
     }
   }
 
   RunResult RR;
   const Module &M = *A->compiled().M;
   if (Ctl) {
-    // One controller's sampler is not reentrant; adaptive runs of one
-    // artifact serialize here (the other engines run lock-free on
-    // immutable programs).
+    // One controller is not reentrant; adaptive runs of one artifact
+    // serialize here (the other engines run lock-free on immutable
+    // programs).  The daemon reads its counters here, under the run lock,
+    // and nowhere else: shutdown only cancels.
     std::lock_guard<std::mutex> Lock(A->RunMutex);
+    const uint64_t Cancelled = Ctl->stats().NativeCompilesCancelled;
     RR = executeModule(M, Mode, ER);
+    C.TierTwoCancellations.fetch_add(
+        Ctl->stats().NativeCompilesCancelled - Cancelled,
+        std::memory_order_relaxed);
     exportLearnedProfile(*A, *Ctl);
   } else {
     RR = executeModule(M, Mode, ER);

@@ -22,9 +22,10 @@
 ///  * profiles learned from live traffic (pass-1 training runs, client
 ///    merges, adaptive-runtime exports) aggregate in ProfileShards and
 ///    warm-start later compiles of the same program, across clients,
-///  * shutdown is graceful: stop admitting, drain the pool under a
-///    deadline, then drainBackgroundWork() every cached controller —
-///    cancelling in-flight tier-2 native compiles — before closing.
+///  * shutdown is graceful: stop admitting and drain the pool under a
+///    deadline; past it, cancel every cached controller's tier-2 native
+///    compile, so a run stuck in a hung host compiler finishes in the
+///    fused tier, and drain once more before closing.
 ///
 /// One reader thread per connection decodes frames and admits work; pool
 /// workers execute and write the response under a per-connection write
@@ -76,9 +77,9 @@ struct ServiceOptions {
   /// Artifacts (compiled module + prepared engines + controller) kept in
   /// the daemon's one artifact cache, Evaluate builds included.
   size_t ArtifactCacheCapacity = 64;
-  /// Wall-clock budget for graceful shutdown: pool drain plus controller
-  /// background-work drain share it; on expiry in-flight tier-2 native
-  /// compiles are cancelled.
+  /// Wall-clock budget for draining admitted work at shutdown.  On expiry
+  /// in-flight tier-2 native compiles are cancelled and the runs they
+  /// held get as long again to finish.
   double DrainDeadlineSeconds = 30.0;
   /// Retry hint sent with backpressure rejections.
   uint32_t RetryAfterMillis = 50;
@@ -121,11 +122,11 @@ public:
   void requestStop();
 
   /// Graceful shutdown: stop accepting, drain admitted work under the
-  /// drain deadline, drain every cached controller's background work
-  /// (cancelling in-flight tier-2 native compiles), close connections,
-  /// unlink the socket.  Idempotent; concurrent callers wait for the
-  /// first.  \returns true when everything drained cleanly before the
-  /// deadline, false when the deadline forced cancellations.
+  /// drain deadline (past it, cancel in-flight tier-2 native compiles and
+  /// drain again), close connections, unlink the socket.  Idempotent;
+  /// concurrent callers wait for the first.  \returns true when
+  /// everything drained cleanly before the deadline, false when the
+  /// deadline forced cancellations.
   bool shutdown();
 
   /// Counters snapshot (also served by RequestKind::Stats).

@@ -6,7 +6,6 @@
 #include "core/SequenceDetection.h"
 #include "cost/BranchCostModel.h"
 #include "profile/ProfileDB.h"
-#include "support/Debug.h"
 
 #include <algorithm>
 #include <numeric>
@@ -22,31 +21,6 @@ namespace {
 /// blocks.
 size_t decodedSize(const BasicBlock &Block) {
   return Block.size() + (Block.hasTerminator() ? 0 : 1);
-}
-
-/// Values for which `v Pred c` is true, as an inclusive interval.
-/// NE's truth set is not contiguous; callers treat it as non-reorderable.
-bool truthRange(CondCode Pred, int64_t C, Range &Out) {
-  switch (Pred) {
-  case CondCode::EQ:
-    Out = Range::single(C);
-    return true;
-  case CondCode::NE:
-    return false;
-  case CondCode::LT:
-    Out = C == Range::MinValue ? Range() : Range::upTo(C - 1);
-    return true;
-  case CondCode::LE:
-    Out = Range::upTo(C);
-    return true;
-  case CondCode::GT:
-    Out = C == Range::MaxValue ? Range() : Range::from(C + 1);
-    return true;
-  case CondCode::GE:
-    Out = Range::from(C);
-    return true;
-  }
-  BROPT_UNREACHABLE("unknown condition code");
 }
 
 /// Per-condition-block profile weights for one function, on final
@@ -378,18 +352,14 @@ void fuseFunction(DecodedFunction &DF, const CmpCountMap &CmpCount,
       std::vector<Range> Truth;
       Truth.reserve(NumArms);
       for (const FusedArm &Arm : ChainArms) {
+        // NE's truth set is not contiguous: not reorderable.
         if (Arm.Lhs.Slot != ChainArms.front().Lhs.Slot ||
-            Arm.Rhs.Slot < DF.NumRegs) {
+            Arm.Rhs.Slot < DF.NumRegs || Arm.Pred == CondCode::NE) {
           CanReorder = false;
           break;
         }
-        Range R;
-        if (!truthRange(Arm.Pred, DF.Constants[Arm.Rhs.Slot - DF.NumRegs],
-                        R)) {
-          CanReorder = false;
-          break;
-        }
-        Truth.push_back(R);
+        Truth.push_back(
+            takenInterval(Arm.Pred, DF.Constants[Arm.Rhs.Slot - DF.NumRegs]));
       }
       if (CanReorder)
         for (uint32_t I = 0; I < NumArms && CanReorder; ++I)

@@ -6,7 +6,7 @@
 // phase shift de-optimizes back to the fused tier and re-promotes from
 // the signature cache without recompiling, the compile budget latches a
 // permanent fused fallback, and a wedged host compiler is cancelled by
-// the compile deadline (or the drain deadline) without ever wedging
+// the compile deadline (or from another thread) without ever wedging
 // execution.  Observables stay bit-identical to the tree walker through
 // every one of those transitions.
 //
@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <memory>
@@ -35,8 +36,8 @@ namespace {
   } while (0)
 
 /// Aggressive tier-2 knobs: small inputs must tier up to fused, then
-/// promote to native, within a handful of activations.  Synchronous mode
-/// keeps promotion timing deterministic.
+/// promote to native, within a handful of activations.  Builds run inline
+/// at the triggering sample, so promotion timing is deterministic.
 RuntimeOptions nativeOptions() {
   RuntimeOptions Opts;
   Opts.HotThreshold = 64;
@@ -259,13 +260,13 @@ TEST(AdaptiveNativeTest, HungCompilerIsCancelledByCompileDeadline) {
   EXPECT_EQ(Stats.NativeCompilesCancelled, 1u);
   EXPECT_EQ(Stats.NativeTierUps, 0u);
   EXPECT_FALSE(Controller.nativeTiered());
-  EXPECT_TRUE(Controller.drainBackgroundWork(1.0));
 }
 
-TEST(AdaptiveNativeTest, DrainDeadlineCancelsInFlightBackgroundJob) {
-  // Background mode with no per-compile deadline: the hung job is still
-  // in flight when the run ends, so drainBackgroundWork()'s own deadline
-  // must report unclean, cancel the job, and leave the controller usable.
+TEST(AdaptiveNativeTest, CancelFromAnotherThreadEndsAHungCompile) {
+  // No per-compile deadline: the run that promotes stays stuck in the hung
+  // compile until another thread calls cancelNativeCompile(), as broptd's
+  // shutdown does.  That run must then finish in the fused tier with the
+  // tree walker's observables, and the controller must keep working.
   CompileResult Keep;
   Module &M = compileClassifier(Keep);
   std::string Input = digitInput();
@@ -274,27 +275,35 @@ TEST(AdaptiveNativeTest, DrainDeadlineCancelsInFlightBackgroundJob) {
   std::unique_ptr<NativeRunner> Hanging = makeHangingRunner();
   RuntimeOptions Opts = nativeOptions();
   Opts.Runner = Hanging.get();
-  Opts.Background = true;
+  std::atomic<bool> Launched{false}, Finished{false};
+  Opts.Trace = [&](const std::string &Event) {
+    if (Event.rfind("native: compile launched", 0) == 0)
+      Launched.store(true);
+  };
   AdaptiveController Controller(M, Opts);
-  // Background mode makes tier-up timing load-dependent: the fused
-  // optimize job must land on the worker before the native build can
-  // launch, and on a loaded machine (parallel ctest) a fixed activation
-  // count is not enough.  Run until the hung build is actually in
-  // flight; the cap only bounds a genuinely broken promotion path.
-  for (int Run = 0; Run < 2000 && !Controller.stats().NativeCompiles;
-       ++Run) {
+  std::thread Canceller([&] {
+    while (!Launched.load() && !Finished.load())
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    Controller.cancelNativeCompile();
+  });
+  for (int Run = 0; Run < 6; ++Run) {
+    SCOPED_TRACE(Run);
     expectSameOutcome(Tree, runLadder(M, Controller, Input));
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_EQ(Controller.stats().NativeCompiles, 1u)
-      << "native build never launched; nothing in flight to drain";
+  Finished.store(true);
+  Canceller.join();
 
-  EXPECT_FALSE(Controller.drainBackgroundWork(0.25))
-      << "drain claimed a clean finish while a compile was wedged";
-  EXPECT_EQ(Controller.stats().NativeCompilesCancelled, 1u);
+  RuntimeStats Stats = Controller.stats();
+  EXPECT_TRUE(Launched.load()) << "no compile started; nothing to cancel";
+  EXPECT_EQ(Stats.NativeCompiles, 1u);
+  EXPECT_EQ(Stats.NativeCompilesCancelled, 1u);
+  EXPECT_EQ(Stats.NativeTierUps, 0u);
+  EXPECT_TRUE(Controller.tiered());
   EXPECT_FALSE(Controller.nativeTiered());
   // The controller survives the teardown: later activations still run.
-  expectSameOutcome(Tree, runLadder(M, Controller, Input));
+  for (int Run = 0; Run < 3; ++Run)
+    expectSameOutcome(Tree, runLadder(M, Controller, Input));
+  EXPECT_EQ(Controller.stats().NativeCompiles, 1u);
 }
 
 } // namespace

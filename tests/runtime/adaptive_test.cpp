@@ -5,9 +5,9 @@
 // on drift may change *when* work happens but never what the program
 // computes, counts, predicts, prints, or traps on.  These tests hold the
 // adaptive engine to bit-identical agreement with the tree walker across
-// workloads, instruction limits, repeated runs on one controller, and
-// background-thread optimization, and pin down the supporting pieces —
-// safe-point translation, drift detection, sampled hotness — in isolation.
+// workloads, instruction limits and repeated runs on one controller, and
+// pin down the supporting pieces — safe-point translation, drift
+// detection, sampled hotness — in isolation.
 //
 //===----------------------------------------------------------------------===//
 
@@ -67,9 +67,7 @@ RunResult runAdaptive(const Module &M, AdaptiveController &Controller,
   }
   if (Limit)
     Interp.setInstructionLimit(Limit);
-  RunResult Result = Interp.run();
-  Controller.drainBackgroundWork();
-  return Result;
+  return Interp.run();
 }
 
 void expectSameObservables(const RunResult &Tree, const RunResult &Other) {
@@ -255,25 +253,6 @@ TEST(AdaptiveRuntimeTest, RecompileBudgetAndHysteresisBound) {
   EXPECT_GT(Stats.RecompilesSuppressed, 0u);
 }
 
-TEST(AdaptiveRuntimeTest, BackgroundOptimizationAgrees) {
-  // With Background set the optimization job runs on a worker and the
-  // swap lands at a nondeterministic later safe point — which must not be
-  // observable either.
-  CompileResult Keep;
-  Module &M = compileClassifier(Keep);
-  std::string Input = phaseShiftInput();
-  RunResult Tree = runTree(M, Input, true);
-
-  RuntimeOptions Opts = aggressiveOptions();
-  Opts.Background = true;
-  AdaptiveController Controller(M, Opts);
-  RunResult Adaptive = runAdaptive(M, Controller, Input, true);
-  expectSameObservables(Tree, Adaptive);
-  // The input is long enough that the worker publishes and the execution
-  // thread picks the version up well before the run ends.
-  EXPECT_TRUE(Controller.tiered());
-}
-
 TEST(AdaptiveRuntimeTest, TraceReportsTieringEvents) {
   CompileResult Keep;
   Module &M = compileClassifier(Keep);
@@ -388,7 +367,6 @@ TEST(AdaptiveProfileTest, ImportWarmStartsAFreshController) {
 
   AdaptiveController Second(M, aggressiveOptions());
   Second.importProfile(Saved);
-  Second.drainBackgroundWork();
   EXPECT_TRUE(Second.tiered());
   EXPECT_EQ(Second.deployedOrderingSignature(),
             First.deployedOrderingSignature());

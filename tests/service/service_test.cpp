@@ -931,7 +931,6 @@ ServiceOptions tierTwoOptions(NativeRunner &Runner) {
   Options.Runtime.NativeThreshold = 128;
   Options.Runtime.MinSamplesBetweenRecompiles = 16;
   Options.Runtime.MinSamplesBetweenNativeBuilds = 16;
-  Options.Runtime.Background = true;
   Options.Runtime.Runner = &Runner;
   return Options;
 }
@@ -945,15 +944,17 @@ TEST(ServiceShutdown, DrainCancelsInFlightTierTwoCompile) {
   auto Client = Daemon.connect();
   ASSERT_TRUE(Client);
 
-  // Hot adaptive runs: the controller tiers up and launches a background
-  // native compile that wedges on the fake compiler.
-  for (unsigned Round = 0; Round < 3; ++Round) {
-    ServiceResponse Response;
-    ASSERT_TRUE(Client->roundTrip(
-        executeRequest(SlowSource, "", Interpreter::Mode::Adaptive),
-        Response));
-    ASSERT_TRUE(Response.ok()) << Response.Error;
-  }
+  // One hot adaptive execute: the controller tiers up and compiles its
+  // tier-2 body on the fake compiler, which never returns, so the
+  // response cannot arrive before shutdown.
+  ASSERT_TRUE(Client->send(
+      executeRequest(SlowSource, "", Interpreter::Mode::Adaptive)));
+  // Shut down only once the daemon has admitted it; anything later is
+  // answered ShuttingDown and never runs.
+  for (int Tick = 0; Tick < 3000 && !Daemon.service().stats().RequestsAccepted;
+       ++Tick)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  ASSERT_EQ(Daemon.service().stats().RequestsAccepted, 1u);
 
   const auto Start = std::chrono::steady_clock::now();
   Daemon.service().shutdown();

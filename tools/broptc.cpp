@@ -370,8 +370,6 @@ int main(int Argc, char **Argv) {
       Req.AttachedPredictor = Measured.get();
     }
     RunResult Run = executeModule(*Result.M, Options.InterpMode, Req);
-    if (Adaptive)
-      Adaptive->drainBackgroundWork();
     if (Run.Trapped) {
       std::fprintf(stderr, "broptc: program trapped: %s\n",
                    Run.TrapReason.c_str());
