@@ -40,7 +40,8 @@ bool Artifact::engine(Interpreter::Mode Mode, const ProfileDB *FuseProfile,
     Hit = NativeTried;
     if (!Hit) {
       NativeTried = true;
-      Native = Runner.prepare(*Compiled.M, &NativeError);
+      NativeControl.TimeoutSeconds = Options.NativeCompileTimeout;
+      Native = Runner.prepare(*Compiled.M, &NativeError, {}, &NativeControl);
     }
     Request.Native = Native.get();
     Error = NativeError;

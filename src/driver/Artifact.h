@@ -30,6 +30,10 @@
 ///    may be called without it.  Fused and native programs are immutable
 ///    and run concurrently without it.
 ///
+/// The native slot's host compile runs under BuildMutex, bounded by
+/// RuntimeOptions::NativeCompileTimeout; Artifact::cancelNativeCompile()
+/// reaches it from any thread without a lock.
+///
 /// A recorded build never changes, so whoever has taken BuildMutex once
 /// after the build may read compiled() and profile() without it.
 ///
@@ -54,8 +58,8 @@
 
 namespace bropt {
 
-/// One build and the engines that run it.  Every method requires
-/// BuildMutex held.
+/// One build and the engines that run it.  Every method but
+/// cancelNativeCompile() requires BuildMutex held.
 class Artifact {
 public:
   Artifact(const Artifact &) = delete;
@@ -76,15 +80,23 @@ public:
   /// Prepared at the fused program, its chain arms ordered by
   /// \p FuseProfile (may be null); Adaptive at the controller, built with
   /// \p Options, whose profile state persists across runs and whose every
-  /// run holds RunMutex; Native at the program prepared through \p Runner.
-  /// The tree walker needs none.  \p Hit says whether the engine existed.
+  /// run holds RunMutex; Native at the program prepared through \p Runner,
+  /// its host compile capped by \p Options' NativeCompileTimeout.  The
+  /// tree walker needs none.  \p Hit says whether the engine existed.
   /// \returns false with \p Error set when the native program could not
-  /// be built, which is final too.
+  /// be built (the compile failed, timed out or was cancelled), which is
+  /// final too.
   bool engine(Interpreter::Mode Mode, const ProfileDB *FuseProfile,
               const RuntimeOptions &Options, NativeRunner &Runner,
               ExecRequest &Request, bool &Hit, std::string &Error);
   /// The controller if one was built, else null.
   AdaptiveController *existingController() const { return Controller.get(); }
+  /// Cancels the native slot's host compile, in flight or to come.  Takes
+  /// no lock: an atomic store, safe from any thread, as broptd's shutdown
+  /// needs while a worker holds BuildMutex through a wedged compile.
+  void cancelNativeCompile() {
+    NativeControl.Cancel.store(true, std::memory_order_release);
+  }
 
   std::mutex BuildMutex;
   std::mutex RunMutex;
@@ -111,6 +123,7 @@ private:
   std::optional<ProfileDB> Profile;
   std::unique_ptr<const DecodedModule> Fused;
   bool NativeTried = false;
+  NativeCompileControl NativeControl;
   std::shared_ptr<const NativeProgram> Native;
   std::string NativeError;
   std::unique_ptr<AdaptiveController> Controller;

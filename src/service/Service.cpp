@@ -151,13 +151,15 @@ bool BroptService::shutdown() {
 
   // Drain admitted work.  New requests have been answered ShuttingDown
   // since the flag flipped, so the pool queue only shrinks.  Past the
-  // deadline, a run may be stuck in a tier-2 host compile: cancel every
-  // controller's compile, which touches nothing but an atomic flag, and
-  // give the runs that frees as long again to finish.
+  // deadline, a run may be stuck in a host compile: a native execute's
+  // under the artifact's build lock, or an adaptive run's tier-2 one.
+  // Cancel both kinds, which touches nothing but atomic flags, and give
+  // the runs that frees as long again to finish.
   const double Deadline = std::max(Opts.DrainDeadlineSeconds, 0.1);
   if (Pool && !Pool->waitFor(Deadline)) {
     Clean = false;
     for (const std::shared_ptr<Artifact> &A : Cache->live()) {
+      A->cancelNativeCompile();
       // A build lock still held here belongs to a request the drain gave
       // up on; its controller, if it has one, cannot be reached.
       std::unique_lock<std::mutex> Lock(A->BuildMutex, std::try_to_lock);

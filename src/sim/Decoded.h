@@ -102,8 +102,8 @@ enum class DecodedOp : uint8_t {
   StoreJump, ///< Store + Jump
 
   // Straight-line pair macro-ops: two adjacent non-branching instructions
-  // in one dispatch.  The absorbed second slot goes stale (mid-block slots
-  // are never branch targets); the handler advances past it.
+  // in one dispatch.  Compaction drops the absorbed slots (mid-block slots
+  // are never branch targets), so the handler advances one slot.
   LoadBin,      ///< Load + Binary
   Bin2,         ///< Binary + Binary
   BinStore,     ///< Binary + Store
@@ -142,6 +142,23 @@ struct DecodedCase {
   int64_t Value;
   uint32_t Target; ///< instruction index
 };
+
+/// Tests \p CC on (\p Lhs, \p Rhs) without a branch.  Each code owns three
+/// bits of one word, one per outcome of the signed three-way compare (bit
+/// 0 less, 1 equal, 2 greater), set where the code holds; two flag reads
+/// form the outcome's bit index and one shift picks it out.  The dispatch
+/// loop's condition test; the tree walker keeps the independent switch in
+/// evalCondCode (ir/Opcodes.h).
+inline bool condHolds(CondCode CC, int64_t Lhs, int64_t Rhs) {
+  constexpr uint32_t Masks = 0b010u << 3 * unsigned(CondCode::EQ) |
+                             0b101u << 3 * unsigned(CondCode::NE) |
+                             0b001u << 3 * unsigned(CondCode::LT) |
+                             0b011u << 3 * unsigned(CondCode::LE) |
+                             0b100u << 3 * unsigned(CondCode::GT) |
+                             0b110u << 3 * unsigned(CondCode::GE);
+  const unsigned Outcome = (Lhs >= Rhs) + (Lhs > Rhs);
+  return (Masks >> (3 * static_cast<unsigned>(CC) + Outcome)) & 1;
+}
 
 /// One combination-profile condition in a side table.
 struct DecodedCondition {

@@ -514,8 +514,8 @@ void fuseJumps(DecodedFunction &DF, const std::vector<uint32_t> &StartOf,
 /// Greedy left-to-right fusion of adjacent straight-line pairs inside each
 /// block: LoadBin, Bin2, BinStore, and — because fuseJumps has already
 /// run — Binary + StoreJump into BinStoreJump.  The absorbed second slot
-/// goes stale; mid-block slots are never branch targets and every pair
-/// handler advances past it.
+/// goes stale until compactFunction drops it; mid-block slots are never
+/// branch targets.
 void fuseStraightPairs(DecodedFunction &DF,
                        const std::vector<uint32_t> &StartOf,
                        const std::vector<uint32_t> &Sizes) {

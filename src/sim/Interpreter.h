@@ -172,25 +172,31 @@ private:
   /// BranchPredictor's table state in loop locals.
   enum class PredictorFeed : uint8_t { Virtual, Table };
 
+  /// Where an activation hot-swapped from another program version resumes:
+  /// the block-start index in the program it moves to, the register file
+  /// it left behind and its condition codes.
+  struct ResumePoint {
+    size_t Index;
+    const int64_t *Regs;
+    int64_t CCLhs, CCRhs;
+  };
+
   int64_t execFunction(const Function &F, const std::vector<int64_t> &Args,
                        unsigned Depth);
   /// Executes \p F on the threaded loop, over a fused or an unfused
-  /// stream alike.  The trailing parameters resume an activation
-  /// hot-swapped from another program version: when \p ResumeRegs is
-  /// non-null the frame's registers are copied from it (Args is ignored),
-  /// the condition codes start at the resume values, and execution begins
-  /// at \p StartIndex — which must be a block start.
-  /// Frame transfer is sound because fusion rewrites instructions in place
-  /// without touching NumRegs or the constant pool.  \p CountEdges selects
-  /// the instantiation that bumps EdgeCounts on every transfer; production
+  /// stream alike.  A non-null \p Resume continues a hot-swapped
+  /// activation: the frame's registers are copied from it (Args is
+  /// ignored), the condition codes start at its values, and execution
+  /// begins at its index, which must be a block start.  Frame transfer is
+  /// sound because fusion rewrites instructions in place without touching
+  /// NumRegs or the constant pool.  \p CountEdges selects the
+  /// instantiation that bumps EdgeCounts on every transfer; production
   /// runs take the other one, which holds no counting code.  \p Feed is
   /// Table only when the attached predictor is a BranchPredictor.
   template <bool CountEdges, PredictorFeed Feed>
   int64_t execFused(const DecodedModule &DM, const DecodedFunction &F,
                     const std::vector<int64_t> &Args, unsigned Depth,
-                    size_t StartIndex = 0,
-                    const int64_t *ResumeRegs = nullptr,
-                    int64_t ResumeCCLhs = 0, int64_t ResumeCCRhs = 0);
+                    const ResumePoint *Resume = nullptr);
   void trap(std::string Reason);
 
   int64_t readOperand(const Operand &Op,

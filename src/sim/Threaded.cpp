@@ -40,42 +40,16 @@ using namespace bropt;
 #endif
 #endif
 
-namespace {
-
-/// Local inline copy of evalCondCode: one condition evaluation per branch;
-/// an out-of-line call here is measurable.
-inline bool evalCC(CondCode CC, int64_t Lhs, int64_t Rhs) {
-  switch (CC) {
-  case CondCode::EQ:
-    return Lhs == Rhs;
-  case CondCode::NE:
-    return Lhs != Rhs;
-  case CondCode::LT:
-    return Lhs < Rhs;
-  case CondCode::LE:
-    return Lhs <= Rhs;
-  case CondCode::GT:
-    return Lhs > Rhs;
-  case CondCode::GE:
-    return Lhs >= Rhs;
-  }
-  BROPT_UNREACHABLE("unknown condition code");
-}
-
-} // namespace
-
 template <bool CountEdges, Interpreter::PredictorFeed Feed>
 int64_t Interpreter::execFused(const DecodedModule &DM,
                                const DecodedFunction &F,
                                const std::vector<int64_t> &Args,
-                               unsigned Depth, size_t StartIndex,
-                               const int64_t *ResumeRegs, int64_t ResumeCCLhs,
-                               int64_t ResumeCCRhs) {
+                               unsigned Depth, const ResumePoint *Resume) {
   if (Depth > MaxCallDepth) {
     trap("call depth limit exceeded");
     return 0;
   }
-  assert((ResumeRegs || Args.size() == F.NumParams) && "bad argument count");
+  assert((Resume || Args.size() == F.NumParams) && "bad argument count");
   if (!F.HasBody) {
     trap(formatString("function '%s' has no body", F.Name.c_str()));
     return 0;
@@ -83,29 +57,35 @@ int64_t Interpreter::execFused(const DecodedModule &DM,
 
   // The execution frame: registers (zeroed, parameters first) followed by
   // the function's interned constants, so every operand read is one
-  // branchless slot load.  Counters accumulate in locals and flush at
-  // every exit and around recursive calls, so callees see (and extend)
-  // exact global totals.  A hot-swapped
-  // activation resumes with the register file copied from the frame it
-  // left behind — fusion never changes NumRegs or the constant pool, so
-  // the slot layout matches.
+  // branchless slot load.  A hot-swapped activation resumes with the
+  // register file copied from the frame it left behind — fusion never
+  // changes NumRegs or the constant pool, so the slot layout matches.
   std::vector<int64_t> Frame(F.numSlots(), 0);
-  int64_t *Regs = Frame.data();
-  if (ResumeRegs)
-    std::copy(ResumeRegs, ResumeRegs + F.NumRegs, Regs);
+  int64_t *const Regs = Frame.data();
+  if (Resume)
+    std::copy(Resume->Regs, Resume->Regs + F.NumRegs, Regs);
   else
     std::copy(Args.begin(), Args.end(), Regs);
   std::copy(F.Constants.begin(), F.Constants.end(), Regs + F.NumRegs);
 
+  // Everything a handler touches lives in a local that never has its
+  // address taken, so it can stay in a host register: the counters, the
+  // instruction budget, the condition codes, the instruction pointer, the
+  // heap bounds and the predictor's state.  Nothing reads them out of
+  // line: BROPT_FLUSH below expands only where control leaves the
+  // activation, and each trap leaves through one cold exit of its kind at
+  // the end of the function.
+  //
   // The predictor.  The Table instantiation (run() takes it only for a
   // BranchPredictor) steps the scheme's state in locals: no virtual call,
   // and no reloads of the table, history and stats through the predictor
   // object after each counter store, which as a uint8_t store may alias
-  // anything.  flush() writes the history and the stats back, so the
+  // anything.  BROPT_FLUSH writes the history and the stats back, so the
   // predictor object is exact wherever control leaves this activation
-  // (exits, calls, swaps), and loadTable() picks the history up again
-  // after a call moved it on.  Every branch this instantiation executes is
-  // observed, so the predictor's branch count is LC.CondBranches.
+  // (exits, calls, swaps), and BROPT_LOAD_TABLE picks the history up
+  // again after a call moved it on.  Every branch this instantiation
+  // executes is observed, so the predictor's branch count is
+  // LC.CondBranches.
   Predictor *const Pred = AttachedPredictor;
   [[maybe_unused]] BranchPredictor *const TP =
       Feed == PredictorFeed::Table ? static_cast<BranchPredictor *>(Pred)
@@ -113,62 +93,65 @@ int64_t Interpreter::execFused(const DecodedModule &DM,
   [[maybe_unused]] TableState Table;
   [[maybe_unused]] BranchRecord *Records = nullptr;
   [[maybe_unused]] uint64_t Mispredictions = 0;
-  auto loadTable = [&] {
-    if constexpr (Feed == PredictorFeed::Table) {
-      Table = TP->state();
-      Records = TP->recordsFor(DM.numBranchIds());
-    }
-  };
-  loadTable();
+#define BROPT_LOAD_TABLE()                                                     \
+  do {                                                                         \
+    if constexpr (Feed == PredictorFeed::Table) {                              \
+      Table = TP->state();                                                     \
+      Records = TP->recordsFor(DM.numBranchIds());                             \
+    }                                                                          \
+  } while (0)
+  BROPT_LOAD_TABLE();
 
   DynamicCounts LC;
   // The total-instruction count runs as a countdown: Remaining starts at
-  // the headroom under the limit, every logical instruction decrements it,
-  // and flush() recovers the executed total as Budget - Remaining.  A
+  // the headroom under the limit and every logical instruction decrements
+  // it, so the executed total is always InstructionLimit - Remaining.  A
   // decrement-and-underflow test is cheaper than the increment + compare
-  // it replaces on the hottest three instructions in the engine, and the
+  // it replaces on the hottest instructions in the engine, and the
   // MultiCmp batch paths turn into a single subtraction.
-  uint64_t Budget = InstructionLimit - Result.Counts.TotalInsts;
-  uint64_t Remaining = Budget;
-  uint64_t LimitTripped = 0; // 1 after the limit trap counted its inst
-  auto flush = [&] {
-    DynamicCounts &C = Result.Counts;
-    C.TotalInsts += Budget - Remaining + LimitTripped;
-    C.CondBranches += LC.CondBranches;
-    C.TakenBranches += LC.TakenBranches;
-    C.UncondJumps += LC.UncondJumps;
-    C.IndirectJumps += LC.IndirectJumps;
-    C.Compares += LC.Compares;
-    C.Loads += LC.Loads;
-    C.Stores += LC.Stores;
-    C.Calls += LC.Calls;
-    C.ProfileHooks += LC.ProfileHooks;
-    if constexpr (Feed == PredictorFeed::Table) {
-      TP->storeState(Table);
-      TP->addStats(LC.CondBranches, Mispredictions);
-      Mispredictions = 0;
-    }
-    LC = DynamicCounts();
-    Budget = InstructionLimit - C.TotalInsts;
-    Remaining = Budget;
-    LimitTripped = 0;
-  };
+  uint64_t Remaining = InstructionLimit - Result.Counts.TotalInsts;
 
-// Equivalent to the tree walker's `++Counts.TotalInsts > InstructionLimit`
-// (the final count lands one past the limit, like the tree walker's:
-// Budget instructions were already counted when the underflow fires, and
-// LimitTripped adds the trapping instruction itself).
-#define BROPT_COUNT_INST()                                                     \
+// Hands the activation's counts and predictor state back to Result and the
+// predictor, so both are exact wherever control leaves the activation.
+// The limit exit sets Remaining to all ones, which makes the total
+// InstructionLimit + 1: one past the limit, like the tree walker's
+// `++Counts.TotalInsts > InstructionLimit`.
+#define BROPT_FLUSH()                                                          \
   do {                                                                         \
-    if (Remaining-- == 0) {                                                    \
-      Remaining = 0;                                                           \
-      LimitTripped = 1;                                                        \
-      flush();                                                                 \
-      trap("instruction limit exceeded");                                      \
-      return 0;                                                                \
+    DynamicCounts &C = Result.Counts;                                          \
+    C.TotalInsts = InstructionLimit - Remaining;                               \
+    C.CondBranches += LC.CondBranches;                                         \
+    C.TakenBranches += LC.TakenBranches;                                       \
+    C.UncondJumps += LC.UncondJumps;                                           \
+    C.IndirectJumps += LC.IndirectJumps;                                       \
+    C.Compares += LC.Compares;                                                 \
+    C.Loads += LC.Loads;                                                       \
+    C.Stores += LC.Stores;                                                     \
+    C.Calls += LC.Calls;                                                       \
+    C.ProfileHooks += LC.ProfileHooks;                                         \
+    if constexpr (Feed == PredictorFeed::Table) {                              \
+      TP->storeState(Table);                                                   \
+      TP->addStats(LC.CondBranches, Mispredictions);                           \
     }                                                                          \
   } while (0)
 
+#define BROPT_COUNT_INST()                                                     \
+  do {                                                                         \
+    if (Remaining-- == 0) [[unlikely]]                                         \
+      goto LimitExit;                                                          \
+  } while (0)
+
+  // What a cold exit reports: the failing address or jump-table index, or
+  // the arithmetic trap's reason.
+  int64_t TrapValue = 0;
+  const char *TrapWhat = nullptr;
+
+// Leaves through ArithExit, reporting WHAT.
+#define BROPT_ARITH_TRAP(WHAT)                                                 \
+  do {                                                                         \
+    TrapWhat = (WHAT);                                                         \
+    goto ArithExit;                                                            \
+  } while (0)
 // One arithmetic evaluation with the tree walker's exact trap behaviour;
 // shared by Binary and every macro-op that embeds a binary.  LHS/RHS/OUT
 // must be int64_t lvalues.
@@ -186,29 +169,17 @@ int64_t Interpreter::execFused(const DecodedModule &DM,
       OUT = static_cast<int64_t>(UL * UR);                                     \
       break;                                                                   \
     case BinaryOp::Div:                                                        \
-      if (RHS == 0) {                                                          \
-        flush();                                                               \
-        trap("division by zero");                                              \
-        return 0;                                                              \
-      }                                                                        \
-      if (LHS == INT64_MIN && RHS == -1) {                                     \
-        flush();                                                               \
-        trap("division overflow");                                             \
-        return 0;                                                              \
-      }                                                                        \
+      if (RHS == 0) [[unlikely]]                                               \
+        BROPT_ARITH_TRAP("division by zero");                                  \
+      if (LHS == INT64_MIN && RHS == -1) [[unlikely]]                          \
+        BROPT_ARITH_TRAP("division overflow");                                 \
       OUT = LHS / RHS;                                                         \
       break;                                                                   \
     case BinaryOp::Rem:                                                        \
-      if (RHS == 0) {                                                          \
-        flush();                                                               \
-        trap("remainder by zero");                                             \
-        return 0;                                                              \
-      }                                                                        \
-      if (LHS == INT64_MIN && RHS == -1) {                                     \
-        flush();                                                               \
-        trap("remainder overflow");                                            \
-        return 0;                                                              \
-      }                                                                        \
+      if (RHS == 0) [[unlikely]]                                               \
+        BROPT_ARITH_TRAP("remainder by zero");                                 \
+      if (LHS == INT64_MIN && RHS == -1) [[unlikely]]                          \
+        BROPT_ARITH_TRAP("remainder overflow");                                \
       OUT = LHS % RHS;                                                         \
       break;                                                                   \
     case BinaryOp::And:                                                        \
@@ -229,31 +200,45 @@ int64_t Interpreter::execFused(const DecodedModule &DM,
     }                                                                          \
   } while (0)
 
-  int64_t CCLhs = ResumeCCLhs, CCRhs = ResumeCCRhs;
-  const DecodedInst *Insts = F.Insts.data();
   // The simulated heap is sized once in exec() and never reallocated while
   // code runs; local copies let the compiler keep it in registers instead
   // of reloading the members after every store the handlers make.
   int64_t *const Mem = Memory.data();
   const uint64_t MemSize = Memory.size();
+
+// Bounds-checks one heap access; a negative address wraps past MemSize.
+// EXIT is LoadExit or StoreExit.
+#define BROPT_CHECK_ADDRESS(ADDRESS, EXIT)                                     \
+  do {                                                                         \
+    if (static_cast<uint64_t>(ADDRESS) >= MemSize) [[unlikely]] {              \
+      TrapValue = (ADDRESS);                                                   \
+      goto EXIT;                                                               \
+    }                                                                          \
+  } while (0)
+
+  int64_t CCLhs = Resume ? Resume->CCLhs : 0;
+  int64_t CCRhs = Resume ? Resume->CCRhs : 0;
+  const DecodedInst *const Insts = F.Insts.data();
+  // The instruction pointer: straight-line handlers step it, transfers set
+  // it to Insts + target.
+  const DecodedInst *IP = Insts + (Resume ? Resume->Index : 0);
   // Edge counters (setEdgeCounters): touched only by the CountEdges
   // instantiation, so production runs carry no counting code at all.
   [[maybe_unused]] uint64_t *const Edges = EdgeCounts;
-  size_t Index = StartIndex;
 
   // Adaptive-runtime hooks: null (one dead test per branch handler) unless
   // a controller is attached, and always null while counting edges (run()
-  // asserts tier 0 alone).  The entry check lets an activation migrate to
-  // a newer program version (drift re-optimization) before running.
+  // asserts tier 0 alone).  A swap leaves through SwapExit with the
+  // program to continue in and the block start there.  The entry check
+  // lets an activation migrate to a newer program version (drift
+  // re-optimization) before running.
   AdaptiveHooks *const AH = CountEdges ? nullptr : Hooks;
-  if (AH && AH->TrySwap) {
-    size_t NewIndex = 0;
-    if (const DecodedModule *NewDM =
-            AH->TrySwap(DM, F.FuncIndex, Index, NewIndex))
-      return execFused<CountEdges, Feed>(*NewDM,
-                                         NewDM->function(F.FuncIndex), Args,
-                                         Depth, NewIndex, Regs, CCLhs, CCRhs);
-  }
+  const DecodedModule *SwapDM = nullptr;
+  size_t SwapIndex = 0;
+  if (AH && AH->TrySwap &&
+      (SwapDM = AH->TrySwap(DM, F.FuncIndex, static_cast<size_t>(IP - Insts),
+                            SwapIndex)))
+    goto SwapExit;
 
 // Feeds one executed conditional branch to the attached predictor, if any.
 #define BROPT_OBSERVE(BRANCH_ID, TAKEN)                                        \
@@ -269,33 +254,27 @@ int64_t Interpreter::execFused(const DecodedModule &DM,
     }                                                                          \
   } while (0)
 
-// Sampled adaptive check at a safe point: Index was just assigned a branch
+// Sampled adaptive check at a safe point: IP was just set to a branch
 // target, which is always the start of a surviving block in the fused
 // stream (MultiCmp arm targets resolve to independently reachable block
 // starts).  Samples feed tiering only — never observable behaviour.
 #define BROPT_ADAPTIVE_CHECK(BRANCH_ID, TAKEN, VALUE)                          \
   do {                                                                         \
-    if (AH && --AH->SampleCountdown == 0) {                                    \
+    if (AH && --AH->SampleCountdown == 0) [[unlikely]] {                       \
       AH->SampleCountdown = AH->SampleInterval;                                \
       if (AH->OnSample)                                                        \
         AH->OnSample(F.FuncIndex, (BRANCH_ID), (TAKEN), (VALUE));              \
-      if (AH->TrySwap) {                                                       \
-        size_t NewIndex = 0;                                                   \
-        if (const DecodedModule *NewDM =                                       \
-                AH->TrySwap(DM, F.FuncIndex, Index, NewIndex)) {               \
-          flush();                                                             \
-          return execFused<CountEdges, Feed>(                                  \
-              *NewDM, NewDM->function(F.FuncIndex), Args, Depth, NewIndex,     \
-              Regs, CCLhs, CCRhs);                                             \
-        }                                                                      \
-      }                                                                        \
+      if (AH->TrySwap &&                                                       \
+          (SwapDM = AH->TrySwap(DM, F.FuncIndex,                               \
+                                static_cast<size_t>(IP - Insts), SwapIndex)))  \
+        goto SwapExit;                                                         \
     }                                                                          \
   } while (0)
 
 // Dispatch plumbing.  Handler bodies are written once; BROPT_OP opens a
-// handler and BROPT_DISPATCH transfers to the handler of Insts[Index].
-// Every handler ends in BROPT_NEXT() (straight-line), BROPT_DISPATCH()
-// (after assigning Index), or a return.
+// handler and BROPT_DISPATCH transfers to the handler of *IP.  Every
+// handler ends in BROPT_NEXT() (straight-line), BROPT_DISPATCH() (after
+// setting IP), a goto to a cold exit, or a return.
 #if BROPT_COMPUTED_GOTO
   // One entry per DecodedOp, in enum order.
   static const void *JumpTable[] = {
@@ -312,7 +291,7 @@ int64_t Interpreter::execFused(const DecodedModule &DM,
       &&Op_ProfileCmpBr, &&Op_ReadCharProfileCmpBr};
   static_assert(sizeof(JumpTable) / sizeof(JumpTable[0]) == NumDecodedOps,
                 "jump table must cover every DecodedOp");
-#define BROPT_DISPATCH() goto *JumpTable[static_cast<uint8_t>(Insts[Index].Op)]
+#define BROPT_DISPATCH() goto *JumpTable[static_cast<uint8_t>(IP->Op)]
 #define BROPT_OP(NAME) Op_##NAME:
 #else
 #define BROPT_DISPATCH() goto Dispatch
@@ -320,7 +299,7 @@ int64_t Interpreter::execFused(const DecodedModule &DM,
 #endif
 #define BROPT_NEXT()                                                           \
   do {                                                                         \
-    ++Index;                                                                   \
+    ++IP;                                                                      \
     BROPT_DISPATCH();                                                          \
   } while (0)
 
@@ -328,18 +307,18 @@ int64_t Interpreter::execFused(const DecodedModule &DM,
   BROPT_DISPATCH();
 #else
 Dispatch:
-  switch (Insts[Index].Op) {
+  switch (IP->Op) {
 #endif
 
   BROPT_OP(Move) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     BROPT_COUNT_INST();
     Regs[Inst.Dest] = Inst.A.read(Regs);
     BROPT_NEXT();
   }
 
   BROPT_OP(Binary) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     BROPT_COUNT_INST();
     int64_t Lhs = Inst.A.read(Regs);
     int64_t Rhs = Inst.B.read(Regs);
@@ -350,7 +329,7 @@ Dispatch:
   }
 
   BROPT_OP(Unary) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     BROPT_COUNT_INST();
     int64_t Src = Inst.A.read(Regs);
     Regs[Inst.Dest] = static_cast<UnaryOp>(Inst.SubOp) == UnaryOp::Neg
@@ -360,37 +339,27 @@ Dispatch:
   }
 
   BROPT_OP(Load) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     BROPT_COUNT_INST();
     ++LC.Loads;
     int64_t Address = Inst.A.read(Regs) + Inst.Imm;
-    if (Address < 0 || static_cast<uint64_t>(Address) >= MemSize) {
-      flush();
-      trap(formatString("load from invalid address %lld",
-                        static_cast<long long>(Address)));
-      return 0;
-    }
-    Regs[Inst.Dest] = Mem[static_cast<size_t>(Address)];
+    BROPT_CHECK_ADDRESS(Address, LoadExit);
+    Regs[Inst.Dest] = Mem[Address];
     BROPT_NEXT();
   }
 
   BROPT_OP(Store) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     BROPT_COUNT_INST();
     ++LC.Stores;
     int64_t Address = Inst.A.read(Regs) + Inst.Imm;
-    if (Address < 0 || static_cast<uint64_t>(Address) >= MemSize) {
-      flush();
-      trap(formatString("store to invalid address %lld",
-                        static_cast<long long>(Address)));
-      return 0;
-    }
-    Mem[static_cast<size_t>(Address)] = Inst.B.read(Regs);
+    BROPT_CHECK_ADDRESS(Address, StoreExit);
+    Mem[Address] = Inst.B.read(Regs);
     BROPT_NEXT();
   }
 
   BROPT_OP(Cmp) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     BROPT_COUNT_INST();
     ++LC.Compares;
     CCLhs = Inst.A.read(Regs);
@@ -399,13 +368,14 @@ Dispatch:
   }
 
   BROPT_OP(Call) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     BROPT_COUNT_INST();
     ++LC.Calls;
     int64_t Value;
     // The computed goto in BROPT_NEXT() does not run destructors for
     // locals it jumps over, so the argument vector must die in an inner
-    // scope before the dispatch jump.
+    // scope before the dispatch jump.  The callee starts from the exact
+    // global totals, and this activation's counts start again from zero.
     {
       std::vector<int64_t> CallArgs;
       CallArgs.reserve(Inst.ExtraCount);
@@ -413,22 +383,23 @@ Dispatch:
           Inst.ExtraCount ? &F.CallArgs[Inst.Extra] : nullptr;
       for (uint32_t ArgIndex = 0; ArgIndex < Inst.ExtraCount; ++ArgIndex)
         CallArgs.push_back(ArgSlice[ArgIndex].read(Regs));
-      flush();
+      BROPT_FLUSH();
+      LC = DynamicCounts();
+      Mispredictions = 0;
       Value = execFused<CountEdges, Feed>(DM, DM.function(Inst.Target0),
                                           CallArgs, Depth + 1);
     }
     if (Aborted)
       return 0;
-    Budget = InstructionLimit - Result.Counts.TotalInsts;
-    Remaining = Budget;
-    loadTable();
+    Remaining = InstructionLimit - Result.Counts.TotalInsts;
+    BROPT_LOAD_TABLE();
     if (Inst.Dest != DecodedInst::NoReg)
       Regs[Inst.Dest] = Value;
     BROPT_NEXT();
   }
 
   BROPT_OP(ReadChar) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     BROPT_COUNT_INST();
     if (InputCursor < Input.size())
       Regs[Inst.Dest] = static_cast<unsigned char>(Input[InputCursor++]);
@@ -438,14 +409,14 @@ Dispatch:
   }
 
   BROPT_OP(PutChar) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     BROPT_COUNT_INST();
     Result.Output.push_back(static_cast<char>(Inst.A.read(Regs) & 0xff));
     BROPT_NEXT();
   }
 
   BROPT_OP(PrintInt) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     BROPT_COUNT_INST();
     Result.Output +=
         formatString("%lld\n", static_cast<long long>(Inst.A.read(Regs)));
@@ -453,7 +424,7 @@ Dispatch:
   }
 
   BROPT_OP(Profile) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     // Instrumentation hooks never count toward TotalInsts or the limit.
     ++LC.ProfileHooks;
     if (OnProfile)
@@ -462,15 +433,15 @@ Dispatch:
   }
 
   BROPT_OP(ComboProfile) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     ++LC.ProfileHooks;
     if (OnComboProfile) {
       int64_t Mask = 0;
       const DecodedCondition *Conds =
           Inst.ExtraCount ? &F.Conditions[Inst.Extra] : nullptr;
       for (uint32_t Bit = 0; Bit < Inst.ExtraCount; ++Bit)
-        if (evalCC(Conds[Bit].Pred, Conds[Bit].Lhs.read(Regs),
-                   Conds[Bit].Rhs.read(Regs)))
+        if (condHolds(Conds[Bit].Pred, Conds[Bit].Lhs.read(Regs),
+                      Conds[Bit].Rhs.read(Regs)))
           Mask |= int64_t{1} << Bit;
       OnComboProfile(Inst.Dest, Mask);
     }
@@ -478,41 +449,41 @@ Dispatch:
   }
 
   BROPT_OP(CondBr) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     BROPT_COUNT_INST();
     ++LC.CondBranches;
-    const bool Taken = evalCC(static_cast<CondCode>(Inst.SubOp), CCLhs, CCRhs);
-    if (Taken)
-      ++LC.TakenBranches;
+    const bool Taken =
+        condHolds(static_cast<CondCode>(Inst.SubOp), CCLhs, CCRhs);
+    LC.TakenBranches += Taken;
     BROPT_OBSERVE(Inst.Dest, Taken);
     if constexpr (CountEdges)
       ++Edges[Inst.Imm + !Taken];
-    Index = Taken ? Inst.Target0 : Inst.Target1;
+    IP = Insts + (Taken ? Inst.Target0 : Inst.Target1);
     BROPT_ADAPTIVE_CHECK(Inst.Dest, Taken, CCLhs);
     BROPT_DISPATCH();
   }
 
   BROPT_OP(Jump) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     BROPT_COUNT_INST();
     ++LC.UncondJumps;
     if constexpr (CountEdges)
       ++Edges[Inst.Imm];
-    Index = Inst.Target0;
+    IP = Insts + Inst.Target0;
     BROPT_DISPATCH();
   }
 
   BROPT_OP(FallThrough) {
     // A layout fall-through executes for free, like in the tree walker.
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     if constexpr (CountEdges)
       ++Edges[Inst.Imm];
-    Index = Inst.Target0;
+    IP = Insts + Inst.Target0;
     BROPT_DISPATCH();
   }
 
   BROPT_OP(Switch) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     BROPT_COUNT_INST();
     int64_t Value = Inst.A.read(Regs);
     const DecodedCase *CaseSlice =
@@ -524,47 +495,44 @@ Dispatch:
       ++CaseIndex;
     if constexpr (CountEdges)
       ++Edges[Inst.Imm + CaseIndex];
-    Index = CaseIndex < Inst.ExtraCount ? CaseSlice[CaseIndex].Target
-                                        : Inst.Target0;
+    IP = Insts + (CaseIndex < Inst.ExtraCount ? CaseSlice[CaseIndex].Target
+                                              : Inst.Target0);
     BROPT_DISPATCH();
   }
 
   BROPT_OP(IndirectJump) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     BROPT_COUNT_INST();
     ++LC.IndirectJumps;
     int64_t TableIndex = Inst.A.read(Regs);
-    if (TableIndex < 0 ||
-        static_cast<uint64_t>(TableIndex) >= Inst.ExtraCount) {
-      flush();
-      trap(formatString("indirect jump index %lld out of range",
-                        static_cast<long long>(TableIndex)));
-      return 0;
+    if (static_cast<uint64_t>(TableIndex) >= Inst.ExtraCount) [[unlikely]] {
+      TrapValue = TableIndex;
+      goto IndirectExit;
     }
     if constexpr (CountEdges)
       ++Edges[Inst.Imm + TableIndex];
-    Index = F.JumpTables[Inst.Extra + static_cast<size_t>(TableIndex)];
+    IP = Insts + F.JumpTables[Inst.Extra + static_cast<size_t>(TableIndex)];
     BROPT_DISPATCH();
   }
 
   BROPT_OP(Ret) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     BROPT_COUNT_INST();
     int64_t Value = Inst.SubOp ? Inst.A.read(Regs) : 0;
-    flush();
+    BROPT_FLUSH();
     return Value;
   }
 
   BROPT_OP(TrapFellOff) {
     // The tree walker traps after exhausting the block's instructions
     // without executing anything further, so this must not count.
-    flush();
-    trap(F.Labels[Insts[Index].Dest] + " fell off the end (no terminator)");
+    BROPT_FLUSH();
+    trap(F.Labels[IP->Dest] + " fell off the end (no terminator)");
     return 0;
   }
 
   BROPT_OP(CmpBr) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     // The logical Cmp …
     BROPT_COUNT_INST();
     ++LC.Compares;
@@ -573,17 +541,17 @@ Dispatch:
     // … then the logical CondBr, in one dispatch.
     BROPT_COUNT_INST();
     ++LC.CondBranches;
-    const bool Taken = evalCC(static_cast<CondCode>(Inst.SubOp), CCLhs, CCRhs);
-    if (Taken)
-      ++LC.TakenBranches;
+    const bool Taken =
+        condHolds(static_cast<CondCode>(Inst.SubOp), CCLhs, CCRhs);
+    LC.TakenBranches += Taken;
     BROPT_OBSERVE(Inst.Dest, Taken);
-    Index = Taken ? Inst.Target0 : Inst.Target1;
+    IP = Insts + (Taken ? Inst.Target0 : Inst.Target1);
     BROPT_ADAPTIVE_CHECK(Inst.Dest, Taken, CCLhs);
     BROPT_DISPATCH();
   }
 
   BROPT_OP(MultiCmp) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     const FusedArm *Arms = &F.Arms[Inst.Extra];
     const uint32_t NumArms = Inst.ExtraCount;
     if (Feed == PredictorFeed::Virtual && !Pred &&
@@ -598,7 +566,7 @@ Dispatch:
       uint32_t Winner = NumArms;
       for (uint32_t Pos = 0; Pos < NumArms; ++Pos) {
         const FusedArm &Arm = Arms[Exec[Pos]];
-        if (evalCC(Arm.Pred, Arm.Lhs.read(Regs), Arm.Rhs.read(Regs))) {
+        if (condHolds(Arm.Pred, Arm.Lhs.read(Regs), Arm.Rhs.read(Regs))) {
           Winner = Exec[Pos];
           break;
         }
@@ -613,7 +581,7 @@ Dispatch:
         ++LC.TakenBranches;
         CCLhs = Arm.Lhs.read(Regs);
         CCRhs = Arm.Rhs.read(Regs);
-        Index = Arm.Target;
+        IP = Insts + Arm.Target;
       } else {
         // No match: every arm executed and fell through; condition codes
         // end up holding the last logical arm's operands.
@@ -623,7 +591,7 @@ Dispatch:
         LC.CondBranches += NumArms;
         CCLhs = Last.Lhs.read(Regs);
         CCRhs = Last.Rhs.read(Regs);
-        Index = Inst.Target0;
+        IP = Insts + Inst.Target0;
       }
       // One sample for the whole ladder, attributed to the first logical
       // arm — the ladder head — with its compare value, mirroring where
@@ -642,7 +610,8 @@ Dispatch:
       bool Matched = false;
       for (; Arm < NumArms; ++Arm) {
         const FusedArm &A = Arms[Arm];
-        const bool Taken = evalCC(A.Pred, A.Lhs.read(Regs), A.Rhs.read(Regs));
+        const bool Taken =
+            condHolds(A.Pred, A.Lhs.read(Regs), A.Rhs.read(Regs));
         BROPT_OBSERVE(A.BranchId, Taken);
         if (Taken) {
           Matched = true;
@@ -657,7 +626,7 @@ Dispatch:
       LC.TakenBranches += Matched;
       CCLhs = LastArm.Lhs.read(Regs);
       CCRhs = LastArm.Rhs.read(Regs);
-      Index = Matched ? LastArm.Target : Inst.Target0;
+      IP = Insts + (Matched ? LastArm.Target : Inst.Target0);
       BROPT_ADAPTIVE_CHECK(Arms[0].BranchId, Matched && Arm == 0,
                            Arms[0].Lhs.read(Regs));
       BROPT_DISPATCH();
@@ -666,7 +635,7 @@ Dispatch:
     // arms in logical order with exact per-instruction accounting; still
     // one dispatch for the whole chain.
     {
-      size_t Next = Inst.Target0;
+      uint32_t Next = Inst.Target0;
       for (uint32_t Arm = 0; Arm < NumArms; ++Arm) {
         const FusedArm &A = Arms[Arm];
         BROPT_COUNT_INST();
@@ -675,16 +644,15 @@ Dispatch:
         CCRhs = A.Rhs.read(Regs);
         BROPT_COUNT_INST();
         ++LC.CondBranches;
-        const bool Taken = evalCC(A.Pred, CCLhs, CCRhs);
-        if (Taken)
-          ++LC.TakenBranches;
+        const bool Taken = condHolds(A.Pred, CCLhs, CCRhs);
+        LC.TakenBranches += Taken;
         BROPT_OBSERVE(A.BranchId, Taken);
         if (Taken) {
           Next = A.Target;
           break;
         }
       }
-      Index = Next;
+      IP = Insts + Next;
     }
     BROPT_DISPATCH();
   }
@@ -694,7 +662,7 @@ Dispatch:
   // same counting, trapping, and predictor feed order as unfused code.
 
   BROPT_OP(MoveCmpBr) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     BROPT_COUNT_INST(); // logical Move
     Regs[Inst.Dest] = Inst.A.read(Regs);
     BROPT_COUNT_INST(); // logical Cmp
@@ -703,17 +671,17 @@ Dispatch:
     CCRhs = Regs[Inst.ExtraCount];
     BROPT_COUNT_INST(); // logical CondBr
     ++LC.CondBranches;
-    const bool Taken = evalCC(static_cast<CondCode>(Inst.SubOp), CCLhs, CCRhs);
-    if (Taken)
-      ++LC.TakenBranches;
+    const bool Taken =
+        condHolds(static_cast<CondCode>(Inst.SubOp), CCLhs, CCRhs);
+    LC.TakenBranches += Taken;
     BROPT_OBSERVE(Inst.Extra, Taken);
-    Index = Taken ? Inst.Target0 : Inst.Target1;
+    IP = Insts + (Taken ? Inst.Target0 : Inst.Target1);
     BROPT_ADAPTIVE_CHECK(Inst.Extra, Taken, CCLhs);
     BROPT_DISPATCH();
   }
 
   BROPT_OP(BinCmpBr) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     BROPT_COUNT_INST(); // logical Binary
     int64_t Lhs = Inst.A.read(Regs);
     int64_t Rhs = Inst.B.read(Regs);
@@ -727,44 +695,38 @@ Dispatch:
     BROPT_COUNT_INST(); // logical CondBr
     ++LC.CondBranches;
     const bool Taken =
-        evalCC(static_cast<CondCode>(Inst.SubOp & 7), CCLhs, CCRhs);
-    if (Taken)
-      ++LC.TakenBranches;
+        condHolds(static_cast<CondCode>(Inst.SubOp & 7), CCLhs, CCRhs);
+    LC.TakenBranches += Taken;
     BROPT_OBSERVE(Inst.Extra, Taken);
-    Index = Taken ? Inst.Target0 : Inst.Target1;
+    IP = Insts + (Taken ? Inst.Target0 : Inst.Target1);
     BROPT_ADAPTIVE_CHECK(Inst.Extra, Taken, CCLhs);
     BROPT_DISPATCH();
   }
 
   BROPT_OP(LoadCmpBr) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     BROPT_COUNT_INST(); // logical Load
     ++LC.Loads;
     int64_t Address = Inst.A.read(Regs) + Inst.Imm;
-    if (Address < 0 || static_cast<uint64_t>(Address) >= MemSize) {
-      flush();
-      trap(formatString("load from invalid address %lld",
-                        static_cast<long long>(Address)));
-      return 0;
-    }
-    Regs[Inst.Dest] = Mem[static_cast<size_t>(Address)];
+    BROPT_CHECK_ADDRESS(Address, LoadExit);
+    Regs[Inst.Dest] = Mem[Address];
     BROPT_COUNT_INST(); // logical Cmp
     ++LC.Compares;
     CCLhs = Regs[Inst.ExtraCount];
     CCRhs = Inst.B.read(Regs);
     BROPT_COUNT_INST(); // logical CondBr
     ++LC.CondBranches;
-    const bool Taken = evalCC(static_cast<CondCode>(Inst.SubOp), CCLhs, CCRhs);
-    if (Taken)
-      ++LC.TakenBranches;
+    const bool Taken =
+        condHolds(static_cast<CondCode>(Inst.SubOp), CCLhs, CCRhs);
+    LC.TakenBranches += Taken;
     BROPT_OBSERVE(Inst.Extra, Taken);
-    Index = Taken ? Inst.Target0 : Inst.Target1;
+    IP = Insts + (Taken ? Inst.Target0 : Inst.Target1);
     BROPT_ADAPTIVE_CHECK(Inst.Extra, Taken, CCLhs);
     BROPT_DISPATCH();
   }
 
   BROPT_OP(ReadCharCmpBr) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     BROPT_COUNT_INST(); // logical ReadChar
     if (InputCursor < Input.size())
       Regs[Inst.Dest] = static_cast<unsigned char>(Input[InputCursor++]);
@@ -776,11 +738,11 @@ Dispatch:
     CCRhs = Inst.B.read(Regs);
     BROPT_COUNT_INST(); // logical CondBr
     ++LC.CondBranches;
-    const bool Taken = evalCC(static_cast<CondCode>(Inst.SubOp), CCLhs, CCRhs);
-    if (Taken)
-      ++LC.TakenBranches;
+    const bool Taken =
+        condHolds(static_cast<CondCode>(Inst.SubOp), CCLhs, CCRhs);
+    LC.TakenBranches += Taken;
     BROPT_OBSERVE(Inst.Extra, Taken);
-    Index = Taken ? Inst.Target0 : Inst.Target1;
+    IP = Insts + (Taken ? Inst.Target0 : Inst.Target1);
     BROPT_ADAPTIVE_CHECK(Inst.Extra, Taken, CCLhs);
     BROPT_DISPATCH();
   }
@@ -789,17 +751,17 @@ Dispatch:
   // straight-line op, then the unconditional Jump.
 
   BROPT_OP(MoveJump) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     BROPT_COUNT_INST(); // logical Move
     Regs[Inst.Dest] = Inst.A.read(Regs);
     BROPT_COUNT_INST(); // logical Jump
     ++LC.UncondJumps;
-    Index = Inst.Target0;
+    IP = Insts + Inst.Target0;
     BROPT_DISPATCH();
   }
 
   BROPT_OP(BinJump) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     BROPT_COUNT_INST(); // logical Binary
     int64_t Lhs = Inst.A.read(Regs);
     int64_t Rhs = Inst.B.read(Regs);
@@ -808,61 +770,46 @@ Dispatch:
     Regs[Inst.Dest] = Value;
     BROPT_COUNT_INST(); // logical Jump
     ++LC.UncondJumps;
-    Index = Inst.Target0;
+    IP = Insts + Inst.Target0;
     BROPT_DISPATCH();
   }
 
   BROPT_OP(LoadJump) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     BROPT_COUNT_INST(); // logical Load
     ++LC.Loads;
     int64_t Address = Inst.A.read(Regs) + Inst.Imm;
-    if (Address < 0 || static_cast<uint64_t>(Address) >= MemSize) {
-      flush();
-      trap(formatString("load from invalid address %lld",
-                        static_cast<long long>(Address)));
-      return 0;
-    }
-    Regs[Inst.Dest] = Mem[static_cast<size_t>(Address)];
+    BROPT_CHECK_ADDRESS(Address, LoadExit);
+    Regs[Inst.Dest] = Mem[Address];
     BROPT_COUNT_INST(); // logical Jump
     ++LC.UncondJumps;
-    Index = Inst.Target0;
+    IP = Insts + Inst.Target0;
     BROPT_DISPATCH();
   }
 
   BROPT_OP(StoreJump) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     BROPT_COUNT_INST(); // logical Store
     ++LC.Stores;
     int64_t Address = Inst.A.read(Regs) + Inst.Imm;
-    if (Address < 0 || static_cast<uint64_t>(Address) >= MemSize) {
-      flush();
-      trap(formatString("store to invalid address %lld",
-                        static_cast<long long>(Address)));
-      return 0;
-    }
-    Mem[static_cast<size_t>(Address)] = Inst.B.read(Regs);
+    BROPT_CHECK_ADDRESS(Address, StoreExit);
+    Mem[Address] = Inst.B.read(Regs);
     BROPT_COUNT_INST(); // logical Jump
     ++LC.UncondJumps;
-    Index = Inst.Target0;
+    IP = Insts + Inst.Target0;
     BROPT_DISPATCH();
   }
 
-  // Straight-line pair macro-ops: the slot after them holds the absorbed
-  // (now stale) second instruction, so they advance Index by two.
+  // Straight-line pair macro-ops: compaction dropped the slots they
+  // absorbed, so like any straight-line op they advance one slot.
 
   BROPT_OP(LoadBin) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     BROPT_COUNT_INST(); // logical Load
     ++LC.Loads;
     int64_t Address = Inst.A.read(Regs) + Inst.Imm;
-    if (Address < 0 || static_cast<uint64_t>(Address) >= MemSize) {
-      flush();
-      trap(formatString("load from invalid address %lld",
-                        static_cast<long long>(Address)));
-      return 0;
-    }
-    Regs[Inst.Dest] = Mem[static_cast<size_t>(Address)];
+    BROPT_CHECK_ADDRESS(Address, LoadExit);
+    Regs[Inst.Dest] = Mem[Address];
     BROPT_COUNT_INST(); // logical Binary
     int64_t Lhs = Regs[Inst.Target0];
     int64_t Rhs = Regs[Inst.Target1];
@@ -873,7 +820,7 @@ Dispatch:
   }
 
   BROPT_OP(Bin2) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     BROPT_COUNT_INST(); // first logical Binary
     int64_t Lhs = Inst.A.read(Regs);
     int64_t Rhs = Inst.B.read(Regs);
@@ -889,7 +836,7 @@ Dispatch:
   }
 
   BROPT_OP(BinStore) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     BROPT_COUNT_INST(); // logical Binary
     int64_t Lhs = Inst.A.read(Regs);
     int64_t Rhs = Inst.B.read(Regs);
@@ -899,18 +846,13 @@ Dispatch:
     BROPT_COUNT_INST(); // logical Store
     ++LC.Stores;
     int64_t Address = Regs[Inst.Extra] + Inst.Imm;
-    if (Address < 0 || static_cast<uint64_t>(Address) >= MemSize) {
-      flush();
-      trap(formatString("store to invalid address %lld",
-                        static_cast<long long>(Address)));
-      return 0;
-    }
-    Mem[static_cast<size_t>(Address)] = Regs[Inst.ExtraCount];
+    BROPT_CHECK_ADDRESS(Address, StoreExit);
+    Mem[Address] = Regs[Inst.ExtraCount];
     BROPT_NEXT();
   }
 
   BROPT_OP(BinStoreJump) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     BROPT_COUNT_INST(); // logical Binary
     int64_t Lhs = Inst.A.read(Regs);
     int64_t Rhs = Inst.B.read(Regs);
@@ -920,21 +862,16 @@ Dispatch:
     BROPT_COUNT_INST(); // logical Store
     ++LC.Stores;
     int64_t Address = Regs[Inst.Extra] + Inst.Imm;
-    if (Address < 0 || static_cast<uint64_t>(Address) >= MemSize) {
-      flush();
-      trap(formatString("store to invalid address %lld",
-                        static_cast<long long>(Address)));
-      return 0;
-    }
-    Mem[static_cast<size_t>(Address)] = Regs[Inst.ExtraCount];
+    BROPT_CHECK_ADDRESS(Address, StoreExit);
+    Mem[Address] = Regs[Inst.ExtraCount];
     BROPT_COUNT_INST(); // logical Jump
     ++LC.UncondJumps;
-    Index = Inst.Target0;
+    IP = Insts + Inst.Target0;
     BROPT_DISPATCH();
   }
 
   BROPT_OP(Move2) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     BROPT_COUNT_INST(); // first logical Move
     Regs[Inst.Dest] = Inst.A.read(Regs);
     BROPT_COUNT_INST(); // second logical Move
@@ -943,17 +880,12 @@ Dispatch:
   }
 
   BROPT_OP(LoadBinStore) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     BROPT_COUNT_INST(); // logical Load
     ++LC.Loads;
     int64_t Address = Inst.A.read(Regs) + Inst.Imm;
-    if (Address < 0 || static_cast<uint64_t>(Address) >= MemSize) {
-      flush();
-      trap(formatString("load from invalid address %lld",
-                        static_cast<long long>(Address)));
-      return 0;
-    }
-    Regs[Inst.Dest] = Mem[static_cast<size_t>(Address)];
+    BROPT_CHECK_ADDRESS(Address, LoadExit);
+    Regs[Inst.Dest] = Mem[Address];
     BROPT_COUNT_INST(); // logical Binary
     int64_t Lhs = Regs[Inst.Target0];
     int64_t Rhs = Regs[Inst.Target1];
@@ -963,30 +895,20 @@ Dispatch:
     BROPT_COUNT_INST(); // logical Store
     ++LC.Stores;
     Address = Regs[Inst.B.Slot] + static_cast<int32_t>(Inst.ExtraCount);
-    if (Address < 0 || static_cast<uint64_t>(Address) >= MemSize) {
-      flush();
-      trap(formatString("store to invalid address %lld",
-                        static_cast<long long>(Address)));
-      return 0;
-    }
-    Mem[static_cast<size_t>(Address)] = Value;
+    BROPT_CHECK_ADDRESS(Address, StoreExit);
+    Mem[Address] = Value;
     BROPT_NEXT();
   }
 
   BROPT_OP(LoadBinStoreJump) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     BROPT_COUNT_INST(); // logical Load
     ++LC.Loads;
     int64_t Address =
         Inst.A.read(Regs) +
         static_cast<int32_t>(static_cast<uint32_t>(Inst.Imm));
-    if (Address < 0 || static_cast<uint64_t>(Address) >= MemSize) {
-      flush();
-      trap(formatString("load from invalid address %lld",
-                        static_cast<long long>(Address)));
-      return 0;
-    }
-    Regs[Inst.Dest] = Mem[static_cast<size_t>(Address)];
+    BROPT_CHECK_ADDRESS(Address, LoadExit);
+    Regs[Inst.Dest] = Mem[Address];
     BROPT_COUNT_INST(); // logical Binary
     int64_t Lhs = Regs[Inst.Target0];
     int64_t Rhs = Regs[Inst.Target1];
@@ -996,45 +918,30 @@ Dispatch:
     BROPT_COUNT_INST(); // logical Store
     ++LC.Stores;
     Address = Regs[Inst.B.Slot] + static_cast<int32_t>(Inst.ExtraCount);
-    if (Address < 0 || static_cast<uint64_t>(Address) >= MemSize) {
-      flush();
-      trap(formatString("store to invalid address %lld",
-                        static_cast<long long>(Address)));
-      return 0;
-    }
-    Mem[static_cast<size_t>(Address)] = Value;
+    BROPT_CHECK_ADDRESS(Address, StoreExit);
+    Mem[Address] = Value;
     BROPT_COUNT_INST(); // logical Jump
     ++LC.UncondJumps;
-    Index = static_cast<uint32_t>(static_cast<uint64_t>(Inst.Imm) >> 32);
+    IP = Insts + static_cast<uint32_t>(static_cast<uint64_t>(Inst.Imm) >> 32);
     BROPT_DISPATCH();
   }
 
   BROPT_OP(StoreLoadBin) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     BROPT_COUNT_INST(); // logical Store
     ++LC.Stores;
     int64_t Address =
         Regs[Inst.B.Slot] +
         static_cast<int32_t>(
             static_cast<uint32_t>(static_cast<uint64_t>(Inst.Imm) >> 32));
-    if (Address < 0 || static_cast<uint64_t>(Address) >= MemSize) {
-      flush();
-      trap(formatString("store to invalid address %lld",
-                        static_cast<long long>(Address)));
-      return 0;
-    }
-    Mem[static_cast<size_t>(Address)] = Regs[Inst.ExtraCount];
+    BROPT_CHECK_ADDRESS(Address, StoreExit);
+    Mem[Address] = Regs[Inst.ExtraCount];
     BROPT_COUNT_INST(); // logical Load
     ++LC.Loads;
     Address = Inst.A.read(Regs) +
               static_cast<int32_t>(static_cast<uint32_t>(Inst.Imm));
-    if (Address < 0 || static_cast<uint64_t>(Address) >= MemSize) {
-      flush();
-      trap(formatString("load from invalid address %lld",
-                        static_cast<long long>(Address)));
-      return 0;
-    }
-    Regs[Inst.Dest] = Mem[static_cast<size_t>(Address)];
+    BROPT_CHECK_ADDRESS(Address, LoadExit);
+    Regs[Inst.Dest] = Mem[Address];
     BROPT_COUNT_INST(); // logical Binary
     int64_t Lhs = Regs[Inst.Target0];
     int64_t Rhs = Regs[Inst.Target1];
@@ -1045,20 +952,15 @@ Dispatch:
   }
 
   BROPT_OP(PutCharLoadBin) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     BROPT_COUNT_INST(); // logical PutChar
     Result.Output.push_back(
         static_cast<char>(Regs[Inst.B.Slot] & 0xff));
     BROPT_COUNT_INST(); // logical Load
     ++LC.Loads;
     int64_t Address = Inst.A.read(Regs) + Inst.Imm;
-    if (Address < 0 || static_cast<uint64_t>(Address) >= MemSize) {
-      flush();
-      trap(formatString("load from invalid address %lld",
-                        static_cast<long long>(Address)));
-      return 0;
-    }
-    Regs[Inst.Dest] = Mem[static_cast<size_t>(Address)];
+    BROPT_CHECK_ADDRESS(Address, LoadExit);
+    Regs[Inst.Dest] = Mem[Address];
     BROPT_COUNT_INST(); // logical Binary
     int64_t Lhs = Regs[Inst.Target0];
     int64_t Rhs = Regs[Inst.Target1];
@@ -1069,7 +971,7 @@ Dispatch:
   }
 
   BROPT_OP(ProfileCmpBr) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     // The profiling hook never counts toward TotalInsts.
     ++LC.ProfileHooks;
     if (OnProfile)
@@ -1080,16 +982,16 @@ Dispatch:
     CCRhs = Inst.B.read(Regs);
     BROPT_COUNT_INST(); // logical CondBr
     ++LC.CondBranches;
-    const bool Taken = evalCC(static_cast<CondCode>(Inst.SubOp), CCLhs, CCRhs);
-    if (Taken)
-      ++LC.TakenBranches;
+    const bool Taken =
+        condHolds(static_cast<CondCode>(Inst.SubOp), CCLhs, CCRhs);
+    LC.TakenBranches += Taken;
     BROPT_OBSERVE(Inst.Dest, Taken);
-    Index = Taken ? Inst.Target0 : Inst.Target1;
+    IP = Insts + (Taken ? Inst.Target0 : Inst.Target1);
     BROPT_DISPATCH();
   }
 
   BROPT_OP(ReadCharProfileCmpBr) {
-    const DecodedInst &Inst = Insts[Index];
+    const DecodedInst &Inst = *IP;
     BROPT_COUNT_INST(); // logical ReadChar
     if (InputCursor < Input.size())
       Regs[Inst.Dest] = static_cast<unsigned char>(Input[InputCursor++]);
@@ -1104,11 +1006,11 @@ Dispatch:
     CCRhs = Inst.B.read(Regs);
     BROPT_COUNT_INST(); // logical CondBr
     ++LC.CondBranches;
-    const bool Taken = evalCC(static_cast<CondCode>(Inst.SubOp), CCLhs, CCRhs);
-    if (Taken)
-      ++LC.TakenBranches;
+    const bool Taken =
+        condHolds(static_cast<CondCode>(Inst.SubOp), CCLhs, CCRhs);
+    LC.TakenBranches += Taken;
     BROPT_OBSERVE(static_cast<uint32_t>(Inst.Imm), Taken);
-    Index = Taken ? Inst.Target0 : Inst.Target1;
+    IP = Insts + (Taken ? Inst.Target0 : Inst.Target1);
     BROPT_DISPATCH();
   }
 
@@ -1117,13 +1019,55 @@ Dispatch:
   BROPT_UNREACHABLE("unhandled decoded opcode");
 #endif
 
+  // The cold exits, one per kind of trap and one for a hot swap.  Each
+  // handler that can leave jumps here, so the flush code exists once per
+  // kind instead of once per trap site.
+LimitExit:
+  // The trip leaves no budget whichever handler it came from; saying so
+  // keeps the handlers from spilling their decremented budget for it.
+  Remaining = ~uint64_t{0};
+  BROPT_FLUSH();
+  trap("instruction limit exceeded");
+  return 0;
+ArithExit:
+  BROPT_FLUSH();
+  trap(TrapWhat);
+  return 0;
+LoadExit:
+  BROPT_FLUSH();
+  trap(formatString("load from invalid address %lld",
+                    static_cast<long long>(TrapValue)));
+  return 0;
+StoreExit:
+  BROPT_FLUSH();
+  trap(formatString("store to invalid address %lld",
+                    static_cast<long long>(TrapValue)));
+  return 0;
+IndirectExit:
+  BROPT_FLUSH();
+  trap(formatString("indirect jump index %lld out of range",
+                    static_cast<long long>(TrapValue)));
+  return 0;
+SwapExit: {
+  // The activation continues in SwapDM at SwapIndex, from this frame's
+  // registers and condition codes.
+  BROPT_FLUSH();
+  const ResumePoint At{SwapIndex, Regs, CCLhs, CCRhs};
+  return execFused<CountEdges, Feed>(*SwapDM, SwapDM->function(F.FuncIndex),
+                                     Args, Depth, &At);
+}
+
 #undef BROPT_NEXT
 #undef BROPT_OP
 #undef BROPT_DISPATCH
 #undef BROPT_ADAPTIVE_CHECK
 #undef BROPT_OBSERVE
+#undef BROPT_CHECK_ADDRESS
 #undef BROPT_EVAL_BINARY
+#undef BROPT_ARITH_TRAP
 #undef BROPT_COUNT_INST
+#undef BROPT_FLUSH
+#undef BROPT_LOAD_TABLE
 }
 
 // Production runs take the <false, ...> instantiations, the Table one when
@@ -1131,15 +1075,12 @@ Dispatch:
 // (collectEdgeWeights) take the counting one.
 template int64_t Interpreter::execFused<false, Interpreter::PredictorFeed::Virtual>(
     const DecodedModule &, const DecodedFunction &,
-    const std::vector<int64_t> &, unsigned, size_t, const int64_t *, int64_t,
-    int64_t);
+    const std::vector<int64_t> &, unsigned, const ResumePoint *);
 template int64_t Interpreter::execFused<false, Interpreter::PredictorFeed::Table>(
     const DecodedModule &, const DecodedFunction &,
-    const std::vector<int64_t> &, unsigned, size_t, const int64_t *, int64_t,
-    int64_t);
+    const std::vector<int64_t> &, unsigned, const ResumePoint *);
 template int64_t Interpreter::execFused<true, Interpreter::PredictorFeed::Virtual>(
     const DecodedModule &, const DecodedFunction &,
-    const std::vector<int64_t> &, unsigned, size_t, const int64_t *, int64_t,
-    int64_t);
+    const std::vector<int64_t> &, unsigned, const ResumePoint *);
 
 bool bropt::fusedDispatchIsThreaded() { return BROPT_COMPUTED_GOTO != 0; }

@@ -968,6 +968,65 @@ TEST(ServiceShutdown, DrainCancelsInFlightTierTwoCompile) {
       << "shutdown drained without cancelling the wedged tier-2 compile";
 }
 
+TEST(ServiceShutdown, DrainCancelsWedgedNativePrepare) {
+  // A native-mode execute compiles its program under the artifact's build
+  // lock, here on a host compiler that never returns.  Past the drain
+  // deadline shutdown cancels that compile: the execute is answered with
+  // an error, shutdown() returns, and so does the daemon's destructor,
+  // which joins the worker that ran it.
+  std::unique_ptr<NativeRunner> HangRunner = makeHangRunner();
+  ServiceOptions Options;
+  Options.Threads = 2;
+  Options.DrainDeadlineSeconds = 1.0;
+  Options.Runtime.Runner = HangRunner.get();
+  auto Daemon = std::make_unique<InProcessService>(Options);
+  ASSERT_TRUE(Daemon->ok()) << Daemon->error();
+  auto Client = Daemon->connect();
+  ASSERT_TRUE(Client);
+  ASSERT_TRUE(Client->send(
+      executeRequest(SlowSource, "", Interpreter::Mode::Native)));
+  for (int Tick = 0;
+       Tick < 3000 && !Daemon->service().stats().RequestsAccepted; ++Tick)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  ASSERT_EQ(Daemon->service().stats().RequestsAccepted, 1u);
+
+  const auto Start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(Daemon->service().shutdown()) << "the drain cancelled nothing";
+  ServiceResponse Response;
+  ASSERT_TRUE(Client->receive(Response));
+  EXPECT_EQ(Response.Status, ResponseStatus::Error);
+  EXPECT_NE(Response.Error.find("native compile cancelled"),
+            std::string::npos)
+      << Response.Error;
+  Daemon.reset();
+  // Well inside the 600s hang: the drain deadline plus teardown slack.
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          Start)
+                .count(),
+            30.0);
+}
+
+TEST(ServiceExecute, NativeCompileTimeoutBoundsNativePrepare) {
+  // The daemon's NativeCompileTimeout caps a native execute's host
+  // compile as it caps a tier-2 one: the execute fails, and the daemon
+  // drains cleanly.
+  std::unique_ptr<NativeRunner> HangRunner = makeHangRunner();
+  ServiceOptions Options;
+  Options.Runtime.Runner = HangRunner.get();
+  Options.Runtime.NativeCompileTimeout = 0.2;
+  InProcessService Daemon(Options);
+  ASSERT_TRUE(Daemon.ok()) << Daemon.error();
+  auto Client = Daemon.connect();
+  ASSERT_TRUE(Client);
+  ServiceResponse Response;
+  ASSERT_TRUE(Client->roundTrip(
+      executeRequest(SlowSource, "", Interpreter::Mode::Native), Response));
+  EXPECT_EQ(Response.Status, ResponseStatus::Error);
+  EXPECT_NE(Response.Error.find("timed out"), std::string::npos)
+      << Response.Error;
+  EXPECT_TRUE(Daemon.service().shutdown());
+}
+
 TEST(ServiceShutdown, AdaptiveStaysInterpretedWithoutNativeTier) {
   // The same hot program and knobs as the drain test above, which with
   // --native-tier launches a tier-2 compile the drain must cancel.

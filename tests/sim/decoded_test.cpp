@@ -19,6 +19,7 @@
 #include "sim/Interpreter.h"
 #include "workloads/Workloads.h"
 
+#include <climits>
 #include <fstream>
 #include <gtest/gtest.h>
 #include <sstream>
@@ -82,6 +83,18 @@ RunResult expectIdenticalRuns(const Module &M, std::string_view Input,
               Other.Prediction.Mispredictions);
   }
   return Results[0];
+}
+
+TEST(CondMaskTest, EveryCodeMatchesTheReferenceOnEdgeOperands) {
+  // The loop's branch-free test against the tree walker's switch, on
+  // every pair of the extreme and sign-boundary operands.
+  const int64_t Operands[] = {INT64_MIN, -1, 0, 1, INT64_MAX};
+  for (CondCode CC : {CondCode::EQ, CondCode::NE, CondCode::LT, CondCode::LE,
+                      CondCode::GT, CondCode::GE})
+    for (int64_t Lhs : Operands)
+      for (int64_t Rhs : Operands)
+        EXPECT_EQ(condHolds(CC, Lhs, Rhs), evalCondCode(CC, Lhs, Rhs))
+            << condCodeName(CC) << " " << Lhs << ", " << Rhs;
 }
 
 TEST(DecodedDifferentialTest, AllWorkloadsAllHeuristicSets) {

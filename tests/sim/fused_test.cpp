@@ -5,8 +5,9 @@
 // the compaction pass must leave a dense reachable stream, and fused
 // programs — including profile-ordered chains and measured layouts — must
 // stay observationally identical to the tree-walking reference, even when
-// an instruction limit cuts execution mid-macro-op.  Whole-corpus engine
-// agreement is covered by decoded_test.cpp; this file pins down the
+// an instruction limit cuts execution mid-macro-op, a trap leaves from
+// inside one, or the activation hot-swaps between streams.  Whole-corpus
+// engine agreement is covered by decoded_test.cpp; this file pins down the
 // fusion-specific machinery.
 //
 //===----------------------------------------------------------------------===//
@@ -14,14 +15,18 @@
 #include "driver/Driver.h"
 #include "ir/IRBuilder.h"
 #include "predict/BranchPredictor.h"
+#include "predict/Zoo.h"
 #include "profile/ProfileDB.h"
 #include "runtime/HotnessSampler.h"
+#include "runtime/SwapPoint.h"
 #include "sim/Fuse.h"
 #include "sim/Interpreter.h"
 #include "workloads/Workloads.h"
 
+#include <climits>
 #include <gtest/gtest.h>
 #include <optional>
+#include <set>
 
 using namespace bropt;
 
@@ -390,6 +395,602 @@ TEST(FusedPreparedTest, PreparedProgramIsReusableAcrossRuns) {
   RunResult Second = Interp.run();
   expectSameObservables(First, Second);
   EXPECT_EQ(First.ExitValue, 5);
+}
+
+//===----------------------------------------------------------------------===//
+// Cold exits: every trap leaves the dispatch loop through one shared exit
+// per kind, and a hot swap through one more.  Each exit must hand back
+// exact counts and predictor state wherever it is taken from.
+//===----------------------------------------------------------------------===//
+
+/// One program's two streams: the unfused one adaptive tier 0 runs and the
+/// fused one, with the block maps a hot swap translates positions by.
+struct Streams {
+  DecodedModule Plain;
+  ProgramVersion Fused;
+
+  explicit Streams(const Module &M) : Plain(DecodedModule::decode(M)) {
+    Fused.DM = decodeFused(M, {}, nullptr, &Fused.Map);
+    Fused.buildReverseMap();
+  }
+};
+
+enum class Stream { Tree, Fused, Plain, Swapping };
+
+/// Hot swaps per Swapping run at most: each one nests an activation.
+constexpr unsigned MaxSwaps = 256;
+
+/// Test-input bytes each workload runs on in the limit sweep.
+constexpr size_t SweepInputBytes = 128;
+
+/// Runs main(\p Args) with a fresh `paper` predictor on \p Which: the tree
+/// walker, one of \p S's streams, or (Swapping) the unfused stream with a
+/// hook that swaps the activation to the other stream at every second
+/// offer, counting the swaps that leave the fused stream in
+/// \p SwapsFromFused.  Offers come at each sampled branch and at each
+/// activation's entry; skipping every other one keeps a swapped-in
+/// activation from swapping straight back at its entry, before it has
+/// counted anything.  Without \p Limit the default instruction limit
+/// holds.
+RunResult runPaper(const Module &M, const Streams &S, Stream Which,
+                   const std::vector<int64_t> &Args = {},
+                   std::string_view Input = "",
+                   std::optional<uint64_t> Limit = std::nullopt,
+                   unsigned *SwapsFromFused = nullptr) {
+  Interpreter Interp(M, Which == Stream::Tree    ? Interpreter::Mode::Tree
+                        : Which == Stream::Fused ? Interpreter::Mode::Fused
+                                                 : Interpreter::Mode::Adaptive);
+  Interp.setPreparedProgram(Which == Stream::Fused ? &S.Fused.DM : &S.Plain);
+  std::unique_ptr<Predictor> Paper = makePredictor("paper");
+  Interp.attachPredictor(Paper.get());
+  Interp.setInput(Input);
+  if (Limit)
+    Interp.setInstructionLimit(*Limit);
+  unsigned Offers = 0, Swaps = 0;
+  AdaptiveHooks Hooks;
+  Hooks.SampleInterval = Hooks.SampleCountdown = 1;
+  Hooks.TrySwap = [&](const DecodedModule &Cur, uint32_t Func, size_t Index,
+                      size_t &NewIndex) -> const DecodedModule * {
+    if (++Offers % 2 || Swaps == MaxSwaps)
+      return nullptr;
+    if (&Cur == &S.Plain) {
+      if (!translateSwapPoint(nullptr, S.Fused, Func, Index, NewIndex))
+        return nullptr;
+      ++Swaps;
+      return &S.Fused.DM;
+    }
+    auto It = S.Fused.PlainIndexOf[Func].find(static_cast<uint32_t>(Index));
+    if (It == S.Fused.PlainIndexOf[Func].end())
+      return nullptr;
+    NewIndex = It->second;
+    ++Swaps;
+    if (SwapsFromFused)
+      ++*SwapsFromFused;
+    return &S.Plain;
+  };
+  if (Which == Stream::Swapping)
+    Interp.setAdaptiveHooks(&Hooks);
+  return Interp.run("main", Args);
+}
+
+/// Runs \p M on both streams and swapping between them, each held to the
+/// tree walker, which must trap with \p Reason; then trips the limit at
+/// each instruction up to the trapping one on both streams.
+void expectTrapEverywhere(const Module &M, const std::vector<int64_t> &Args,
+                          const std::string &Reason,
+                          unsigned *SwapsFromFused) {
+  SCOPED_TRACE(Reason);
+  Streams S(M);
+  RunResult Tree = runPaper(M, S, Stream::Tree, Args);
+  EXPECT_TRUE(Tree.Trapped);
+  EXPECT_EQ(Tree.TrapReason, Reason);
+  EXPECT_GT(Tree.Prediction.Branches, 0u) << "the trap must come mid-run";
+  for (Stream Which : {Stream::Fused, Stream::Plain, Stream::Swapping}) {
+    SCOPED_TRACE(static_cast<int>(Which));
+    expectSameObservables(
+        Tree, runPaper(M, S, Which, Args, "", std::nullopt, SwapsFromFused));
+  }
+  for (uint64_t Limit = 0; Limit < Tree.Counts.TotalInsts; ++Limit) {
+    SCOPED_TRACE(Limit);
+    RunResult Tripped = runPaper(M, S, Stream::Tree, Args, "", Limit);
+    for (Stream Which : {Stream::Fused, Stream::Plain})
+      expectSameObservables(Tripped, runPaper(M, S, Which, Args, "", Limit));
+  }
+}
+
+/// The fused stream of \p M's main holds \p Op, and no plain op that could
+/// take \p Op's trap instead.
+void expectFusedInto(const Module &M, DecodedOp Op,
+                     std::initializer_list<DecodedOp> Absent) {
+  DecodedModule DM = decodeFused(M);
+  const DecodedFunction &Main = *DM.getFunction("main");
+  EXPECT_GE(countOps(Main, Op), 1u) << static_cast<int>(Op);
+  for (DecodedOp Plain : Absent)
+    EXPECT_EQ(countOps(Main, Plain), 0u) << static_cast<int>(Plain);
+}
+
+/// main(a, d) computes a OP d for d = d0, d0 - 2, ..., branching on each
+/// quotient.  Shape BinCmpBr puts the division in front of the compare;
+/// Bin2 pairs it with an add, in the pair's first or second position.
+enum class DivShape { BinCmpBr, Bin2First, Bin2Second };
+void buildDivLoop(Module &M, BinaryOp Op, DivShape Shape) {
+  Function *F = M.createFunction("main", 2);
+  BasicBlock *Entry = F->createBlock("entry");
+  BasicBlock *Loop = F->createBlock("loop");
+  BasicBlock *Body = F->createBlock("body");
+  BasicBlock *Out = F->createBlock("out");
+  unsigned Q = F->newReg(), T = F->newReg(), Sum = F->newReg();
+  IRBuilder B(Entry);
+  B.emitMove(Sum, Operand::imm(0));
+  B.emitJump(Loop);
+  B.setInsertionPoint(Loop);
+  if (Shape == DivShape::BinCmpBr) {
+    B.emitBinary(Op, Q, Operand::reg(0), Operand::reg(1));
+    B.emitCmp(Operand::reg(Q), Operand::imm(1000000));
+    B.emitCondBr(CondCode::GT, Out, Body);
+    B.setInsertionPoint(Body);
+  } else {
+    B.emitCmp(Operand::reg(1), Operand::imm(-100));
+    B.emitCondBr(CondCode::LT, Out, Body);
+    B.setInsertionPoint(Body);
+    if (Shape == DivShape::Bin2First) {
+      B.emitBinary(Op, Q, Operand::reg(0), Operand::reg(1));
+      B.emitBinary(BinaryOp::Add, T, Operand::reg(Q), Operand::imm(1));
+    } else {
+      B.emitBinary(BinaryOp::Add, T, Operand::reg(1), Operand::imm(0));
+      B.emitBinary(Op, Q, Operand::reg(0), Operand::reg(T));
+    }
+    B.emitBinary(BinaryOp::Add, Sum, Operand::reg(Sum), Operand::reg(Q));
+  }
+  B.emitBinary(BinaryOp::Sub, 1, Operand::reg(1), Operand::imm(2));
+  B.emitJump(Loop);
+  B.setInsertionPoint(Out);
+  B.emitRet(Operand::reg(Sum));
+}
+
+TEST(FusedColdExitTest, ArithmeticTrapsInsideBinCmpBrAndBin2) {
+  unsigned SwapsFromFused = 0;
+  for (BinaryOp Op : {BinaryOp::Div, BinaryOp::Rem}) {
+    const std::string Name = Op == BinaryOp::Div ? "division" : "remainder";
+    for (DivShape Shape :
+         {DivShape::BinCmpBr, DivShape::Bin2First, DivShape::Bin2Second}) {
+      SCOPED_TRACE(static_cast<int>(Shape));
+      Module M;
+      buildDivLoop(M, Op, Shape);
+      expectFusedInto(M,
+                      Shape == DivShape::BinCmpBr ? DecodedOp::BinCmpBr
+                                                  : DecodedOp::Bin2,
+                      {});
+      DecodedModule DM = decodeFused(M);
+      for (const DecodedInst &Inst : DM.getFunction("main")->Insts)
+        EXPECT_FALSE(Inst.Op == DecodedOp::Binary &&
+                     static_cast<BinaryOp>(Inst.SubOp) == Op)
+            << "the division must not run as a plain Binary";
+      // d runs 4, 2, 0 and 3, 1, -1: the third quotient traps.
+      expectTrapEverywhere(M, {7, 4}, Name + " by zero", &SwapsFromFused);
+      expectTrapEverywhere(M, {INT64_MIN, 3}, Name + " overflow",
+                           &SwapsFromFused);
+    }
+  }
+  EXPECT_GT(SwapsFromFused, 0u);
+}
+
+/// Global g[4] = {1, 2, 3, 4}, for the address traps.
+void addTable(Module &M) { M.createGlobal("g", 4, {1, 2, 3, 4}); }
+
+TEST(FusedColdExitTest, LoadCmpBrLoadsOutOfRange) {
+  // main(p, s) loads g[p] for p = p0, p0 + s, ... until it reads 99.
+  Module M;
+  addTable(M);
+  Function *F = M.createFunction("main", 2);
+  BasicBlock *Entry = F->createBlock("entry");
+  BasicBlock *Loop = F->createBlock("loop");
+  BasicBlock *Step = F->createBlock("step");
+  BasicBlock *Out = F->createBlock("out");
+  unsigned V = F->newReg();
+  IRBuilder B(Entry);
+  B.emitMove(V, Operand::imm(0));
+  B.emitJump(Loop);
+  B.setInsertionPoint(Loop);
+  B.emitLoad(V, Operand::reg(0));
+  B.emitCmp(Operand::reg(V), Operand::imm(99));
+  B.emitCondBr(CondCode::EQ, Out, Step);
+  B.setInsertionPoint(Step);
+  B.emitBinary(BinaryOp::Add, 0, Operand::reg(0), Operand::reg(1));
+  B.emitJump(Loop);
+  B.setInsertionPoint(Out);
+  B.emitRet(Operand::reg(V));
+  expectFusedInto(M, DecodedOp::LoadCmpBr, {DecodedOp::Load});
+  unsigned SwapsFromFused = 0;
+  expectTrapEverywhere(M, {0, 1}, "load from invalid address 4",
+                       &SwapsFromFused);
+  expectTrapEverywhere(M, {3, -1}, "load from invalid address -1",
+                       &SwapsFromFused);
+  EXPECT_GT(SwapsFromFused, 0u);
+}
+
+TEST(FusedColdExitTest, LoadJumpLoadsOutOfRange) {
+  // main(p, s) loads g[p] at the end of a loop body, for p = p0 + s, ...
+  Module M;
+  addTable(M);
+  Function *F = M.createFunction("main", 2);
+  BasicBlock *Entry = F->createBlock("entry");
+  BasicBlock *Loop = F->createBlock("loop");
+  BasicBlock *Body = F->createBlock("body");
+  BasicBlock *Out = F->createBlock("out");
+  unsigned I = F->newReg(), V = F->newReg();
+  IRBuilder B(Entry);
+  B.emitMove(I, Operand::imm(0));
+  B.emitJump(Loop);
+  B.setInsertionPoint(Loop);
+  B.emitCmp(Operand::reg(I), Operand::imm(10));
+  B.emitCondBr(CondCode::GE, Out, Body);
+  B.setInsertionPoint(Body);
+  B.emitBinary(BinaryOp::Add, I, Operand::reg(I), Operand::imm(1));
+  B.emitBinary(BinaryOp::Add, 0, Operand::reg(0), Operand::reg(1));
+  B.emitLoad(V, Operand::reg(0));
+  B.emitJump(Loop);
+  B.setInsertionPoint(Out);
+  B.emitRet(Operand::reg(I));
+  expectFusedInto(M, DecodedOp::LoadJump, {DecodedOp::Load});
+  unsigned SwapsFromFused = 0;
+  expectTrapEverywhere(M, {0, 1}, "load from invalid address 4",
+                       &SwapsFromFused);
+  expectTrapEverywhere(M, {0, -1}, "load from invalid address -1",
+                       &SwapsFromFused);
+  EXPECT_GT(SwapsFromFused, 0u);
+}
+
+/// main(p, q) runs ten iterations of a straight-line body over g, with p
+/// and q stepping by one; \p Body emits the body from (i, p, q).
+template <typename BodyFn> void buildTableLoop(Module &M, BodyFn Body) {
+  addTable(M);
+  Function *F = M.createFunction("main", 2);
+  BasicBlock *Entry = F->createBlock("entry");
+  BasicBlock *Loop = F->createBlock("loop");
+  BasicBlock *Work = F->createBlock("body");
+  BasicBlock *Out = F->createBlock("out");
+  unsigned I = F->newReg();
+  IRBuilder B(Entry);
+  B.emitMove(I, Operand::imm(0));
+  B.emitJump(Loop);
+  B.setInsertionPoint(Loop);
+  B.emitCmp(Operand::reg(I), Operand::imm(10));
+  B.emitCondBr(CondCode::GE, Out, Work);
+  B.setInsertionPoint(Work);
+  Body(*F, B, I, 0u, 1u);
+  B.emitBinary(BinaryOp::Add, I, Operand::reg(I), Operand::imm(1));
+  B.emitBinary(BinaryOp::Add, 0, Operand::reg(0), Operand::imm(1));
+  B.emitBinary(BinaryOp::Add, 1, Operand::reg(1), Operand::imm(1));
+  B.emitJump(Loop);
+  B.setInsertionPoint(Out);
+  B.emitRet(Operand::reg(I));
+}
+
+TEST(FusedColdExitTest, LoadBinStoreAndStoreLoadBinAddressTraps) {
+  unsigned SwapsFromFused = 0;
+  {
+    // g[q] = g[p] + 1: with q two ahead the store leaves first, with p
+    // two ahead the load.
+    Module M;
+    buildTableLoop(M, [](Function &F, IRBuilder &B, unsigned, unsigned P,
+                         unsigned Q) {
+      unsigned V = F.newReg(), W = F.newReg();
+      B.emitLoad(V, Operand::reg(P));
+      B.emitBinary(BinaryOp::Add, W, Operand::reg(V), Operand::imm(1));
+      B.emitStore(Operand::reg(W), Operand::reg(Q));
+    });
+    expectFusedInto(M, DecodedOp::LoadBinStore,
+                    {DecodedOp::Load, DecodedOp::Store});
+    expectTrapEverywhere(M, {0, 2}, "store to invalid address 4",
+                         &SwapsFromFused);
+    expectTrapEverywhere(M, {2, 0}, "load from invalid address 4",
+                         &SwapsFromFused);
+    expectTrapEverywhere(M, {0, -1}, "store to invalid address -1",
+                         &SwapsFromFused);
+  }
+  {
+    // g[q] = i; then g[p] + i.
+    Module M;
+    buildTableLoop(M, [](Function &F, IRBuilder &B, unsigned I, unsigned P,
+                         unsigned Q) {
+      unsigned V = F.newReg(), W = F.newReg();
+      B.emitStore(Operand::reg(I), Operand::reg(Q));
+      B.emitLoad(V, Operand::reg(P));
+      B.emitBinary(BinaryOp::Add, W, Operand::reg(V), Operand::reg(I));
+    });
+    expectFusedInto(M, DecodedOp::StoreLoadBin,
+                    {DecodedOp::Load, DecodedOp::Store});
+    expectTrapEverywhere(M, {0, 2}, "store to invalid address 4",
+                         &SwapsFromFused);
+    expectTrapEverywhere(M, {2, 0}, "load from invalid address 4",
+                         &SwapsFromFused);
+    expectTrapEverywhere(M, {-1, 0}, "load from invalid address -1",
+                         &SwapsFromFused);
+  }
+  EXPECT_GT(SwapsFromFused, 0u);
+}
+
+TEST(FusedColdExitTest, PutCharLoadBinTrapsAfterItsOutput) {
+  // putchar('a' + i), then g[p] + 1: the trapping iteration's byte is
+  // already out.
+  Module M;
+  buildTableLoop(M, [](Function &F, IRBuilder &B, unsigned I, unsigned P,
+                       unsigned) {
+    unsigned C = F.newReg(), V = F.newReg(), W = F.newReg();
+    B.emitBinary(BinaryOp::Add, C, Operand::reg(I), Operand::imm('a'));
+    B.emitPutChar(Operand::reg(C));
+    B.emitLoad(V, Operand::reg(P));
+    B.emitBinary(BinaryOp::Add, W, Operand::reg(V), Operand::imm(1));
+  });
+  expectFusedInto(M, DecodedOp::PutCharLoadBin,
+                  {DecodedOp::PutChar, DecodedOp::Load});
+  unsigned SwapsFromFused = 0;
+  expectTrapEverywhere(M, {1, 0}, "load from invalid address 4",
+                       &SwapsFromFused);
+  expectTrapEverywhere(M, {-2, 0}, "load from invalid address -2",
+                       &SwapsFromFused);
+  EXPECT_GT(SwapsFromFused, 0u);
+  Streams S(M);
+  EXPECT_EQ(runPaper(M, S, Stream::Fused, {1, 0}).Output, "abcd");
+}
+
+TEST(FusedColdExitTest, IndirectJumpIndexOutOfRange) {
+  // main(s) dispatches on k through a three-entry table; the last entry
+  // adds s, so k leaves the table after three rounds.
+  Module M;
+  Function *F = M.createFunction("main", 1);
+  BasicBlock *Entry = F->createBlock("entry");
+  BasicBlock *Head = F->createBlock("head");
+  BasicBlock *Disp = F->createBlock("disp");
+  BasicBlock *Arms[3] = {F->createBlock("b0"), F->createBlock("b1"),
+                         F->createBlock("b2")};
+  BasicBlock *Out = F->createBlock("out");
+  unsigned K = F->newReg();
+  IRBuilder B(Entry);
+  B.emitMove(K, Operand::imm(0));
+  B.emitJump(Head);
+  B.setInsertionPoint(Head);
+  B.emitCmp(Operand::reg(K), Operand::imm(100));
+  B.emitCondBr(CondCode::GT, Out, Disp);
+  B.setInsertionPoint(Disp);
+  B.emitIndirectJump(Operand::reg(K), {Arms[0], Arms[1], Arms[2]});
+  for (int Arm = 0; Arm < 3; ++Arm) {
+    B.setInsertionPoint(Arms[Arm]);
+    B.emitBinary(BinaryOp::Add, K, Operand::reg(K),
+                 Arm < 2 ? Operand::imm(1) : Operand::reg(0));
+    B.emitJump(Head);
+  }
+  B.setInsertionPoint(Out);
+  B.emitRet(Operand::reg(K));
+  unsigned SwapsFromFused = 0;
+  expectTrapEverywhere(M, {1}, "indirect jump index 3 out of range",
+                       &SwapsFromFused);
+  expectTrapEverywhere(M, {-5}, "indirect jump index -3 out of range",
+                       &SwapsFromFused);
+  EXPECT_GT(SwapsFromFused, 0u);
+}
+
+TEST(FusedColdExitTest, HotSwapsBetweenStreamsKeepEveryCount) {
+  // The swap exit itself, on runs that end normally: the read-modify-write
+  // loop, the ladder, wc, and a recursive walk whose activations also
+  // swap at entry and around calls, each swapping at every sampled branch.
+  unsigned SwapsFromFused = 0;
+  auto Check = [&](const Module &M, const std::vector<int64_t> &Args,
+                   std::string_view Input) {
+    Streams S(M);
+    RunResult Tree = runPaper(M, S, Stream::Tree, Args, Input);
+    EXPECT_FALSE(Tree.Trapped) << Tree.TrapReason;
+    expectSameObservables(Tree, runPaper(M, S, Stream::Swapping, Args, Input,
+                                         std::nullopt, &SwapsFromFused));
+  };
+  Module Rmw, Ladder;
+  buildRmwLoop(Rmw);
+  buildLadder(Ladder);
+  Check(Rmw, {}, "");
+  for (int64_t Arg : {0, 1, 2, 3})
+    Check(Ladder, {Arg}, "");
+  const Workload *Wc = findWorkload("wc");
+  ASSERT_NE(Wc, nullptr);
+  CompileResult R = compileWithReordering(Wc->Source, Wc->TrainingInput, {});
+  ASSERT_TRUE(R.ok()) << R.Error;
+  Check(*R.M, {}, std::string_view(Wc->TestInput).substr(0, 300));
+  const char *Walk = R"(
+int walk(int depth) {
+  int n = 0;
+  int c;
+  while ((c = getchar()) != -1) {
+    if (c == '(') {
+      n = n + walk(depth + 1);
+    } else if (c == ')') {
+      return n + depth;
+    } else {
+      n = n + 1;
+    }
+  }
+  return n;
+}
+int main() {
+  printint(walk(0));
+  return 0;
+}
+)";
+  R = compileWithReordering(Walk, "(a(b)c)(d)", {});
+  ASSERT_TRUE(R.ok()) << R.Error;
+  Check(*R.M, {}, "x(ab(c)(d(e)))f((g))h");
+  EXPECT_GT(SwapsFromFused, 0u);
+}
+//===----------------------------------------------------------------------===//
+// The limit sweep: on the 17 Set IV workloads, an instruction limit at
+// every logical instruction of a short run, so the limit exit is taken at
+// every logical position of every macro-op kind their fused streams run.
+//===----------------------------------------------------------------------===//
+
+/// True for the ops that end a straight-line run of slots: every control
+/// transfer.  Call returns to the next slot.
+bool endsBlock(DecodedOp Op) {
+  switch (Op) {
+  case DecodedOp::CondBr:
+  case DecodedOp::Jump:
+  case DecodedOp::FallThrough:
+  case DecodedOp::Switch:
+  case DecodedOp::IndirectJump:
+  case DecodedOp::Ret:
+  case DecodedOp::TrapFellOff:
+  case DecodedOp::CmpBr:
+  case DecodedOp::MultiCmp:
+  case DecodedOp::MoveCmpBr:
+  case DecodedOp::BinCmpBr:
+  case DecodedOp::LoadCmpBr:
+  case DecodedOp::ReadCharCmpBr:
+  case DecodedOp::MoveJump:
+  case DecodedOp::BinJump:
+  case DecodedOp::LoadJump:
+  case DecodedOp::StoreJump:
+  case DecodedOp::BinStoreJump:
+  case DecodedOp::LoadBinStoreJump:
+  case DecodedOp::ProfileCmpBr:
+  case DecodedOp::ReadCharProfileCmpBr:
+    return true;
+  default:
+    return false;
+  }
+}
+
+/// The op kinds the fused stream \p S.Fused executes on \p Input: every
+/// slot of every block the run enters.  An edge-counting run of the
+/// unfused stream names the blocks entered, by the targets of the edges
+/// it took and the entries of the functions it called, and the swap map
+/// finds each block in the fused stream.
+std::set<DecodedOp> executedKinds(const Module &M, const Streams &S,
+                                  std::string_view Input) {
+  std::vector<EdgeSlot> Slots;
+  DecodedModule::decode(M, &Slots);
+  std::vector<uint64_t> Taken(Slots.size());
+  Interpreter Interp(M, Interpreter::Mode::Adaptive);
+  Interp.setPreparedProgram(&S.Plain);
+  Interp.setEdgeCounters(Taken.data());
+  Interp.setInput(Input);
+  EXPECT_FALSE(Interp.run().Trapped);
+
+  // Plain block starts entered, per function, closed over calls.
+  std::vector<std::set<uint32_t>> Entered(S.Plain.size());
+  Entered[S.Plain.getFunction("main")->FuncIndex].insert(0);
+  for (uint32_t Func = 0; Func < S.Plain.size(); ++Func) {
+    const DecodedFunction &DF = S.Plain.function(Func);
+    for (const DecodedInst &Inst : DF.Insts) {
+      auto Enter = [&](uint64_t Slot, uint32_t Target) {
+        if (Taken[Slot])
+          Entered[Func].insert(Target);
+      };
+      switch (Inst.Op) {
+      case DecodedOp::CondBr:
+        Enter(Inst.Imm, Inst.Target0);
+        Enter(Inst.Imm + 1, Inst.Target1);
+        break;
+      case DecodedOp::Jump:
+      case DecodedOp::FallThrough:
+        Enter(Inst.Imm, Inst.Target0);
+        break;
+      case DecodedOp::Switch:
+        for (uint32_t Case = 0; Case < Inst.ExtraCount; ++Case)
+          Enter(Inst.Imm + Case, DF.Cases[Inst.Extra + Case].Target);
+        Enter(Inst.Imm + Inst.ExtraCount, Inst.Target0);
+        break;
+      case DecodedOp::IndirectJump:
+        for (uint32_t Entry = 0; Entry < Inst.ExtraCount; ++Entry)
+          Enter(Inst.Imm + Entry, DF.JumpTables[Inst.Extra + Entry]);
+        break;
+      default:
+        break;
+      }
+    }
+  }
+  for (bool Grew = true; Grew;) {
+    Grew = false;
+    for (uint32_t Func = 0; Func < S.Plain.size(); ++Func)
+      for (uint32_t Start : Entered[Func])
+        for (uint32_t Slot = Start;; ++Slot) {
+          const DecodedInst &Inst = S.Plain.function(Func).Insts[Slot];
+          if (Inst.Op == DecodedOp::Call)
+            Grew |= Entered[Inst.Target0].insert(0).second;
+          if (endsBlock(Inst.Op))
+            break;
+        }
+  }
+
+  std::set<DecodedOp> Kinds;
+  for (uint32_t Func = 0; Func < S.Plain.size(); ++Func)
+    for (uint32_t Start : Entered[Func]) {
+      // A block swallowed by a chain runs inside its head's MultiCmp.
+      auto It = S.Fused.Map.FusedIndexOf[Func].find(Start);
+      if (It == S.Fused.Map.FusedIndexOf[Func].end())
+        continue;
+      for (uint32_t Slot = It->second;; ++Slot) {
+        DecodedOp Op = S.Fused.DM.function(Func).Insts[Slot].Op;
+        Kinds.insert(Op);
+        if (endsBlock(Op))
+          break;
+      }
+    }
+  return Kinds;
+}
+
+TEST(FusedLimitTest, SweepTripsEveryPositionOfEveryMacroOpKind) {
+  // Each workload runs on the first bytes of its test input, short enough
+  // to trap at every one of the run's logical instructions in turn on the
+  // tree walker, the fused stream and the unfused stream, all with
+  // `paper` attached.  Every instruction of the run is the trapping one
+  // for exactly one limit, so each position of each dispatch the fused
+  // run executes takes the limit exit once.
+  CompileOptions Options;
+  Options.HeuristicSet = SwitchHeuristicSet::SetIV;
+  Options.Predictor = "paper";
+  std::set<DecodedOp> Covered;
+  for (const Workload &W : standardWorkloads()) {
+    SCOPED_TRACE(W.Name);
+    CompileResult R =
+        compileWithReordering(W.Source, W.TrainingInput, Options);
+    ASSERT_TRUE(R.ok()) << R.Error;
+    const std::string_view Input =
+        std::string_view(W.TestInput).substr(0, SweepInputBytes);
+    Streams S(*R.M);
+    RunResult Full = runPaper(*R.M, S, Stream::Tree, {}, Input);
+    ASSERT_FALSE(Full.Trapped) << Full.TrapReason;
+    for (DecodedOp Op : executedKinds(*R.M, S, Input))
+      Covered.insert(Op);
+    for (uint64_t Limit = 0; Limit < Full.Counts.TotalInsts; ++Limit) {
+      SCOPED_TRACE(Limit);
+      RunResult Tree = runPaper(*R.M, S, Stream::Tree, {}, Input, Limit);
+      ASSERT_TRUE(Tree.Trapped);
+      expectSameObservables(Tree,
+                            runPaper(*R.M, S, Stream::Fused, {}, Input, Limit));
+      expectSameObservables(Tree,
+                            runPaper(*R.M, S, Stream::Plain, {}, Input, Limit));
+      if (HasFailure())
+        return;
+    }
+  }
+  // Every macro-op kind but LoadJump, which these runs never reach
+  // (FusedColdExitTest sweeps it), and the plain ops fusion leaves in
+  // place.
+  const std::set<DecodedOp> Expected = {
+      DecodedOp::Move,          DecodedOp::Binary,
+      DecodedOp::Load,          DecodedOp::Store,
+      DecodedOp::Call,          DecodedOp::ReadChar,
+      DecodedOp::PutChar,       DecodedOp::PrintInt,
+      DecodedOp::CondBr,        DecodedOp::FallThrough,
+      DecodedOp::IndirectJump,  DecodedOp::Ret,
+      DecodedOp::CmpBr,         DecodedOp::MultiCmp,
+      DecodedOp::MoveCmpBr,     DecodedOp::BinCmpBr,
+      DecodedOp::LoadCmpBr,     DecodedOp::ReadCharCmpBr,
+      DecodedOp::MoveJump,      DecodedOp::BinJump,
+      DecodedOp::StoreJump,     DecodedOp::LoadBin,
+      DecodedOp::Bin2,          DecodedOp::BinStore,
+      DecodedOp::BinStoreJump,  DecodedOp::Move2,
+      DecodedOp::LoadBinStore,  DecodedOp::LoadBinStoreJump,
+      DecodedOp::StoreLoadBin,  DecodedOp::PutCharLoadBin};
+  EXPECT_EQ(Covered, Expected);
 }
 
 } // namespace
